@@ -19,15 +19,21 @@ kernel row, column, and 8-channel half.  The running int32 sum is spilled
 into an FP32 accumulator (scaled by 2**(E_inp + E_wt)) every `icblk*KH*KW`
 products; this chain length is the overflow-management knob.
 
-Two engines produce bit-identical outputs and statistics:
+Every pass is lowered by one im2col into an (M, L) patch matrix whose
+columns follow the madd order; a GEMM's patch matrix is its A operand.
+Two engines read it and produce bit-identical outputs and statistics:
 
 * "instr": a Python loop nest issuing one vnni_madd per emulated
-  instruction, counting instructions live.
-* "fast": an im2col formulation.  Per-chain integer sums are computed
-  exactly (float64 matmul; all partial sums stay far below 2**53) and then
-  wrapped to int32.  Because two's-complement addition is associative, the
-  wrapped totals equal the instruction sequence's, and spilling in the same
-  chain order reproduces the FP32 accumulation bit for bit.
+  instruction, with vinp2 read from the packed weights, counting
+  instructions live.  This reference emulator is the only consumer of the
+  packed layout.
+* "fast": one chain of matrix products per spill.  The packed weights (or
+  a GEMM's B operand) become an (L, Kpad) matrix; per-chain integer sums
+  are computed exactly (float64 matmul; all partial sums stay far below
+  2**53) and then wrapped to int32.  Because two's-complement addition is
+  associative, the wrapped totals equal the instruction sequence's, and
+  spilling in the same chain order reproduces the FP32 accumulation bit
+  for bit.
 
 With shadow checking enabled, both engines track the exact 64-bit running
 sum at every madd boundary and count one overflow event per (output
@@ -266,38 +272,80 @@ def unpack_weights(pw: PackedWeights) -> DfpTensor:
     return DfpTensor(wp[: pw.out_ch, : pw.in_ch].copy(), pw.shared_exponent, pw.bit_width)
 
 
+# === lowering ===
+
+
+def im2col(x: np.ndarray, spec: ConvSpec, group: int = 1) -> np.ndarray:
+    """(N*OH*OW, L) patch matrix of an NCHW array of any dtype.
+
+    The input is zero-padded spatially and up to whole groups of `group`
+    channels, so L = ceil(C/group)*group*KH*KW.  Columns run in
+    (c // group, kh, kw, c % group) order: group=16 is the fixed madd order
+    of the integer kernels, group=1 the plain (c, kh, kw) order of a
+    flattened (K, C, KH, KW) weight.
+    """
+    n, cg = x.shape[0], -(-spec.in_ch // group)
+    oh, ow, s, p = spec.oh, spec.ow, spec.stride, spec.pad
+    if p or cg * group != spec.in_ch:
+        xp = np.zeros((n, cg * group, spec.h + 2 * p, spec.w + 2 * p), x.dtype)
+        xp[:, : spec.in_ch, p: p + spec.h, p: p + spec.w] = x
+        x = xp
+    x = x.reshape(n, cg, group, x.shape[2], x.shape[3])
+    cols = np.empty((n, oh, ow, cg, spec.kh, spec.kw, group), x.dtype)
+    for r in range(spec.kh):
+        for t in range(spec.kw):
+            view = x[..., r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s]
+            cols[:, :, :, :, r, t] = view.transpose(0, 3, 4, 1, 2)
+    return cols.reshape(n * oh * ow, -1)
+
+
+def col2im(cols: np.ndarray, spec: ConvSpec, group: int = 1) -> np.ndarray:
+    """Adjoint of im2col: scatter-add each patch column back onto the NCHW
+    input it was read from, taps in (kh, kw) order; padding is dropped."""
+    cg = -(-spec.in_ch // group)
+    oh, ow, s, p = spec.oh, spec.ow, spec.stride, spec.pad
+    n = cols.shape[0] // (oh * ow)
+    d = cols.reshape(n, oh, ow, cg, spec.kh, spec.kw, group)
+    xp = np.zeros((n, cg, group, spec.h + 2 * p, spec.w + 2 * p), cols.dtype)
+    for r in range(spec.kh):
+        for t in range(spec.kw):
+            xp[..., r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s] += \
+                d[:, :, :, :, r, t].transpose(0, 3, 4, 1, 2)
+    xp = xp.reshape(n, cg * group, spec.h + 2 * p, spec.w + 2 * p)
+    return xp[:, : spec.in_ch, p: p + spec.h, p: p + spec.w]
+
+
+def _zero_pad(x: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
+    # x in the top-left corner of a zero matrix of the given shape.
+    if x.shape == shape:
+        return x
+    out = np.zeros(shape, x.dtype)
+    out[: x.shape[0], : x.shape[1]] = x
+    return out
+
+
 # === shared kernel planning ===
 
 
 @dataclasses.dataclass
 class _Plan:
-    spec: ConvSpec
     blk: BlockingParams
-    n: int
-    m: int                       # output pixels, n * oh * ow
-    c16: int
+    m: int                       # output rows, n * oh * ow
     k16: int
     kpad: int
     madd_seq: List[Tuple[int, int, int, int]]  # (cb, kh, kw, half) fixed order
     chunk_bounds: List[Tuple[int, int]]        # madd index ranges per chain
     scale: np.float32
     shadow: bool
+    engine: str                  # "instr" or "fast"
 
 
-def _make_plan(inp: DfpTensor, pw: PackedWeights, spec: ConvSpec,
-               blk: BlockingParams, policy: OverflowPolicy) -> _Plan:
-    if inp.elements.ndim != 4:
-        raise ValueError(f"input must be NCHW, got shape {inp.shape}")
-    n, c, h, w = inp.elements.shape
-    if (c, h, w) != (spec.in_ch, spec.h, spec.w):
-        raise ValueError(f"input shape {inp.shape} does not match spec")
-    c16 = _ceil_to(spec.in_ch, 16) // 16
-    k16 = _ceil_to(spec.out_ch, 16) // 16
-    if pw.data.shape != (c16, k16, spec.kh, spec.kw, 8, 16, 2):
-        raise ValueError(f"packed weights shape {pw.data.shape} does not match spec")
-    if inp.bit_width > 16 or pw.bit_width > 16:
-        raise ValueError("operands must be 16-bit or narrower")
-
+def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPolicy,
+               engine: str, m: int, a: np.ndarray, b: np.ndarray, es: int) -> _Plan:
+    # m output rows from input elements `a` and weight elements `b` (any
+    # layout), spilled at scale 2**es.
+    if blk is None:
+        blk = default_blocking(spec, policy)
     chain = chain_length(spec, blk)
     if chain % 8 != 0:
         raise ValueError(f"chain length {chain} must be a multiple of 8 products")
@@ -306,19 +354,19 @@ def _make_plan(inp: DfpTensor, pw: PackedWeights, spec: ConvSpec,
             raise ValueError(
                 f"chain length {chain} exceeds Strict max_chain {policy.max_chain}; "
                 f"size chains with safe_chain_length")
-        maxa = int(np.abs(inp.elements.astype(np.int32)).max()) if inp.elements.size else 0
-        maxb = int(np.abs(pw.data.astype(np.int32)).max()) if pw.data.size else 0
+        maxa = int(np.abs(a.astype(np.int32)).max()) if a.size else 0
+        maxb = int(np.abs(b.astype(np.int32)).max()) if b.size else 0
         if maxa * maxb * chain > INT32_MAX:
             safe = INT32_MAX // (maxa * maxb) if maxa * maxb else INT32_MAX
             raise ValueError(
                 f"Strict policy infeasible: chain {chain} of products up to "
                 f"{maxa}*{maxb} can overflow int32; safe_chain_length for these "
                 f"magnitudes is {safe}")
-
-    es = inp.shared_exponent + pw.shared_exponent
     if not _F32_MIN_EXP <= es <= _F32_MAX_EXP:
         raise ValueError(f"spill scale 2**{es} is outside the FP32 range")
 
+    c16 = _ceil_to(spec.in_ch, 16) // 16
+    k16 = _ceil_to(spec.out_ch, 16) // 16
     madd_seq = [(cb, r, s, half)
                 for cb in range(c16)
                 for r in range(spec.kh)
@@ -327,63 +375,43 @@ def _make_plan(inp: DfpTensor, pw: PackedWeights, spec: ConvSpec,
     chain_madds = chain // 8
     bounds = [(i, min(i + chain_madds, len(madd_seq)))
               for i in range(0, len(madd_seq), chain_madds)]
-    return _Plan(spec, blk, n, n * spec.oh * spec.ow, c16, k16, k16 * 16,
-                 madd_seq, bounds, np.float32(np.ldexp(1.0, es)),
-                 shadow_enabled(policy))
-
-
-def _blocked_input(inp: DfpTensor, spec: ConvSpec, c16: int) -> np.ndarray:
-    # (N, C16, 16, H + 2p, W + 2p) with channel and spatial zero padding.
-    n = inp.elements.shape[0]
-    hp, wp = spec.h + 2 * spec.pad, spec.w + 2 * spec.pad
-    out = np.zeros((n, c16 * 16, hp, wp), np.int16)
-    out[:, : spec.in_ch, spec.pad: spec.pad + spec.h, spec.pad: spec.pad + spec.w] = inp.elements
-    return out.reshape(n, c16, 16, hp, wp)
-
-
-def _im2col(ipad: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    # (M, C16*KH*KW*16) int16 patch matrix; column order (cb, kh, kw, cc)
-    # matches the fixed madd sequence.
-    n, c16 = ipad.shape[0], ipad.shape[1]
-    oh, ow, s = spec.oh, spec.ow, spec.stride
-    cols = np.empty((n, oh, ow, c16, spec.kh, spec.kw, 16), np.int16)
-    for r in range(spec.kh):
-        for t in range(spec.kw):
-            view = ipad[:, :, :, r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s]
-            cols[:, :, :, :, r, t, :] = view.transpose(0, 3, 4, 1, 2)
-    return cols.reshape(n * oh * ow, c16 * spec.kh * spec.kw * 16)
+    if engine == "instructions":
+        engine = "instr"
+    if engine == "auto":
+        engine = "instr" if m * k16 * len(madd_seq) <= _AUTO_INSTR_LIMIT else "fast"
+    if engine not in ("instr", "fast"):
+        raise ValueError(f"unknown engine {engine!r}")
+    return _Plan(blk, m, k16, k16 * 16, madd_seq, bounds,
+                 np.float32(np.ldexp(1.0, es)), shadow_enabled(policy), engine)
 
 
 # === engines ===
 
 
-def _run_instr(plan: _Plan, ipad: np.ndarray, packed: np.ndarray,
+def _run_instr(plan: _Plan, cols: np.ndarray, packed: np.ndarray,
                debug_partials: Optional[list]) -> Tuple[np.ndarray, KernelStats]:
-    spec, blk = plan.spec, plan.blk
-    oh, ow, s = spec.oh, spec.ow, spec.stride
+    rb = plan.blk.rb_size
     stats = KernelStats()
     out = np.zeros((plan.m, plan.kpad), np.float32)
     if debug_partials is not None:
         partials = [np.zeros((plan.m, plan.kpad), np.int32) for _ in plan.chunk_bounds]
 
-    coords = [(t // (oh * ow), (t // ow) % oh, t % ow) for t in range(plan.m)]
     for kb in range(plan.k16):
-        for t0 in range(0, plan.m, blk.rb_size):
-            tile = range(t0, min(t0 + blk.rb_size, plan.m))
-            tsz = len(tile)
+        for t0 in range(0, plan.m, rb):
+            tile = cols[t0: t0 + rb]
+            tsz = tile.shape[0]
             vtemp = np.zeros((tsz, 16), np.float32)
             for ci, (m0, m1) in enumerate(plan.chunk_bounds):
                 vout = np.zeros((tsz, 16), np.int32)
                 if plan.shadow:
                     mirror = np.zeros((tsz, 16), np.int64)
                     flags = np.zeros((tsz, 16), bool)
-                for cb, r, t_, half in plan.madd_seq[m0:m1]:
+                for i in range(m0, m1):    # mem operand: columns 8i..8i+7
+                    cb, r, t_, half = plan.madd_seq[i]
                     vinp2 = packed[cb, kb, r, t_, 4 * half: 4 * half + 4].reshape(4, 32)
-                    for j, t in enumerate(tile):
-                        n_, oh_, ow_ = coords[t]
-                        mem = ipad[n_, cb, 8 * half: 8 * half + 8,
-                                   oh_ * s + r, ow_ * s + t_]
-                        vnni_madd(np.ascontiguousarray(mem), vinp2, vout[j])
+                    for j in range(tsz):
+                        mem = tile[j, 8 * i: 8 * i + 8]
+                        vnni_madd(mem, vinp2, vout[j])
                         stats.fma_count += 1
                         if plan.shadow:
                             mirror[j] += _madd_contrib64(mem, vinp2)
@@ -402,15 +430,8 @@ def _run_instr(plan: _Plan, ipad: np.ndarray, packed: np.ndarray,
     return out, stats
 
 
-def _run_fast(plan: _Plan, ipad: np.ndarray, packed: np.ndarray,
+def _run_fast(plan: _Plan, cols: np.ndarray, wmat: np.ndarray,
               debug_partials: Optional[list]) -> Tuple[np.ndarray, KernelStats]:
-    spec, blk = plan.spec, plan.blk
-    cols = _im2col(ipad, spec)
-    # (L, kpad) weight matrix in the same (cb, kh, kw, cc) row order.
-    c16 = plan.c16
-    wmat = packed.transpose(0, 2, 3, 4, 6, 1, 5).reshape(
-        c16 * spec.kh * spec.kw * 16, plan.kpad)
-
     out = np.zeros((plan.m, plan.kpad), np.float32)
     stats = KernelStats()
     for m0, m1 in plan.chunk_bounds:
@@ -429,7 +450,7 @@ def _run_fast(plan: _Plan, ipad: np.ndarray, packed: np.ndarray,
 
     total_madds = len(plan.madd_seq)
     n_chunks = len(plan.chunk_bounds)
-    n_tiles = -(-plan.m // blk.rb_size)
+    n_tiles = -(-plan.m // plan.blk.rb_size)
     stats.fma_count = plan.m * plan.k16 * total_madds
     stats.convert_count = plan.m * plan.k16 * n_chunks
     stats.spill_count = n_tiles * plan.k16 * n_chunks
@@ -469,21 +490,28 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
     int32 chain sums (one (M, Kpad) matrix per chain block, pixel-major) for
     verification against wide-integer oracles.
     """
-    if blk is None:
-        blk = default_blocking(spec, policy)
-    plan = _make_plan(inp, weights, spec, blk, policy)
-    if engine == "instructions":
-        engine = "instr"
-    if engine == "auto":
-        est = plan.m * plan.k16 * len(plan.madd_seq)
-        engine = "instr" if est <= _AUTO_INSTR_LIMIT else "fast"
-    if engine not in ("instr", "fast"):
-        raise ValueError(f"unknown engine {engine!r}")
-
-    ipad = _blocked_input(inp, spec, plan.c16)
-    run = _run_instr if engine == "instr" else _run_fast
-    flat, stats = run(plan, ipad, weights.data, debug_partials)
-    out = flat[:, : spec.out_ch].reshape(plan.n, spec.oh, spec.ow, spec.out_ch)
+    x = inp.elements
+    if x.ndim != 4:
+        raise ValueError(f"input must be NCHW, got shape {inp.shape}")
+    if x.shape[1:] != (spec.in_ch, spec.h, spec.w):
+        raise ValueError(f"input shape {inp.shape} does not match spec")
+    c16 = _ceil_to(spec.in_ch, 16) // 16
+    k16 = _ceil_to(spec.out_ch, 16) // 16
+    if weights.data.shape != (c16, k16, spec.kh, spec.kw, 8, 16, 2):
+        raise ValueError(f"packed weights shape {weights.data.shape} does not match spec")
+    if weights.bit_width > 16:
+        raise ValueError("operands must be 16-bit or narrower")
+    n = x.shape[0]
+    plan = _make_plan(spec, blk, policy, engine, n * spec.oh * spec.ow, x, weights.data,
+                      inp.shared_exponent + weights.shared_exponent)
+    cols = im2col(x, spec, 16)
+    if plan.engine == "instr":
+        flat, stats = _run_instr(plan, cols, weights.data, debug_partials)
+    else:
+        # (L, Kpad) weight matrix in the same (cb, kh, kw, cc) row order.
+        wmat = weights.data.transpose(0, 2, 3, 4, 6, 1, 5).reshape(cols.shape[1], plan.kpad)
+        flat, stats = _run_fast(plan, cols, wmat, debug_partials)
+    out = flat[:, : spec.out_ch].reshape(n, spec.oh, spec.ow, spec.out_ch)
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), stats
 
 
@@ -497,7 +525,8 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
 
     A GEMM is a 1x1 convolution over M single-pixel images with KK input
     channels, so the reduction is chunked along KK in icblk-sized chains
-    with the same spill discipline as conv_fprop.
+    with the same spill discipline as conv_fprop.  Its patch matrix is A
+    and its weight matrix is B, each zero-padded to whole 16-lane groups.
     """
     if a.elements.ndim != 2 or b.elements.ndim != 2:
         raise ValueError("gemm operands must be rank-2")
@@ -506,9 +535,14 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
     if kk != kk2:
         raise ValueError(f"inner dimensions disagree: {kk} vs {kk2}")
     spec = ConvSpec(in_ch=kk, out_ch=n, h=1, w=1, kh=1, kw=1)
-    inp = DfpTensor(a.elements.reshape(m, kk, 1, 1), a.shared_exponent, a.bit_width)
-    wt = DfpTensor(np.ascontiguousarray(b.elements.T).reshape(n, kk, 1, 1),
-                   b.shared_exponent, b.bit_width)
-    pw = pack_weights(wt, spec)
-    out, stats = conv_fprop(inp, pw, spec, blk, policy, engine, debug_partials)
-    return out.reshape(m, n), stats
+    plan = _make_plan(spec, blk, policy, engine, m, a.elements, b.elements,
+                      a.shared_exponent + b.shared_exponent)
+    cpad = _ceil_to(kk, 16)
+    cols = _zero_pad(a.elements, (m, cpad))
+    if plan.engine == "instr":
+        wt = DfpTensor(b.elements.T.reshape(n, kk, 1, 1), b.shared_exponent, b.bit_width)
+        flat, stats = _run_instr(plan, cols, pack_weights(wt, spec).data, debug_partials)
+    else:
+        flat, stats = _run_fast(plan, cols, _zero_pad(b.elements, (cpad, plan.kpad)),
+                                debug_partials)
+    return np.ascontiguousarray(flat[:, :n]), stats

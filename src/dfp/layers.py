@@ -17,13 +17,14 @@ order-preserving); average pooling and batch-norm statistics are FP32.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from .arith import Empirical, OverflowPolicy
-from .kernels import (BlockingParams, ConvSpec, KernelStats, conv_fprop,
-                      default_blocking, gemm_dfp, pack_weights)
+from .kernels import (BlockingParams, ConvSpec, KernelStats, col2im, conv_fprop,
+                      default_blocking, gemm_dfp, im2col, pack_weights)
 from .tensor import DfpTensor, QuantConfig, dequantize, quantize
 
 Activation = Union[np.ndarray, DfpTensor]
@@ -94,48 +95,7 @@ class RunContext:
         return default_blocking(spec, self.policy, rb_size=self.rb_size)
 
 
-# === FP32 convolution helpers (im2col formulation) ===
-
-
-def _f32_cols(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    n = x.shape[0]
-    s = spec.stride
-    xp = np.zeros((n, spec.in_ch, spec.h + 2 * spec.pad, spec.w + 2 * spec.pad), np.float32)
-    xp[:, :, spec.pad: spec.pad + spec.h, spec.pad: spec.pad + spec.w] = x
-    cols = np.empty((n, spec.oh, spec.ow, spec.in_ch, spec.kh, spec.kw), np.float32)
-    for r in range(spec.kh):
-        for t in range(spec.kw):
-            view = xp[:, :, r: r + s * (spec.oh - 1) + 1: s, t: t + s * (spec.ow - 1) + 1: s]
-            cols[:, :, :, :, r, t] = view.transpose(0, 2, 3, 1)
-    return cols.reshape(n * spec.oh * spec.ow, -1)
-
-
-def _f32_col2im(dcols: np.ndarray, spec: ConvSpec, n: int) -> np.ndarray:
-    s = spec.stride
-    dpad = np.zeros((n, spec.in_ch, spec.h + 2 * spec.pad, spec.w + 2 * spec.pad), np.float32)
-    d = dcols.reshape(n, spec.oh, spec.ow, spec.in_ch, spec.kh, spec.kw)
-    for r in range(spec.kh):
-        for t in range(spec.kw):
-            dpad[:, :, r: r + s * (spec.oh - 1) + 1: s,
-                 t: t + s * (spec.ow - 1) + 1: s] += d[:, :, :, :, r, t].transpose(0, 3, 1, 2)
-    return dpad[:, :, spec.pad: spec.pad + spec.h, spec.pad: spec.pad + spec.w]
-
-
-def _dfp_patch_matrix(a: DfpTensor, spec: ConvSpec) -> DfpTensor:
-    # Integer im2col with plain (c, kh, kw) column order, for the weight
-    # gradient GEMM whose output maps back onto (K, C, KH, KW).
-    el = a.elements
-    n = el.shape[0]
-    s = spec.stride
-    xp = np.zeros((n, spec.in_ch, spec.h + 2 * spec.pad, spec.w + 2 * spec.pad), np.int16)
-    xp[:, :, spec.pad: spec.pad + spec.h, spec.pad: spec.pad + spec.w] = el
-    cols = np.empty((n, spec.oh, spec.ow, spec.in_ch, spec.kh, spec.kw), np.int16)
-    for r in range(spec.kh):
-        for t in range(spec.kw):
-            view = xp[:, :, r: r + s * (spec.oh - 1) + 1: s, t: t + s * (spec.ow - 1) + 1: s]
-            cols[:, :, :, :, r, t] = view.transpose(0, 2, 3, 1)
-    mat = cols.reshape(n * spec.oh * spec.ow, spec.in_ch * spec.kh * spec.kw)
-    return DfpTensor(mat, a.shared_exponent, a.bit_width)
+# === layers ===
 
 
 def _dilate_errors(e: DfpTensor, stride: int) -> DfpTensor:
@@ -145,9 +105,6 @@ def _dilate_errors(e: DfpTensor, stride: int) -> DfpTensor:
     d = np.zeros((n, k, (oh - 1) * stride + 1, (ow - 1) * stride + 1), np.int16)
     d[:, :, ::stride, ::stride] = e.elements
     return DfpTensor(d, e.shared_exponent, e.bit_width)
-
-
-# === layers ===
 
 
 class Layer:
@@ -184,21 +141,16 @@ class Layer:
         yield self
 
 
-class Conv(Layer):
-    """2D convolution; FP32 master weights, optionally a DFP compute path."""
+class WeightedLayer(Layer):
+    """FP32 master weight W (out, ...) and optional bias, SGD state, and the
+    quantized copy w_q that DFP passes consume."""
 
-    def __init__(self, ctx, name, in_ch, out_ch, kernel, stride=1, pad=0,
-                 precision="dfp", bias=False, first=False, rng=None):
+    def __init__(self, ctx, name, w_shape, precision, bias, rng):
         super().__init__(ctx, name)
         self.precision = precision
-        self.in_ch, self.out_ch = in_ch, out_ch
-        self.kh = self.kw = kernel
-        self.stride, self.pad = stride, pad
-        self.first = first  # the input layer skips the input-gradient pass
-        fan_in = in_ch * kernel * kernel
-        std = float(np.sqrt(2.0 / fan_in))
-        self.W = (rng.standard_normal((out_ch, in_ch, kernel, kernel)) * std).astype(np.float32)
-        self.b = np.zeros(out_ch, np.float32) if bias else None
+        std = float(np.sqrt(2.0 / math.prod(w_shape[1:])))
+        self.W = (rng.standard_normal(w_shape) * std).astype(np.float32)
+        self.b = np.zeros(w_shape[0], np.float32) if bias else None
         self._vel = {k: np.zeros_like(v) for k, v in self.params().items()}
         self.w_q: Optional[DfpTensor] = None
         self.gW = None
@@ -223,6 +175,33 @@ class Conv(Layer):
         if self.precision == "dfp":
             self.w_q = self.ctx.q.q_w(self.name, self.W)
 
+    def _quantized_weights(self) -> DfpTensor:
+        if self.w_q is None:
+            self.refresh_quantized()
+        return self.w_q
+
+    def _gemm(self, a: DfpTensor, b: DfpTensor) -> np.ndarray:
+        # A (M x KK) times B (KK x N), blocked like the equivalent 1x1 conv.
+        spec = ConvSpec(a.shape[1], b.shape[1], 1, 1, 1, 1)
+        out, st = gemm_dfp(a, b, self.ctx.blocking_for(spec), self.ctx.policy,
+                           self.ctx.engine)
+        self.ctx.stats.merge(st)
+        return out
+
+
+class Conv(WeightedLayer):
+    """2D convolution; FP32 master weights, optionally a DFP compute path."""
+
+    def __init__(self, ctx, name, in_ch, out_ch, kernel, stride=1, pad=0,
+                 precision="dfp", bias=False, first=False, rng=None):
+        super().__init__(ctx, name, (out_ch, in_ch, kernel, kernel), precision,
+                         bias, rng)
+        self.in_ch, self.out_ch = in_ch, out_ch
+        self.kh = self.kw = kernel
+        self.stride, self.pad = stride, pad
+        self.first = first  # the input layer skips the input-gradient pass
+        self._spec_cache: Optional[ConvSpec] = None
+
     def _spec(self, h, w) -> ConvSpec:
         return ConvSpec(self.in_ch, self.out_ch, h, w, self.kh, self.kw,
                         self.stride, self.pad)
@@ -231,17 +210,15 @@ class Conv(Layer):
         if self.precision == "dfp":
             a_q = x if isinstance(x, DfpTensor) else self.ctx.q.q_a(self.name, to_fp32(x))
             spec = self._spec(a_q.shape[2], a_q.shape[3])
-            if self.w_q is None:
-                self.refresh_quantized()
-            pw = pack_weights(self.w_q, spec)
+            pw = pack_weights(self._quantized_weights(), spec)
             out, st = conv_fprop(a_q, pw, spec, self.ctx.blocking_for(spec),
                                  self.ctx.policy, self.ctx.engine)
             self.ctx.stats.merge(st)
-            self._a_q, self._xf, self._spec_cache = a_q, None, spec
+            self._a_q, self._cols, self._spec_cache = a_q, None, spec
         else:
             xf = to_fp32(x)
             spec = self._spec(xf.shape[2], xf.shape[3])
-            cols = _f32_cols(xf, spec)
+            cols = im2col(xf, spec)
             wmat = self.W.reshape(self.out_ch, -1)
             out = (cols @ wmat.T).reshape(xf.shape[0], spec.oh, spec.ow, self.out_ch)
             out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
@@ -265,12 +242,9 @@ class Conv(Layer):
             e_mat = DfpTensor(
                 np.ascontiguousarray(e_q.elements.transpose(1, 0, 2, 3)).reshape(self.out_ch, -1),
                 e_q.shared_exponent, e_q.bit_width)
-            a_cols = _dfp_patch_matrix(self._a_q, spec)
-            wu_spec = ConvSpec(in_ch=e_mat.shape[1], out_ch=a_cols.shape[1], h=1, w=1, kh=1, kw=1)
-            dw, st = gemm_dfp(e_mat, a_cols, self.ctx.blocking_for(wu_spec),
-                              self.ctx.policy, self.ctx.engine)
-            self.ctx.stats.merge(st)
-            self.gW = dw.reshape(self.out_ch, self.in_ch, self.kh, self.kw)
+            a_cols = DfpTensor(im2col(self._a_q.elements, spec),
+                               self._a_q.shared_exponent, self._a_q.bit_width)
+            self.gW = self._gemm(e_mat, a_cols).reshape(self.W.shape)
             if self.first:
                 return np.zeros((n, self.in_ch, spec.h, spec.w), np.float32)
             # Input gradient: convolve dilated errors with the flipped,
@@ -290,59 +264,28 @@ class Conv(Layer):
             self.ctx.stats.merge(st)
             return gin
         g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, self.out_ch)
-        wmat = self.W.reshape(self.out_ch, -1)
         self.gW = (g_mat.T @ self._cols).reshape(self.W.shape)
         if self.first:
             return np.zeros((n, self.in_ch, spec.h, spec.w), np.float32)
-        return _f32_col2im(g_mat @ wmat, spec, n)
+        return col2im(g_mat @ self.W.reshape(self.out_ch, -1), spec)
 
 
-class Dense(Layer):
+class Dense(WeightedLayer):
     """Fully connected layer with FP32 bias."""
 
     def __init__(self, ctx, name, in_features, out_features, precision="fp32",
                  bias=True, rng=None):
-        super().__init__(ctx, name)
-        self.precision = precision
+        super().__init__(ctx, name, (out_features, in_features), precision, bias, rng)
         self.in_features, self.out_features = in_features, out_features
-        std = float(np.sqrt(2.0 / in_features))
-        self.W = (rng.standard_normal((out_features, in_features)) * std).astype(np.float32)
-        self.b = np.zeros(out_features, np.float32) if bias else None
-        self._vel = {k: np.zeros_like(v) for k, v in self.params().items()}
-        self.w_q: Optional[DfpTensor] = None
-        self.gW = None
-        self.gb = None
-
-    def params(self):
-        p = {"W": self.W}
-        if self.b is not None:
-            p["b"] = self.b
-        return p
-
-    def grads(self):
-        g = {"W": self.gW}
-        if self.b is not None:
-            g["b"] = self.gb
-        return g
-
-    def velocities(self):
-        return self._vel
-
-    def refresh_quantized(self):
-        if self.precision == "dfp":
-            self.w_q = self.ctx.q.q_w(self.name, self.W)
 
     def forward(self, x, train):
         if isinstance(x, DfpTensor) and x.elements.ndim != 2:
             raise ValueError(f"{self.name}: expected flattened input, got shape {x.shape}")
         if self.precision == "dfp":
             a_q = x if isinstance(x, DfpTensor) else self.ctx.q.q_a(self.name, to_fp32(x))
-            if self.w_q is None:
-                self.refresh_quantized()
-            wt = DfpTensor(np.ascontiguousarray(self.w_q.elements.T),
-                           self.w_q.shared_exponent, self.w_q.bit_width)
-            out, st = gemm_dfp(a_q, wt, policy=self.ctx.policy, engine=self.ctx.engine)
-            self.ctx.stats.merge(st)
+            w_q = self._quantized_weights()
+            out = self._gemm(a_q, DfpTensor(w_q.elements.T, w_q.shared_exponent,
+                                            w_q.bit_width))
             self._a_q, self._xf = a_q, None
         else:
             xf = to_fp32(x)
@@ -360,14 +303,9 @@ class Dense(Layer):
             self.gb = g.sum(axis=0)
         if self.precision == "dfp":
             e_q = self.ctx.q.q_e(self.name, g)
-            e_t = DfpTensor(np.ascontiguousarray(e_q.elements.T),
-                            e_q.shared_exponent, e_q.bit_width)
-            dw, st = gemm_dfp(e_t, self._a_q, policy=self.ctx.policy, engine=self.ctx.engine)
-            self.ctx.stats.merge(st)
-            self.gW = dw
-            gin, st = gemm_dfp(e_q, self.w_q, policy=self.ctx.policy, engine=self.ctx.engine)
-            self.ctx.stats.merge(st)
-            return gin
+            e_t = DfpTensor(e_q.elements.T, e_q.shared_exponent, e_q.bit_width)
+            self.gW = self._gemm(e_t, self._a_q)
+            return self._gemm(e_q, self.w_q)
         self.gW = g.T @ self._xf
         return g @ self.W
 

@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .arith import Empirical, OverflowPolicy, Strict
+from .kernels import ConvSpec
 from .layers import (AvgPool, BatchNorm, Conv, Dense, Flatten, Layer, MaxPool,
                      Model, Quantizers, ReLU, Residual, RunContext, to_fp32)
 from .tensor import QuantConfig, rounding_from_name
@@ -145,18 +146,24 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
             if kind == "conv":
                 if len(shape) != 3:
                     raise ValueError(f"conv requires CHW input, have {shape}")
-                c, h, w = shape
-                k = spec["kernel"]
-                stride = spec.get("stride", 1)
-                pad = spec.get("pad", 0)
+                name = spec.get("name", fresh_name("conv"))
+                k, pad = spec["kernel"], spec.get("pad", 0)
+                try:
+                    cspec = ConvSpec(shape[0], spec["out_ch"], shape[1], shape[2], k, k,
+                                     spec.get("stride", 1), pad)
+                except ValueError as e:
+                    raise ValueError(f"{name}: {e}") from None
                 first = not first_conv_seen[0]
                 first_conv_seen[0] = True
-                layer = Conv(ctx, spec.get("name", fresh_name("conv")), c,
-                             spec["out_ch"], k, stride, pad,
-                             precision=layer_precision(spec),
-                             bias=spec.get("bias", False), first=first, rng=rng)
-                shape = (spec["out_ch"], (h + 2 * pad - k) // stride + 1,
-                         (w + 2 * pad - k) // stride + 1)
+                prec = layer_precision(spec)
+                if prec == "dfp" and not first and pad > k - 1:
+                    # the DFP input gradient is a convolution with pad k-1-pad
+                    raise ValueError(f"{name}: pad {pad} > kernel-1 is unsupported "
+                                     f"by the DFP input-gradient pass")
+                layer = Conv(ctx, name, cspec.in_ch, cspec.out_ch, k, cspec.stride, pad,
+                             precision=prec, bias=spec.get("bias", False), first=first,
+                             rng=rng)
+                shape = (cspec.out_ch, cspec.oh, cspec.ow)
             elif kind == "fc":
                 feat = int(np.prod(shape))
                 if len(shape) != 1:
@@ -173,13 +180,12 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                                   momentum=spec.get("momentum", 0.1))
             elif kind == "relu":
                 layer = ReLU(ctx, spec.get("name", fresh_name("relu")))
-            elif kind == "maxpool":
+            elif kind in ("maxpool", "avgpool"):
                 k = spec["kernel"]
-                layer = MaxPool(ctx, spec.get("name", fresh_name("pool")), k)
-                shape = (shape[0], shape[1] // k, shape[2] // k)
-            elif kind == "avgpool":
-                k = spec["kernel"]
-                layer = AvgPool(ctx, spec.get("name", fresh_name("pool")), k)
+                name = spec.get("name", fresh_name("pool"))
+                if len(shape) != 3 or shape[1] % k or shape[2] % k:
+                    raise ValueError(f"{name}: pool {k} does not tile input {shape}")
+                layer = (MaxPool if kind == "maxpool" else AvgPool)(ctx, name, k)
                 shape = (shape[0], shape[1] // k, shape[2] // k)
             elif kind == "flatten":
                 layer = Flatten(ctx, spec.get("name", fresh_name("flatten")))
@@ -337,7 +343,8 @@ def train_loop(model: Model, cfg: TrainConfig, train_x: np.ndarray,
     """Run SGD for cfg.epochs; returns one metrics row per iteration.
 
     Row keys: iteration, epoch, train_loss, val_acc (empty except on each
-    epoch's final iteration), overflow_count (cumulative), wall_ms.
+    epoch's final iteration), overflow_count (cumulative), wall_ms (the
+    training step alone; validation is not timed).
     Shuffling uses a dedicated seeded stream, so a fixed seed fixes the
     batch schedule regardless of precision mode.
     """
@@ -368,6 +375,7 @@ def train_loop(model: Model, cfg: TrainConfig, train_x: np.ndarray,
             model.backward(dout)
             sgd_step(model, lr, cfg.momentum, cfg.weight_decay)
             iteration += 1
+            wall_ms = (time.perf_counter() - t0) * 1e3
             val = ""
             if b == batches - 1:
                 val = evaluate(model, val_x, val_y, cfg.loss, bs, eval_tag=epoch)
@@ -377,6 +385,6 @@ def train_loop(model: Model, cfg: TrainConfig, train_x: np.ndarray,
                 "train_loss": loss,
                 "val_acc": val,
                 "overflow_count": model.ctx.stats.overflow_count,
-                "wall_ms": (time.perf_counter() - t0) * 1e3,
+                "wall_ms": wall_ms,
             })
     return rows

@@ -1,9 +1,12 @@
 """Layer graph, quantizer placement, losses, and the training loop."""
 
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import dfp.training
 from dfp.layers import (BatchNorm, Conv, Dense, Flatten, MaxPool, AvgPool,
                         Model, Quantizers, ReLU, Residual, RunContext, to_fp32)
 from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
@@ -436,6 +439,59 @@ def test_dense_dfp_matches_quantized_operand_oracle():
                         atol=1e-4 * np.abs(e_q @ w_q).max())
 
 
+def test_dense_dfp_honors_config_blocking():
+    # icblk 16 / rb_size 7 must reach all three fc GEMMs; each GEMM is a 1x1
+    # conv with c16*2 madds per output row, split into chains of icblk/8.
+    cfg = parse_config({"layers": [{"type": "fc", "out_features": 20}],
+                        "loss": "mse", "icblk": 16, "rb_size": 7})
+    ctx = RunContext(q=make_quantizers(cfg, seed=9), icblk=16, rb_size=7)
+    model = build_model(cfg, (40,), ctx, np.random.default_rng(9))
+    x = np.random.default_rng(10).standard_normal((10, 40)).astype(np.float32)
+    out = model.forward(x)
+    model.backward(np.ones_like(out))
+
+    def analytic(m, kk, n, icblk=16, rb=7):
+        madds = -(-kk // 16) * 2
+        chains = -(-madds // (icblk // 8))
+        k16 = -(-n // 16)
+        return m * k16 * chains, -(-m // rb) * k16 * chains
+
+    passes = [analytic(10, 40, 20),                 # fprop: A x W^T
+              analytic(20, 10, 40),                 # wgrad: E^T x A
+              analytic(10, 20, 40)]                 # bprop: E x W
+    assert ctx.stats.convert_count == sum(c for c, _ in passes) == 180
+    assert ctx.stats.spill_count == sum(s for _, s in passes) == 33
+
+
+def _build(layers, in_shape, precision="dfp16"):
+    cfg = parse_config({"layers": layers, "loss": "mse"})
+    return build_model(cfg, in_shape, RunContext(q=make_quantizers(cfg, seed=1)),
+                       np.random.default_rng(1), precision=precision)
+
+
+def test_build_rejects_dfp_conv_pad_beyond_kernel():
+    layers = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
+              {"type": "conv", "out_ch": 4, "kernel": 1, "pad": 1}]
+    with pytest.raises(ValueError, match=r"conv2: pad 1 > kernel-1"):
+        _build(layers, (2, 6, 6))
+    _build(layers, (2, 6, 6), precision="fp32")    # FP32 backward supports it
+    _build(layers[1:], (2, 6, 6))                  # a first conv skips bprop
+
+
+def test_build_rejects_non_integral_conv_output():
+    layers = [{"type": "conv", "out_ch": 4, "kernel": 3, "stride": 2}]
+    with pytest.raises(ValueError, match=r"conv1: output size .* not integral"):
+        _build(layers, (1, 8, 8))
+
+
+@pytest.mark.parametrize("kind", ["maxpool", "avgpool"])
+def test_build_rejects_non_divisible_pool(kind):
+    layers = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
+              {"type": kind, "kernel": 2, "name": "p"}]
+    with pytest.raises(ValueError, match=r"p: pool 2 does not tile"):
+        _build(layers, (1, 7, 7))
+
+
 def test_residual_fp32_adds_skip_path():
     cfg = parse_config({"layers": [
         {"type": "residual", "body": [
@@ -622,6 +678,21 @@ def test_train_loop_row_structure():
             assert row["val_acc"] == ""
     counts = [r["overflow_count"] for r in rows]
     assert counts == sorted(counts)                     # cumulative
+
+
+def test_train_loop_wall_ms_excludes_validation(monkeypatch):
+    def slow_evaluate(*args, **kwargs):
+        time.sleep(0.3)
+        return 0.5
+
+    monkeypatch.setattr(dfp.training, "evaluate", slow_evaluate)
+    cfg = parse_config(MLP_CFG)
+    model = build_model(cfg, (4,), RunContext(q=make_quantizers(cfg, seed=5)),
+                        np.random.default_rng(5), precision="fp32")
+    x, y = _toy_data()
+    rows = train_loop(model, cfg, x, y, x, y, seed=5)
+    assert [r["val_acc"] for r in rows if r["val_acc"] != ""] == [0.5, 0.5]
+    assert all(r["wall_ms"] < 300 for r in rows)
 
 
 def test_train_loop_repeatable_with_same_seed():
