@@ -17,12 +17,11 @@ excursion beyond the signed 32-bit range.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Tuple, Union
 
 import numpy as np
 
-from .tensor import INT8_MAX, INT8_MIN, DfpTensor
+from .tensor import INT8_MAX, INT8_MIN, DfpTensor, max_abs
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -81,8 +80,13 @@ OverflowPolicy = Union[Strict, Empirical]
 
 
 def shadow_enabled(policy: OverflowPolicy) -> bool:
-    """Shadow instrumentation is on via the policy or DFP_SHADOW_CHECK=1."""
-    return bool(policy.shadow_check) or os.environ.get("DFP_SHADOW_CHECK") == "1"
+    """Whether kernels under this policy keep the 64-bit shadow sum.
+
+    The policy's shadow_check alone decides.  Shadow overflow counts are
+    bit-identical across engines and thread counts; keeping them costs
+    roughly 2x kernel time.
+    """
+    return bool(policy.shadow_check)
 
 
 # === primitives ===
@@ -150,7 +154,7 @@ def down_convert(acc: AccumTensor, bit_width: int) -> DfpTensor:
         raise ValueError(f"bit_width must be in [2, 16], got {bit_width}")
     if acc.elements.size == 0:
         raise ValueError("empty accumulator")
-    maxabs = int(np.abs(acc.elements.astype(np.int64)).max())
+    maxabs = max_abs(acc.elements)
     if maxabs == 0:
         es = min(max(acc.shared_exponent, INT8_MIN), INT8_MAX)
         return DfpTensor(np.zeros(acc.shape, np.int16), es, bit_width)

@@ -8,7 +8,6 @@ Subcommands:
   train       train a model from a JSON config on a dataset
   compare     compare two metrics CSV files (reference vs candidate)
 
-Set DFP_SHADOW_CHECK=1 to force accumulator range tracking everywhere.
 All commands are single-run, sequential; exit code 0 on success, 1 on a
 failed comparison, 2 on an error.
 """
@@ -18,8 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import Optional
-
-import numpy as np
 
 from . import experiments, fileio
 from .tensor import DfpTensor, QuantConfig, quantize, rounding_from_name

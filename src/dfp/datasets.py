@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

@@ -8,9 +8,7 @@ alongside the metrics CSV; feeding that file back through `dfp train
 
 from __future__ import annotations
 
-import fractions
 import json
-import os
 import time
 from typing import List, Optional, Tuple
 
@@ -23,8 +21,8 @@ from .kernels import (BlockingParams, ConvSpec, conv_fprop, default_blocking,
                       gemm_dfp, overhead_ratio, pack_weights)
 from .layers import RunContext
 from .tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
-from .training import (TrainConfig, build_model, evaluate, make_policy,
-                       make_quantizers, parse_config, train_loop)
+from .training import (build_model, make_policy, make_quantizers, parse_config,
+                       train_loop)
 
 # === training runs ===
 

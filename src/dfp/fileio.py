@@ -25,7 +25,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .tensor import DfpTensor
+from .tensor import DfpTensor, max_abs
 
 MAGIC = b"DFT1"
 _DTYPE_FP32 = 0
@@ -101,8 +101,13 @@ def read_dft(path: str) -> TensorLike:
         raise ValueError(f"{path}: {len(buf) - off - count * esize} trailing "
                          f"bytes after payload at byte {off + count * esize}")
     if dtype_tag == _DTYPE_DFP:
-        elements = np.frombuffer(raw, dtype="<i2").reshape(dims).astype(np.int16)
-        return DfpTensor(elements, shared_exponent, bit_width)
+        elements = np.frombuffer(raw, dtype="<i2").astype(np.int16)
+        lim = 1 << (bit_width - 1)
+        if elements.size and max_abs(elements) >= lim:
+            i = int(np.argmax((elements > lim - 1) | (elements < 1 - lim)))
+            raise ValueError(f"{path}: element {elements[i]} at byte {off + 2 * i} "
+                             f"exceeds {lim - 1} for bit width {bit_width}")
+        return DfpTensor(elements.reshape(dims), shared_exponent, bit_width)
     return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
 
 

@@ -19,16 +19,19 @@ kernel row, column, and 8-channel half.  The running int32 sum is spilled
 into an FP32 accumulator (scaled by 2**(E_inp + E_wt)) every `icblk*KH*KW`
 products; this chain length is the overflow-management knob.
 
-Every pass is lowered by one im2col into an (M, L) patch matrix whose
-columns follow the madd order; a GEMM's patch matrix is its A operand.
-Two engines read it and produce bit-identical outputs and statistics:
+Every pass is lowered to one operand pair: an (M, L) patch matrix from
+im2col whose columns follow the madd order, and an (L, Kpad) weight
+matrix with rows in the same order.  The packed layout is conv_fprop's
+input format, lowered to the weight matrix once per call; a GEMM's A and
+B operands are the pair itself, zero-padded to whole 16-lane groups.  Two
+engines read the same pair and produce bit-identical outputs and
+statistics:
 
 * "instr": a Python loop nest issuing one vnni_madd per emulated
-  instruction, with vinp2 read from the packed weights, counting
-  instructions live.  This reference emulator is the only consumer of the
-  packed layout.
-* "fast": one chain of matrix products per spill.  The packed weights (or
-  a GEMM's B operand) become an (L, Kpad) matrix; per-chain integer sums
+  instruction, with mem read from patch-matrix columns 8i..8i+7 and vinp2
+  from weight-matrix rows 8i..8i+7, counting instructions live.  This is
+  the reference emulator.
+* "fast": one chain of matrix products per spill.  Per-chain integer sums
   are computed exactly (float64 matmul; all partial sums stay far below
   2**53) and then wrapped to int32.  Because two's-complement addition is
   associative, the wrapped totals equal the instruction sequence's, and
@@ -43,14 +46,13 @@ element, chain) whose running sum leaves the signed 32-bit range.
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .arith import INT32_MAX, INT32_MIN, Empirical, OverflowPolicy, Strict, shadow_enabled
-from .tensor import DfpTensor
+from .tensor import DfpTensor, max_abs
 
 _F32_MIN_EXP = -149
 _F32_MAX_EXP = 127
@@ -333,8 +335,8 @@ class _Plan:
     m: int                       # output rows, n * oh * ow
     k16: int
     kpad: int
-    madd_seq: List[Tuple[int, int, int, int]]  # (cb, kh, kw, half) fixed order
-    chunk_bounds: List[Tuple[int, int]]        # madd index ranges per chain
+    madds: int                   # madds per (row, 16-lane block), L / 8
+    chunk_bounds: List[Tuple[int, int]]  # madd index ranges per chain
     scale: np.float32
     shadow: bool
     engine: str                  # "instr" or "fast"
@@ -354,8 +356,8 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
             raise ValueError(
                 f"chain length {chain} exceeds Strict max_chain {policy.max_chain}; "
                 f"size chains with safe_chain_length")
-        maxa = int(np.abs(a.astype(np.int32)).max()) if a.size else 0
-        maxb = int(np.abs(b.astype(np.int32)).max()) if b.size else 0
+        maxa = max_abs(a) if a.size else 0
+        maxb = max_abs(b) if b.size else 0
         if maxa * maxb * chain > INT32_MAX:
             safe = INT32_MAX // (maxa * maxb) if maxa * maxb else INT32_MAX
             raise ValueError(
@@ -365,30 +367,25 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
     if not _F32_MIN_EXP <= es <= _F32_MAX_EXP:
         raise ValueError(f"spill scale 2**{es} is outside the FP32 range")
 
-    c16 = _ceil_to(spec.in_ch, 16) // 16
     k16 = _ceil_to(spec.out_ch, 16) // 16
-    madd_seq = [(cb, r, s, half)
-                for cb in range(c16)
-                for r in range(spec.kh)
-                for s in range(spec.kw)
-                for half in (0, 1)]
+    # (cb, kh, kw, half) in fixed order: two madds per tap of a 16-channel block
+    madds = _ceil_to(spec.in_ch, 16) // 8 * spec.kh * spec.kw
     chain_madds = chain // 8
-    bounds = [(i, min(i + chain_madds, len(madd_seq)))
-              for i in range(0, len(madd_seq), chain_madds)]
+    bounds = [(i, min(i + chain_madds, madds)) for i in range(0, madds, chain_madds)]
     if engine == "instructions":
         engine = "instr"
     if engine == "auto":
-        engine = "instr" if m * k16 * len(madd_seq) <= _AUTO_INSTR_LIMIT else "fast"
+        engine = "instr" if m * k16 * madds <= _AUTO_INSTR_LIMIT else "fast"
     if engine not in ("instr", "fast"):
         raise ValueError(f"unknown engine {engine!r}")
-    return _Plan(blk, m, k16, k16 * 16, madd_seq, bounds,
+    return _Plan(blk, m, k16, k16 * 16, madds, bounds,
                  np.float32(np.ldexp(1.0, es)), shadow_enabled(policy), engine)
 
 
 # === engines ===
 
 
-def _run_instr(plan: _Plan, cols: np.ndarray, packed: np.ndarray,
+def _run_instr(plan: _Plan, cols: np.ndarray, wmat: np.ndarray,
                debug_partials: Optional[list]) -> Tuple[np.ndarray, KernelStats]:
     rb = plan.blk.rb_size
     stats = KernelStats()
@@ -406,9 +403,10 @@ def _run_instr(plan: _Plan, cols: np.ndarray, packed: np.ndarray,
                 if plan.shadow:
                     mirror = np.zeros((tsz, 16), np.int64)
                     flags = np.zeros((tsz, 16), bool)
-                for i in range(m0, m1):    # mem operand: columns 8i..8i+7
-                    cb, r, t_, half = plan.madd_seq[i]
-                    vinp2 = packed[cb, kb, r, t_, 4 * half: 4 * half + 4].reshape(4, 32)
+                for i in range(m0, m1):
+                    # mem: columns 8i..8i+7; vinp2[v][2o+c] = wmat[8i+2v+c][16kb+o]
+                    vinp2 = wmat[8 * i: 8 * i + 8, 16 * kb: 16 * kb + 16].reshape(
+                        4, 2, 16).transpose(0, 2, 1).reshape(4, 32)
                     for j in range(tsz):
                         mem = tile[j, 8 * i: 8 * i + 8]
                         vnni_madd(mem, vinp2, vout[j])
@@ -448,10 +446,9 @@ def _run_fast(plan: _Plan, cols: np.ndarray, wmat: np.ndarray,
             stats.overflow_count += _shadow_excursions(
                 cols[:, r0:r1], wmat[r0:r1], m1 - m0)
 
-    total_madds = len(plan.madd_seq)
     n_chunks = len(plan.chunk_bounds)
     n_tiles = -(-plan.m // plan.blk.rb_size)
-    stats.fma_count = plan.m * plan.k16 * total_madds
+    stats.fma_count = plan.m * plan.k16 * plan.madds
     stats.convert_count = plan.m * plan.k16 * n_chunks
     stats.spill_count = n_tiles * plan.k16 * n_chunks
     return out, stats
@@ -471,6 +468,9 @@ def _shadow_excursions(a_chunk: np.ndarray, b_chunk: np.ndarray, madds: int) -> 
         bad = np.any((run > INT32_MAX) | (run < INT32_MIN), axis=0)
         count += int(bad.sum())
     return count
+
+
+_ENGINES = {"instr": _run_instr, "fast": _run_fast}
 
 
 # === public kernel entry points ===
@@ -505,12 +505,9 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
     plan = _make_plan(spec, blk, policy, engine, n * spec.oh * spec.ow, x, weights.data,
                       inp.shared_exponent + weights.shared_exponent)
     cols = im2col(x, spec, 16)
-    if plan.engine == "instr":
-        flat, stats = _run_instr(plan, cols, weights.data, debug_partials)
-    else:
-        # (L, Kpad) weight matrix in the same (cb, kh, kw, cc) row order.
-        wmat = weights.data.transpose(0, 2, 3, 4, 6, 1, 5).reshape(cols.shape[1], plan.kpad)
-        flat, stats = _run_fast(plan, cols, wmat, debug_partials)
+    # (L, Kpad) weight matrix in the same (cb, kh, kw, cc) row order.
+    wmat = weights.data.transpose(0, 2, 3, 4, 6, 1, 5).reshape(cols.shape[1], plan.kpad)
+    flat, stats = _ENGINES[plan.engine](plan, cols, wmat, debug_partials)
     out = flat[:, : spec.out_ch].reshape(n, spec.oh, spec.ow, spec.out_ch)
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), stats
 
@@ -538,11 +535,7 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
     plan = _make_plan(spec, blk, policy, engine, m, a.elements, b.elements,
                       a.shared_exponent + b.shared_exponent)
     cpad = _ceil_to(kk, 16)
-    cols = _zero_pad(a.elements, (m, cpad))
-    if plan.engine == "instr":
-        wt = DfpTensor(b.elements.T.reshape(n, kk, 1, 1), b.shared_exponent, b.bit_width)
-        flat, stats = _run_instr(plan, cols, pack_weights(wt, spec).data, debug_partials)
-    else:
-        flat, stats = _run_fast(plan, cols, _zero_pad(b.elements, (cpad, plan.kpad)),
-                                debug_partials)
+    flat, stats = _ENGINES[plan.engine](plan, _zero_pad(a.elements, (m, cpad)),
+                                        _zero_pad(b.elements, (cpad, plan.kpad)),
+                                        debug_partials)
     return np.ascontiguousarray(flat[:, :n]), stats

@@ -194,6 +194,10 @@ class Conv(WeightedLayer):
 
     def __init__(self, ctx, name, in_ch, out_ch, kernel, stride=1, pad=0,
                  precision="dfp", bias=False, first=False, rng=None):
+        if precision == "dfp" and not first and pad > kernel - 1:
+            # the DFP input gradient is a convolution with pad kernel-1-pad
+            raise ValueError(f"{name}: pad {pad} > kernel-1 is unsupported "
+                             f"by the DFP input-gradient pass")
         super().__init__(ctx, name, (out_ch, in_ch, kernel, kernel), precision,
                          bias, rng)
         self.in_ch, self.out_ch = in_ch, out_ch
@@ -249,8 +253,6 @@ class Conv(WeightedLayer):
                 return np.zeros((n, self.in_ch, spec.h, spec.w), np.float32)
             # Input gradient: convolve dilated errors with the flipped,
             # channel-transposed quantized weights.
-            if self.pad > self.kh - 1 or self.pad > self.kw - 1:
-                raise ValueError(f"{self.name}: pad larger than kernel-1 unsupported in backward")
             ed = _dilate_errors(e_q, self.stride)
             wf = DfpTensor(
                 np.ascontiguousarray(

@@ -122,13 +122,22 @@ class DfpTensor:
         if not INT8_MIN <= self.shared_exponent <= INT8_MAX:
             raise ValueError(f"shared_exponent {self.shared_exponent} outside int8 range")
         lim = 1 << (self.bit_width - 1)
-        if el.size and int(np.abs(el.astype(np.int32)).max()) >= lim:
+        if el.size and max_abs(el) >= lim:
             raise ValueError(f"element magnitude exceeds {lim - 1} for bit_width {self.bit_width}")
         object.__setattr__(self, "elements", el)
 
     @property
     def shape(self) -> Tuple[int, ...]:
         return self.elements.shape
+
+
+def max_abs(a: np.ndarray) -> Union[int, float]:
+    """Largest magnitude in a non-empty int16, int32 or float32 array.
+
+    Exact with no widened copy: the extremes become Python scalars before
+    negation, so INT16_MIN and INT32_MIN do not wrap and -0.0 counts as 0.
+    """
+    return max(a.max().item(), -a.min().item())
 
 
 def as_float_tensor(values) -> np.ndarray:
@@ -164,8 +173,7 @@ def shared_exponent(values, bit_width: int) -> int:
     """Shared exponent E_s = E(max|f|) - (bit_width - 2); 0 for all-zero input."""
     if not 2 <= bit_width <= 16:
         raise ValueError(f"bit_width must be in [2, 16], got {bit_width}")
-    f = as_float_tensor(values)
-    fmax = float(np.abs(f).max())
+    fmax = max_abs(as_float_tensor(values))
     if fmax == 0.0:
         return 0
     return extract_exponent(fmax) - (bit_width - 2)
@@ -217,10 +225,10 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
     """
     f = as_float_tensor(values)
     p = cfg.bit_width
-    es = shared_exponent(f, p)
-    if float(np.abs(f).max()) == 0.0:
+    fmax = max_abs(f)
+    if fmax == 0.0:
         return DfpTensor(np.zeros(f.shape, np.int16), 0, p)
-    es += cfg.pre_shift
+    es = extract_exponent(fmax) - (p - 2) + cfg.pre_shift
     if es > INT8_MAX:
         raise OverflowError(f"shared exponent {es} exceeds int8 range")
     # Inputs down in the FP32 subnormal range can push E_s below -128; clamp.
@@ -253,8 +261,7 @@ def dequantize(t: DfpTensor) -> np.ndarray:
     Every product of a 16-bit integer and an in-range shared exponent is
     exactly representable in FP32 unless it overflows, which is an error.
     """
-    v = np.ldexp(t.elements.astype(np.float64), int(t.shared_exponent))
-    if v.size and float(np.abs(v).max()) > _F32_MAX:
-        raise OverflowError(
-            f"dequantized value exceeds FP32 range (E_s={t.shared_exponent})")
-    return v.astype(np.float32)
+    es = int(t.shared_exponent)
+    if t.elements.size and math.ldexp(max_abs(t.elements), es) > _F32_MAX:
+        raise OverflowError(f"dequantized value exceeds FP32 range (E_s={es})")
+    return np.ldexp(t.elements.astype(np.float64), es).astype(np.float32)

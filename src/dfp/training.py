@@ -72,11 +72,7 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if not 2 <= self.bit_width <= 16:
-            raise ValueError(f"bit_width must be in [2, 16], got {self.bit_width}")
-        if not 0 <= self.pre_shift <= self.bit_width - 2:
-            raise ValueError(
-                f"pre_shift must be in [0, bit_width-2], got {self.pre_shift}")
+        QuantConfig(bit_width=self.bit_width, pre_shift=self.pre_shift)
         if self.rb_size <= 0 or (self.icblk is not None and self.icblk <= 0):
             raise ValueError("rb_size and icblk must be positive")
         if not self.layers:
@@ -155,14 +151,9 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                     raise ValueError(f"{name}: {e}") from None
                 first = not first_conv_seen[0]
                 first_conv_seen[0] = True
-                prec = layer_precision(spec)
-                if prec == "dfp" and not first and pad > k - 1:
-                    # the DFP input gradient is a convolution with pad k-1-pad
-                    raise ValueError(f"{name}: pad {pad} > kernel-1 is unsupported "
-                                     f"by the DFP input-gradient pass")
                 layer = Conv(ctx, name, cspec.in_ch, cspec.out_ch, k, cspec.stride, pad,
-                             precision=prec, bias=spec.get("bias", False), first=first,
-                             rng=rng)
+                             precision=layer_precision(spec),
+                             bias=spec.get("bias", False), first=first, rng=rng)
                 shape = (cspec.out_ch, cspec.oh, cspec.ow)
             elif kind == "fc":
                 feat = int(np.prod(shape))

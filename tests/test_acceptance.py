@@ -551,13 +551,12 @@ PARITY_CFG = {
 }
 
 
-def test_desk_scale_parity(capsys, monkeypatch, glyph_idx_dir):
+def test_desk_scale_parity(capsys, glyph_idx_dir):
     """Same data, hyperparameters, and iterations in FP32 and DFP16.
 
     First conv and the classifier stay FP32 in the mixed run; the interior
     convolutions and batch norms run in DFP16.
     """
-    monkeypatch.delenv("DFP_SHADOW_CHECK", raising=False)
     res32 = run_training(PARITY_CFG, glyph_idx_dir, "fp32", SEED)
     res16 = run_training(PARITY_CFG, glyph_idx_dir, "dfp16", SEED)
     acc32, acc16 = res32["final_val_acc"], res16["final_val_acc"]

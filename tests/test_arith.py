@@ -262,12 +262,8 @@ def test_accum_tensor_validation():
         AccumTensor(np.array([1], np.int32), 0, accum_width=24)
 
 
-def test_shadow_enabled_policy_and_env(monkeypatch):
-    monkeypatch.delenv("DFP_SHADOW_CHECK", raising=False)
+def test_shadow_enabled_follows_policy():
     assert not shadow_enabled(Empirical())
+    assert not shadow_enabled(Strict(max_chain=8))
     assert shadow_enabled(Empirical(shadow_check=True))
     assert shadow_enabled(Strict(max_chain=8, shadow_check=True))
-    monkeypatch.setenv("DFP_SHADOW_CHECK", "1")
-    assert shadow_enabled(Empirical())
-    monkeypatch.setenv("DFP_SHADOW_CHECK", "0")
-    assert not shadow_enabled(Empirical())

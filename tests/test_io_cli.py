@@ -66,6 +66,9 @@ def test_dft_errors_cite_byte_offsets(tmp_path):
         (good[:9], r"truncated rank at byte 7"),
         (good[:-4], r"truncated payload at byte 19"),
         (good + b"\x00\x00", r"2 trailing bytes after payload at byte 27"),
+        # bit width 8, rank 1, 3 elements: 1, 200, -3
+        (bytes.fromhex("44465431 01 08 00 01000000 03000000 0100 c800 fdff"),
+         r"bad\.dft: element 200 at byte 17 exceeds 127 for bit width 8"),
     ]
     path = str(tmp_path / "bad.dft")
     for blob, pattern in cases:

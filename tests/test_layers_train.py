@@ -409,15 +409,13 @@ def test_conv_dfp_first_skips_input_gradient():
     assert conv.grads()["W"] is not None
 
 
-def test_conv_dfp_pad_exceeding_kernel_raises_in_backward():
+def test_conv_dfp_pad_exceeding_kernel_raises_at_construction():
     ctx = make_ctx()
     rng = np.random.default_rng(26)
-    conv = Conv(ctx, "c", 16, 16, 1, pad=1, precision="dfp", first=False,
-                rng=rng)
-    x = rng.standard_normal((1, 16, 4, 4)).astype(np.float32)
-    out = conv.forward(x, train=True)
-    with pytest.raises(ValueError):
-        conv.backward(np.ones_like(out))
+    with pytest.raises(ValueError, match=r"c: pad 1 > kernel-1"):
+        Conv(ctx, "c", 16, 16, 1, pad=1, precision="dfp", first=False, rng=rng)
+    Conv(ctx, "c", 16, 16, 1, pad=1, precision="dfp", first=True, rng=rng)
+    Conv(ctx, "c", 16, 16, 1, pad=1, precision="fp32", first=False, rng=rng)
 
 
 def test_dense_dfp_matches_quantized_operand_oracle():

@@ -1,14 +1,20 @@
-"""Property tests over random geometry: lowering and engine bit identity."""
+"""Property tests: lowering and engine bit identity over random geometry,
+and the range, exponent and error bounds of the format conversions."""
+
+import math
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import assume, event, given, settings
+import pytest
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from dfp.arith import Empirical
+from dfp.arith import AccumTensor, Empirical, down_convert
 from dfp.kernels import (BlockingParams, ConvSpec, col2im, conv_fprop,
                          gemm_dfp, im2col, pack_weights)
-from dfp.tensor import DfpTensor
+from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
+                        dequantize, extract_exponent, max_abs, quantize)
 
 # Derandomized so the suite is repeatable; each run covers the same cases.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -125,3 +131,108 @@ def test_gemm_engines_bit_identical(data, m, kk, n, blk):
     b = data.draw(dfp_values((kk, n)))
     pol = Empirical(shadow_check=True)
     _assert_engines_agree(lambda engine, dbg: gemm_dfp(a, b, blk, pol, engine, dbg))
+
+
+# === format conversion bounds ===
+
+shapes = array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6)
+finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+INT16_MIN, INT32_MIN = -(1 << 15), -(1 << 31)
+
+
+@st.composite
+def range_arrays(draw):
+    """A non-empty int16, int32 or float32 array over the dtype's full range."""
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.float32]))
+    if dtype == np.float32:
+        elements = finite_f32
+    else:
+        info = np.iinfo(dtype)
+        elements = st.integers(int(info.min), int(info.max))
+    return draw(arrays(dtype, shapes, elements=elements))
+
+
+@SETTINGS
+@given(a=range_arrays())
+@example(a=np.array([INT16_MIN, 5], np.int16))
+@example(a=np.array([3, INT32_MIN], np.int32))
+@example(a=np.array([-0.0], np.float32))
+@example(a=np.array([-0.0, -2.5, 1.0], np.float32))
+def test_max_abs_matches_widened_abs(a):
+    wide = np.float64 if a.dtype == np.float32 else np.int64
+    got = max_abs(a)
+    assert got == np.abs(a.astype(wide)).max()
+    assert type(got) is (float if a.dtype == np.float32 else int)
+
+
+@SETTINGS
+@given(f=arrays(np.float32, shapes, elements=finite_f32), p=st.integers(2, 16),
+       data=st.data(),
+       mode=st.sampled_from([Nearest(), Biased(), Stochastic(seed=7)]))
+def test_quantize_range_exponent_and_error(f, p, data, mode):
+    pre_shift = data.draw(st.integers(0, p - 2))
+    t = quantize(f, QuantConfig(p, mode, pre_shift), tensor_id=3)
+    fmax = float(np.abs(f).max())
+    lim = (1 << (p - 1 - pre_shift)) - 1
+    assert int(np.abs(t.elements.astype(np.int32)).max()) <= lim
+    if fmax == 0.0:
+        assert t.shared_exponent == 0 and not t.elements.any()
+        return
+    es = t.shared_exponent
+    # inputs deep in the FP32 subnormal range clamp E_s at the int8 floor
+    assert es == max(extract_exponent(fmax) - (p - 2) + pre_shift, -128)
+    step = 2.0 ** es
+    err = np.abs(t.elements.astype(np.float64) * step - f.astype(np.float64))
+    assert np.all(err < step)
+    if isinstance(mode, Nearest):
+        # half a step wherever the scaled value rounds inside +-lim; only
+        # the saturating sliver past lim + 1/2 clips, still within one step
+        inside = np.abs(f.astype(np.float64)) <= (lim + 0.5) * step
+        assert np.all(err[inside] <= step / 2)
+
+
+@st.composite
+def dfp_tensors(draw):
+    """A DfpTensor of any bit width and any int8 shared exponent."""
+    p = draw(st.integers(2, 16))
+    lim = (1 << (p - 1)) - 1
+    el = draw(arrays(np.int16, shapes, elements=st.integers(-lim, lim)))
+    return DfpTensor(el, draw(st.integers(-128, 127)), p)
+
+
+@SETTINGS
+@given(t=dfp_tensors())
+@example(t=DfpTensor(np.array([1, -1], np.int16), -128, 16))   # FP32 subnormal
+@example(t=DfpTensor(np.array([1, -1], np.int16), 127, 16))    # largest in range
+@example(t=DfpTensor(np.array([1, -2], np.int16), 127, 16))    # just past FP32 max
+def test_dequantize_is_exact(t):
+    es = t.shared_exponent
+    want = [math.ldexp(int(i), es) for i in t.elements.flat]
+    if max(abs(w) for w in want) > float(np.finfo(np.float32).max):
+        with pytest.raises(OverflowError):
+            dequantize(t)
+        return
+    got = dequantize(t)
+    assert got.dtype == np.float32 and got.shape == t.shape
+    assert [float(v) for v in got.flat] == want
+
+
+@SETTINGS
+@given(acc=arrays(np.int32, shapes, elements=st.integers(INT32_MIN, -INT32_MIN - 1)),
+       shift=st.integers(0, 31), p=st.integers(2, 16), es=st.integers(-128, 96))
+@example(acc=np.array([INT32_MIN, 1], np.int32), shift=0, p=16, es=0)
+def test_down_convert_fits_and_bounds_error(acc, shift, p, es):
+    acc = acc >> shift                 # spread the magnitudes over every width
+    t = down_convert(AccumTensor(acc.copy(), es), p)
+    lim = (1 << (p - 1)) - 1
+    top = int(np.abs(t.elements.astype(np.int32)).max())
+    assert top <= lim
+    if not acc.any():
+        assert t.shared_exponent == es and top == 0
+        return
+    r_s = t.shared_exponent - es
+    assert r_s >= 0
+    if r_s:                            # no magnitude bit is wasted
+        assert top >= 1 << (p - 2)
+    err = t.elements.astype(np.int64) * (1 << r_s) - acc.astype(np.int64)
+    assert np.all(np.abs(err) < 1 << r_s)

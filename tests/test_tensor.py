@@ -68,6 +68,8 @@ def test_dfp_tensor_validation():
     with pytest.raises(ValueError):
         DfpTensor(np.array([8], np.int16), 0, 4)             # |i| >= 2^(P-1)
     with pytest.raises(ValueError):
+        DfpTensor(np.array([-32768], np.int16), 0, 16)       # |INT16_MIN| = 2^15
+    with pytest.raises(ValueError):
         DfpTensor(np.array([1], np.int16), 200, 16)          # exponent range
     with pytest.raises(ValueError):
         DfpTensor(np.array([1], np.int16), 0, 17)            # bad width
