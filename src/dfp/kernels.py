@@ -38,9 +38,16 @@ statistics:
   spilling in the same chain order reproduces the FP32 accumulation bit
   for bit.
 
-With shadow checking enabled, both engines track the exact 64-bit running
-sum at every madd boundary and count one overflow event per (output
-element, chain) whose running sum leaves the signed 32-bit range.
+With shadow checking enabled, both engines count one overflow event per
+(output element, chain) whose exact running sum leaves the signed 32-bit
+range at some madd boundary.  The instr engine keeps a live 64-bit mirror
+of every lane.  The fast engine first bounds each chain: with P the sum of
+its positive products and N the magnitude of its negative ones, every
+running sum lies in [-N, P], and P + N = |A| @ |B| and P - N = A @ B are
+both exact float64 matmuls.  Pairs with P <= INT32_MAX and N <= 2**31
+cannot overflow; only the rows holding some other pair are re-summed madd
+by madd (float64 prefix sums over slabs of flagged rows), so the count
+stays exact while clean chains cost one extra matmul.
 """
 
 from __future__ import annotations
@@ -60,7 +67,10 @@ _F32_MAX_EXP = 127
 # Instruction-accurate engine above this madd count is impractically slow.
 _AUTO_INSTR_LIMIT = 50_000
 
-_SHADOW_ROW_BLOCK = 2048  # rows per shadow cumsum slab, bounds memory
+# Flagged rows per shadow prefix-sum slab: the fast engine replays only the
+# rows the interval bound cannot clear, this many at a time, so the float64
+# (madds, rows, Kpad) slab stays bounded however many rows are flagged.
+_SHADOW_ROW_BLOCK = 2048
 
 
 # === geometry and blocking ===
@@ -443,8 +453,7 @@ def _run_fast(plan: _Plan, cols: np.ndarray, wmat: np.ndarray,
             debug_partials.append(wrapped)
         out += wrapped.astype(np.float32) * plan.scale
         if plan.shadow:
-            stats.overflow_count += _shadow_excursions(
-                cols[:, r0:r1], wmat[r0:r1], m1 - m0)
+            stats.overflow_count += _shadow_excursions(cols[:, r0:r1], a, b, exact)
 
     n_chunks = len(plan.chunk_bounds)
     n_tiles = -(-plan.m // plan.blk.rb_size)
@@ -454,19 +463,28 @@ def _run_fast(plan: _Plan, cols: np.ndarray, wmat: np.ndarray,
     return out, stats
 
 
-def _shadow_excursions(a_chunk: np.ndarray, b_chunk: np.ndarray, madds: int) -> int:
+def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       exact: np.ndarray) -> int:
     # Count (output element, chain) pairs whose exact running sum leaves the
     # int32 range at any madd boundary; identical to the instruction mirror.
-    kp = b_chunk.shape[1]
-    bm = b_chunk.reshape(madds, 8, kp).astype(np.float64)
+    # a and b are the chain's float64 operands (a is overwritten with |a|),
+    # exact = a @ b.  With P the sum of a pair's positive products and N the
+    # magnitude of its negative ones, every running sum lies in [-N, P];
+    # |a| @ |b| = P + N and exact = P - N, both exact like `exact` itself.
+    # Only rows with a pair whose P or -N leaves int32 are summed madd by madd.
+    mag = np.abs(a, out=a) @ np.abs(b)
+    flagged = mag + exact > 2 * INT32_MAX
+    flagged |= np.subtract(mag, exact, out=mag) > -2 * INT32_MIN
+    rows = np.flatnonzero(flagged.any(axis=1))
+    madds, kp = b.shape[0] // 8, b.shape[1]
+    bm = b.reshape(madds, 8, kp)
     count = 0
-    for r0 in range(0, a_chunk.shape[0], _SHADOW_ROW_BLOCK):
-        rows = a_chunk[r0: r0 + _SHADOW_ROW_BLOCK]
-        am = rows.reshape(rows.shape[0], madds, 8).transpose(1, 0, 2).astype(np.float64)
-        steps = am @ bm                      # (madds, rows, kp), exact
-        run = np.cumsum(steps, axis=0)
-        bad = np.any((run > INT32_MAX) | (run < INT32_MIN), axis=0)
-        count += int(bad.sum())
+    for r0 in range(0, rows.size, _SHADOW_ROW_BLOCK):
+        slab = a_chunk[rows[r0: r0 + _SHADOW_ROW_BLOCK]]
+        am = slab.reshape(slab.shape[0], madds, 8).transpose(1, 0, 2).astype(np.float64)
+        run = am @ bm                        # (madds, rows, kp), exact
+        np.cumsum(run, axis=0, out=run)
+        count += int(np.any((run > INT32_MAX) | (run < INT32_MIN), axis=0).sum())
     return count
 
 

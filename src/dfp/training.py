@@ -240,6 +240,7 @@ def sgd_step(model: Model, lr: float, momentum: float, weight_decay: float) -> N
     see Q_w of the updated masters.
     """
     lr32, m32, wd32 = np.float32(lr), np.float32(momentum), np.float32(weight_decay)
+    updates = []
     for layer in model.iter_layers():
         params, grads, vel = layer.params(), layer.grads(), layer.velocities()
         for name, p in params.items():
@@ -250,11 +251,13 @@ def sgd_step(model: Model, lr: float, momentum: float, weight_decay: float) -> N
             if not np.all(np.isfinite(g)):
                 raise TrainingDivergence(
                     f"non-finite gradient in {layer.name}.{name}", [])
-            v = vel[name]
-            if weight_decay:
-                g = g + wd32 * p
-            v[...] = m32 * v + g
-            p[...] = p - lr32 * v
+            updates.append((p, g, vel[name]))
+    # Every gradient is checked before any parameter or velocity moves.
+    for p, g, v in updates:
+        if weight_decay:
+            g = g + wd32 * p
+        v[...] = m32 * v + g
+        p[...] = p - lr32 * v
     model.refresh_quantized()
 
 

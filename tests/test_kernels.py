@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dfp.arith import safe_chain_length
+from dfp import kernels
+from dfp.arith import INT32_MAX, INT32_MIN, safe_chain_length
 from dfp.kernels import (BlockingParams, ConvSpec, Empirical, Fraction,
                          KernelStats, Strict, chain_length, conv_fprop,
                          default_blocking, gemm_dfp, overhead_ratio,
@@ -245,6 +246,67 @@ def test_engines_agree_on_overflow_counts():
     # without the shadow pass nothing is counted
     _, st_off = conv_fprop(inp, pw, spec, policy=Empirical(), engine="instr")
     assert st_off.overflow_count == 0
+
+
+# 2**28 = 16384 * 16384 and 2**28 - 1 = 16383 * 16385.  Each GEMM below is
+# one 16-product chain of two madds (icblk=16) into a single output column.
+_P = 1 << 14
+_SHADOW_CASES = {
+    # name: (A row, B column, events)
+    "peak INT32_MAX": ([_P] * 7 + [_P - 1] + [0] * 8, [_P] * 7 + [_P + 1] + [0] * 8, 0),
+    "peak 2**31": ([_P] * 8 + [0] * 8, [_P] * 8 + [0] * 8, 1),
+    "trough INT32_MIN": ([-_P] * 8 + [0] * 8, [_P] * 8 + [0] * 8, 0),
+    "trough INT32_MIN - 1": ([-_P] * 8 + [1] + [0] * 7, [_P] * 8 + [-1] + [0] * 7, 1),
+    # 2**31 after the first madd, 2**31 - 1 after the second
+    "transient": ([_P] * 8 + [1] + [0] * 7, [_P] * 8 + [-1] + [0] * 7, 1),
+}
+
+
+def _shadow_oracle(a, b, icblk):
+    # (output, chain) pairs whose int64 running sum leaves int32 at a madd
+    # boundary (every 8 products)
+    a64, b64 = a.astype(np.int64), b.astype(np.int64)
+    count = 0
+    for c0 in range(0, a.shape[1], icblk):
+        run = np.zeros((a.shape[0], b.shape[1]), np.int64)
+        bad = np.zeros(run.shape, bool)
+        for i in range(c0, min(c0 + icblk, a.shape[1]), 8):
+            run += a64[:, i: i + 8] @ b64[i: i + 8]
+            bad |= (run > INT32_MAX) | (run < INT32_MIN)
+        count += int(bad.sum())
+    return count
+
+
+def _shadow_counts(a_rows, b_col):
+    a = np.array(a_rows, np.int16)
+    b = np.array(b_col, np.int16).reshape(16, 1)
+    want = _shadow_oracle(a, b, 16)
+    da, db = DfpTensor(a, -14, 16), DfpTensor(b, -14, 16)
+    pol, blk = Empirical(shadow_check=True), BlockingParams(icblk=16)
+    got = [gemm_dfp(da, db, blk, pol, engine=eng)[1].overflow_count
+           for eng in ("instr", "fast")]
+    return want, got
+
+
+@pytest.mark.parametrize("case", sorted(_SHADOW_CASES))
+def test_shadow_count_at_int32_boundaries(case):
+    a_row, b_col, events = _SHADOW_CASES[case]
+    want, got = _shadow_counts([a_row], b_col)
+    assert want == events
+    assert got == [events, events]
+
+
+def test_shadow_count_over_several_row_slabs():
+    # more flagged rows than one shadow slab holds, in a repeating pattern:
+    # an excursion (2**31 after the first madd); a row whose positive
+    # products reach 7 * 2**28 but whose running sum peaks at 6 * 2**28;
+    # a row far from the bound
+    b_col = [_P] * 8 + [-1] + [0] * 7
+    pattern = [[_P] * 8 + [0] * 8, [_P] * 7 + [-_P] + [0] * 8, [1] * 8 + [0] * 8]
+    reps = kernels._SHADOW_ROW_BLOCK + 1
+    want, got = _shadow_counts(pattern * reps, b_col)
+    assert want == reps
+    assert got == [reps, reps]
 
 
 def test_strict_policy_safe_on_adversarial_data():

@@ -598,6 +598,32 @@ def test_sgd_nonfinite_gradient_names_parameter():
         sgd_step(model, lr=0.1, momentum=0.0, weight_decay=0.0)
 
 
+@pytest.mark.parametrize("bad", ["fc1.b", "fc2.W"])
+def test_sgd_nonfinite_gradient_moves_nothing(bad):
+    # a NaN in any parameter after the first leaves every weight and
+    # velocity as it was, including those of the parameters checked earlier
+    ctx = make_ctx()
+    rng = np.random.default_rng(5)
+    fcs = [Dense(ctx, name, 3, 3, precision="fp32", bias=True, rng=rng)
+           for name in ("fc1", "fc2")]
+    model = Model(fcs, ctx)
+    for fc in fcs:
+        fc.gW = rng.standard_normal((3, 3)).astype(np.float32)
+        fc.gb = rng.standard_normal(3).astype(np.float32)
+    sgd_step(model, lr=0.1, momentum=0.9, weight_decay=1e-3)   # nonzero velocities
+    layer, name = bad.split(".")
+    getattr(fcs[int(layer[-1]) - 1], "g" + name)[0] = np.nan
+    before = [(fc.W.copy(), fc.b.copy(), {k: v.copy() for k, v in fc.velocities().items()})
+              for fc in fcs]
+    with pytest.raises(TrainingDivergence, match=bad.replace(".", r"\.")):
+        sgd_step(model, lr=0.1, momentum=0.9, weight_decay=1e-3)
+    for fc, (w, b, vel) in zip(fcs, before):
+        npt.assert_array_equal(fc.W, w)
+        npt.assert_array_equal(fc.b, b)
+        for k, v in vel.items():
+            npt.assert_array_equal(fc.velocities()[k], v)
+
+
 def test_lr_schedule():
     cfg = parse_config(dict(MLP_CFG, base_lr=0.1, step_epochs=[3, 5]))
     want = {0: 0.1, 2: 0.1, 3: 0.01, 4: 0.01, 5: 0.001, 7: 0.001}
