@@ -37,22 +37,18 @@ _F32_MAX_EXP = 127
 class AccumTensor:
     """Signed 32-bit accumulator tensor with a shared exponent.
 
-    For a product accumulator the exponent equals the sum of the two source
+    The accumulator width A = 32 is fixed by the int32 elements.  For a
+    product accumulator the exponent equals the sum of the two source
     exponents, so it may lie outside the int8 range of DfpTensor.
-    overflow_count tallies shadow-detected excursions beyond int32.
     """
 
     elements: np.ndarray
     shared_exponent: int
-    accum_width: int = 32
-    overflow_count: int = 0
 
     def __post_init__(self):
         el = np.asarray(self.elements)
         if el.dtype != np.int32:
             raise TypeError(f"accumulator elements must be int32, got {el.dtype}")
-        if self.accum_width != 32:
-            raise ValueError("accum_width is fixed at 32")
         self.elements = el
 
     @property
@@ -146,8 +142,9 @@ def lzc(x) -> int:
 def down_convert(acc: AccumTensor, bit_width: int) -> DfpTensor:
     """Pack a 32-bit accumulator into a P-bit DFP tensor.
 
-    The shift R_s = max(0, (A - LZC(max|i|)) - (P - 1)) drops exactly enough
-    low bits that the widest element fits the signed P-bit range, and the
+    The shift R_s = max(0, (A - LZC(max|i|)) - (P - 1)), with A = 32 the
+    accumulator width, drops exactly enough low bits that the widest element
+    fits the signed P-bit range, and the
     exponent grows by R_s to compensate.  Negative raw shifts clamp to zero
     (left-shifting would add no information).  The single most negative
     post-shift pattern -2**(P-1) saturates to -(2**(P-1) - 1), keeping the
@@ -161,7 +158,7 @@ def down_convert(acc: AccumTensor, bit_width: int) -> DfpTensor:
     if maxabs == 0:
         es = min(max(acc.shared_exponent, INT8_MIN), INT8_MAX)
         return DfpTensor(np.zeros(acc.shape, np.int16), es, bit_width)
-    r_s = max(0, (acc.accum_width - lzc(maxabs)) - (bit_width - 1))
+    r_s = max(0, (32 - lzc(maxabs)) - (bit_width - 1))
     shifted = acc.elements >> r_s if r_s else acc.elements.copy()
     lim = (1 << (bit_width - 1)) - 1
     shifted = np.clip(shifted, -lim, lim)

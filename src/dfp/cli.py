@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from . import experiments, fileio
 from .tensor import DfpTensor, QuantConfig, quantize, rounding_from_name
@@ -49,8 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dist", default="gaussian",
                        choices=("gaussian", "adversarial"))
-        p.add_argument("--engine", default="auto",
-                       choices=("auto", "fast", "instructions"))
+        p.add_argument("--engine", default="fast", choices=("fast", "instructions"))
         p.add_argument("--out", default=None, metavar="CSV",
                        help="also write rows to a CSV file")
 
@@ -74,8 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, metavar="CSV")
     t.add_argument("--checkpoint", default=None, metavar="DIR")
-    t.add_argument("--engine", default="fast",
-                   choices=("auto", "fast", "instructions"))
+    t.add_argument("--engine", default="fast", choices=("fast", "instructions"))
 
     c = sub.add_parser("compare", help="compare two metrics files")
     c.add_argument("--a", required=True, metavar="CSV", help="reference run")
@@ -100,35 +97,25 @@ def _cmd_quantize(args) -> int:
     return 0
 
 
-def _emit_bench(rows, out_path: Optional[str]) -> None:
+def _cmd_bench(args) -> int:
+    knobs = dict(icblk=args.icblk, rb=args.rb, policy=args.policy,
+                 pre_shift=args.pre_shift, trials=args.trials, seed=args.seed,
+                 dist=args.dist, engine=args.engine)
+    if args.command == "bench-gemm":
+        rows = experiments.run_bench_gemm(args.m, args.n, args.k, **knobs)
+    else:
+        parts = [p.strip() for p in args.spec.split(",")]
+        if len(parts) != 8:
+            print(f"error: --spec needs 8 integers C,K,H,W,KH,KW,stride,pad; "
+                  f"got {len(parts)} fields", file=sys.stderr)
+            return 2
+        shape = tuple(int(p) for p in parts)
+        rows = experiments.run_bench_conv(shape, n_batch=args.batch, **knobs)
     text = experiments.format_bench_csv(rows)
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-
-
-def _cmd_bench_gemm(args) -> int:
-    rows = experiments.run_bench_gemm(
-        args.m, args.n, args.k, icblk=args.icblk, rb=args.rb,
-        policy=args.policy, pre_shift=args.pre_shift, trials=args.trials,
-        seed=args.seed, dist=args.dist, engine=args.engine)
-    _emit_bench(rows, args.out)
-    return 0
-
-
-def _cmd_bench_conv(args) -> int:
-    parts = [p.strip() for p in args.spec.split(",")]
-    if len(parts) != 8:
-        print(f"error: --spec needs 8 integers C,K,H,W,KH,KW,stride,pad; "
-              f"got {len(parts)} fields", file=sys.stderr)
-        return 2
-    shape = tuple(int(p) for p in parts)
-    rows = experiments.run_bench_conv(
-        shape, icblk=args.icblk, rb=args.rb, policy=args.policy,
-        pre_shift=args.pre_shift, trials=args.trials, seed=args.seed,
-        dist=args.dist, engine=args.engine, n_batch=args.batch)
-    _emit_bench(rows, args.out)
     return 0
 
 
@@ -170,8 +157,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "quantize": _cmd_quantize,
-        "bench-gemm": _cmd_bench_gemm,
-        "bench-conv": _cmd_bench_conv,
+        "bench-gemm": _cmd_bench,
+        "bench-conv": _cmd_bench,
         "train": _cmd_train,
         "compare": _cmd_compare,
     }

@@ -17,8 +17,8 @@ import numpy as np
 from .arith import Empirical, Strict
 from .datasets import DatasetHandle, make_dataset
 from .fileio import save_checkpoint, write_metrics
-from .kernels import (BlockingParams, ConvSpec, conv_fprop, default_blocking,
-                      gemm_dfp, overhead_ratio, pack_weights)
+from .kernels import (ConvSpec, chain_length, conv_fprop, default_blocking, gemm_dfp,
+                      overhead_ratio, pack_weights)
 from .layers import RunContext
 from .tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
 from .training import (build_model, make_policy, make_quantizers, parse_config,
@@ -89,29 +89,21 @@ def load_run_request(path: str) -> dict:
 # === benchmark input generation ===
 
 
-def _bench_operands(shape_a, shape_b, dist: str, pre_shift: int, seed: int,
-                    bit_width: int = 16) -> Tuple[DfpTensor, DfpTensor]:
+def _bench_operands(shape_a, shape_b, dist: str, pre_shift: int,
+                    seed: int) -> Tuple[DfpTensor, DfpTensor]:
     if dist == "gaussian":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-        cfg = QuantConfig(bit_width=bit_width, rounding=Nearest(), pre_shift=pre_shift)
+        cfg = QuantConfig(bit_width=16, rounding=Nearest(), pre_shift=pre_shift)
         a = quantize(rng.standard_normal(shape_a).astype(np.float32), cfg)
         b = quantize(rng.standard_normal(shape_b).astype(np.float32), cfg)
         return a, b
     if dist == "adversarial":
         # every element at the containment limit, worst case for chain growth
-        lim = (1 << (bit_width - 1 - pre_shift)) - 1
-        a = DfpTensor(np.full(shape_a, lim, np.int16), -14, bit_width)
-        b = DfpTensor(np.full(shape_b, lim, np.int16), -14, bit_width)
+        lim = (1 << (15 - pre_shift)) - 1
+        a = DfpTensor(np.full(shape_a, lim, np.int16), -14, 16)
+        b = DfpTensor(np.full(shape_b, lim, np.int16), -14, 16)
         return a, b
     raise ValueError(f"unknown input distribution {dist!r}")
-
-
-def _policy_from_name(name: str, chain: int, shadow: bool):
-    if name == "strict":
-        return Strict(max_chain=chain, shadow_check=shadow)
-    if name == "empirical":
-        return Empirical(chain_block=chain if chain else 208, shadow_check=shadow)
-    raise ValueError(f"unknown policy {name!r}")
 
 
 BENCH_HEADER = ("trial", "m", "n", "k", "icblk", "rb", "chain", "fma_count",
@@ -119,28 +111,33 @@ BENCH_HEADER = ("trial", "m", "n", "k", "icblk", "rb", "chain", "fma_count",
                 "analytic_ratio", "measured_ratio", "rel_err", "wall_ms")
 
 
-def run_bench_gemm(m: int, n: int, k: int, icblk: Optional[int] = None,
-                   rb: int = 28, policy: str = "empirical", pre_shift: int = 1,
-                   trials: int = 1, seed: int = 0, dist: str = "gaussian",
-                   engine: str = "auto", shadow: bool = True) -> List[dict]:
-    """GEMM benchmark rows: stats, instruction-ratio check, FP64 error."""
-    spec = ConvSpec(in_ch=k, out_ch=n, h=1, w=1, kh=1, kw=1)
-    if icblk is None:
-        icblk = default_blocking(spec, Empirical()).icblk
-    blk = BlockingParams(icblk=icblk, rb_size=rb)
-    pol = _policy_from_name(policy, chain=icblk * spec.kh * spec.kw, shadow=shadow)
+def _bench_rows(spec: ConvSpec, shapes, kernel, oracle, icblk: Optional[int],
+                rb: int, policy: str, pre_shift: int, trials: int, seed: int,
+                dist: str) -> List[dict]:
+    """One row per trial of kernel(a, b, blk, policy), shadow counting on:
+    stats, instruction-ratio check, error against the FP64 oracle(a, b).
+    m counts output rows, the leading dimension of shapes[0] times OH*OW."""
+    blk = default_blocking(spec, rb_size=rb, icblk=icblk)
+    chain = chain_length(spec, blk)
+    if policy == "strict":
+        pol = Strict(max_chain=chain, shadow_check=True)
+    elif policy == "empirical":
+        pol = Empirical(shadow_check=True)
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
     rows = []
     for trial in range(trials):
-        a, b = _bench_operands((m, k), (k, n), dist, pre_shift, seed + trial)
+        a, b = _bench_operands(*shapes, dist, pre_shift, seed + trial)
         t0 = time.perf_counter()
-        out, stats = gemm_dfp(a, b, blk, pol, engine=engine)
+        out, stats = kernel(a, b, blk, pol)
         wall = (time.perf_counter() - t0) * 1e3
-        oracle = dequantize(a).astype(np.float64) @ dequantize(b).astype(np.float64)
-        denom = float(np.linalg.norm(oracle))
-        rel = float(np.linalg.norm(out.astype(np.float64) - oracle)) / max(denom, 1e-30)
+        ref = oracle(dequantize(a).astype(np.float64), dequantize(b).astype(np.float64))
+        denom = float(np.linalg.norm(ref))
+        rel = float(np.linalg.norm(out.astype(np.float64) - ref)) / max(denom, 1e-30)
         rows.append({
-            "trial": trial, "m": m, "n": n, "k": k, "icblk": icblk, "rb": rb,
-            "chain": icblk,
+            "trial": trial, "m": shapes[0][0] * spec.oh * spec.ow, "n": spec.out_ch,
+            "k": spec.in_ch * spec.kh * spec.kw, "icblk": blk.icblk, "rb": rb,
+            "chain": chain,
             "fma_count": stats.fma_count,
             "convert_count": stats.convert_count,
             "spill_count": stats.spill_count,
@@ -151,47 +148,34 @@ def run_bench_gemm(m: int, n: int, k: int, icblk: Optional[int] = None,
             "wall_ms": wall,
         })
     return rows
+
+
+def run_bench_gemm(m: int, n: int, k: int, icblk: Optional[int] = None,
+                   rb: int = 28, policy: str = "empirical", pre_shift: int = 1,
+                   trials: int = 1, seed: int = 0, dist: str = "gaussian",
+                   engine: str = "fast") -> List[dict]:
+    """GEMM benchmark rows: stats, instruction-ratio check, FP64 error."""
+    return _bench_rows(
+        ConvSpec(in_ch=k, out_ch=n, h=1, w=1, kh=1, kw=1), ((m, k), (k, n)),
+        lambda a, b, blk, pol: gemm_dfp(a, b, blk, pol, engine),
+        np.matmul, icblk, rb, policy, pre_shift, trials, seed, dist)
 
 
 def run_bench_conv(shape: Tuple[int, int, int, int, int, int, int, int],
                    icblk: Optional[int] = None, rb: int = 28,
                    policy: str = "empirical", pre_shift: int = 1,
                    trials: int = 1, seed: int = 0, dist: str = "gaussian",
-                   engine: str = "auto", n_batch: int = 1,
-                   shadow: bool = True) -> List[dict]:
-    """Convolution benchmark; shape = (C, K, H, W, KH, KW, stride, pad)."""
+                   engine: str = "fast", n_batch: int = 1) -> List[dict]:
+    """Convolution benchmark; shape = (C, K, H, W, KH, KW, stride, pad).
+    wall_ms includes the weight relayout (pack_weights)."""
     c, k, h, w, kh, kw, stride, pad = shape
     spec = ConvSpec(c, k, h, w, kh, kw, stride, pad)
-    if icblk is None:
-        blk = default_blocking(spec, Empirical(), rb_size=rb)
-    else:
-        blk = BlockingParams(icblk=icblk, rb_size=rb)
-    chain = blk.icblk * kh * kw
-    pol = _policy_from_name(policy, chain=chain, shadow=shadow)
-    rows = []
-    for trial in range(trials):
-        a, b = _bench_operands((n_batch, c, h, w), (k, c, kh, kw), dist,
-                               pre_shift, seed + trial)
-        pw = pack_weights(b, spec)
-        t0 = time.perf_counter()
-        out, stats = conv_fprop(a, pw, spec, blk, pol, engine=engine)
-        wall = (time.perf_counter() - t0) * 1e3
-        oracle = _conv_oracle_f64(dequantize(a), dequantize(b), stride, pad)
-        denom = float(np.linalg.norm(oracle))
-        rel = float(np.linalg.norm(out.astype(np.float64) - oracle)) / max(denom, 1e-30)
-        rows.append({
-            "trial": trial, "m": n_batch * spec.oh * spec.ow, "n": k,
-            "k": c * kh * kw, "icblk": blk.icblk, "rb": rb, "chain": chain,
-            "fma_count": stats.fma_count,
-            "convert_count": stats.convert_count,
-            "spill_count": stats.spill_count,
-            "overflow_count": stats.overflow_count,
-            "analytic_ratio": float(overhead_ratio(spec, blk)),
-            "measured_ratio": float(stats.measured_ratio()),
-            "rel_err": rel,
-            "wall_ms": wall,
-        })
-    return rows
+    return _bench_rows(
+        spec, ((n_batch, c, h, w), (k, c, kh, kw)),
+        lambda a, b, blk, pol: conv_fprop(a, pack_weights(b, spec), spec, blk, pol,
+                                          engine),
+        lambda x, wt: _conv_oracle_f64(x, wt, stride, pad),
+        icblk, rb, policy, pre_shift, trials, seed, dist)
 
 
 def _conv_oracle_f64(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:

@@ -24,27 +24,27 @@ im2col whose columns follow the madd order, and an (L, Kpad) weight
 matrix with rows in the same order.  The packed layout is conv_fprop's
 input format, lowered to the weight matrix once per call; a GEMM's A and
 B operands are the pair itself, zero-padded to whole 16-lane groups.  Two
-engines read the same pair and produce bit-identical outputs and
-statistics:
+engines, chosen by name, read the same pair and produce bit-identical
+outputs and statistics:
 
-* "instr": a Python loop nest issuing one vnni_madd per emulated
+* "instructions": a Python loop nest issuing one vnni_madd per emulated
   instruction, with mem read from patch-matrix columns 8i..8i+7 and vinp2
   from weight-matrix rows 8i..8i+7, counting instructions live.  This is
-  the reference emulator.
-* "fast": one chain of matrix products per spill.  Per-chain integer sums
-  are computed exactly (float64 matmul; all partial sums stay far below
-  2**53) and then wrapped to int32.  Because two's-complement addition is
-  associative, the wrapped totals equal the instruction sequence's, and
-  spilling in the same chain order reproduces the FP32 accumulation bit
-  for bit.
+  the reference emulator; it runs only when asked for.
+* "fast", the default everywhere: one chain of matrix products per
+  spill.  Per-chain integer sums are computed exactly (float64 matmul; all
+  partial sums stay far below 2**53) and then wrapped to int32.  Because
+  two's-complement addition is associative, the wrapped totals equal the
+  instruction sequence's, and spilling in the same chain order reproduces
+  the FP32 accumulation bit for bit.
 
 With shadow checking enabled, both engines count one overflow event per
 (output element, chain) whose exact running sum leaves the signed 32-bit
-range at some madd boundary.  The instr engine keeps a live 64-bit mirror
-of every lane.  The fast engine first bounds each chain: with P the sum of
-its positive products and N the magnitude of its negative ones, every
-running sum lies in [-N, P], and P + N = |A| @ |B| and P - N = A @ B are
-both exact float64 matmuls.  Pairs with P <= INT32_MAX and N <= 2**31
+range at some madd boundary.  The instructions engine keeps a live 64-bit
+mirror of every lane.  The fast engine first bounds each chain: with P the
+sum of its positive products and N the magnitude of its negative ones,
+every running sum lies in [-N, P], and P + N = |A| @ |B| and P - N = A @ B
+are both exact float64 matmuls.  Pairs with P <= INT32_MAX and N <= 2**31
 cannot overflow; only the rows holding some other pair are re-summed madd
 by madd (float64 prefix sums over slabs of flagged rows), so the count
 stays exact while clean chains cost one extra matmul.
@@ -58,14 +58,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import INT32_MAX, INT32_MIN, Empirical, OverflowPolicy, Strict, shadow_enabled
+from .arith import (_F32_MAX_EXP, _F32_MIN_EXP, INT32_MAX, INT32_MIN, Empirical,
+                    OverflowPolicy, Strict, shadow_enabled)
 from .tensor import DfpTensor, max_abs
-
-_F32_MIN_EXP = -149
-_F32_MAX_EXP = 127
-
-# Instruction-accurate engine above this madd count is impractically slow.
-_AUTO_INSTR_LIMIT = 50_000
 
 # Flagged rows per shadow prefix-sum slab: the fast engine replays only the
 # rows the interval bound cannot clear, this many at a time, so the float64
@@ -115,22 +110,18 @@ class ConvSpec:
 @dataclasses.dataclass(frozen=True)
 class BlockingParams:
     """Kernel blocking: icblk input channels per accumulation chain and
-    rb_size output elements per register block.  simd_width and vnni_k are
-    structural constants of the emulated instruction (16 int32 lanes, 4
-    steps of 2 products)."""
+    rb_size output elements per register block.  The SIMD width (16 int32
+    lanes) and the madd depth (4 steps of 2 products) are structural
+    constants of the emulated instruction, not parameters."""
 
     icblk: int
     rb_size: int = 28
-    simd_width: int = 16
-    vnni_k: int = 4
 
     def __post_init__(self):
         if self.icblk < 8 or self.icblk % 8 != 0:
             raise ValueError(f"icblk must be a positive multiple of 8, got {self.icblk}")
         if self.rb_size < 1:
             raise ValueError("rb_size must be >= 1")
-        if self.simd_width != 16 or self.vnni_k != 4:
-            raise ValueError("simd_width is fixed at 16 and vnni_k at 4")
 
 
 @dataclasses.dataclass
@@ -172,8 +163,9 @@ def overhead_ratio(spec: ConvSpec, blk: BlockingParams) -> Fraction:
 
 
 def default_blocking(spec: ConvSpec, policy: Optional[OverflowPolicy] = None,
-                     rb_size: int = 28) -> BlockingParams:
-    """Pick icblk for the given overflow policy.
+                     rb_size: int = 28, icblk: Optional[int] = None) -> BlockingParams:
+    """Blocking for spec: an explicit icblk wins, otherwise icblk is sized
+    for the given overflow policy.
 
     Empirical: the smallest multiple of 16 that divides the padded channel
     count and whose chain icblk*KH*KW reaches the policy's chain_block
@@ -182,6 +174,8 @@ def default_blocking(spec: ConvSpec, policy: Optional[OverflowPolicy] = None,
     measured convert/FMA ratio equals the analytic one exactly.  Strict:
     the largest multiple of 8 whose chain stays within max_chain.
     """
+    if icblk is not None:
+        return BlockingParams(icblk=icblk, rb_size=rb_size)
     per = spec.kh * spec.kw
     cpad = _ceil_to(spec.in_ch, 16)
     if isinstance(policy, Strict):
@@ -349,7 +343,7 @@ class _Plan:
     chunk_bounds: List[Tuple[int, int]]  # madd index ranges per chain
     scale: np.float32
     shadow: bool
-    engine: str                  # "instr" or "fast"
+    engine: str                  # a key of _ENGINES
 
 
 def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPolicy,
@@ -359,8 +353,6 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
     if blk is None:
         blk = default_blocking(spec, policy)
     chain = chain_length(spec, blk)
-    if chain % 8 != 0:
-        raise ValueError(f"chain length {chain} must be a multiple of 8 products")
     if isinstance(policy, Strict):
         if chain > policy.max_chain:
             raise ValueError(
@@ -382,12 +374,8 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
     madds = _ceil_to(spec.in_ch, 16) // 8 * spec.kh * spec.kw
     chain_madds = chain // 8
     bounds = [(i, min(i + chain_madds, madds)) for i in range(0, madds, chain_madds)]
-    if engine == "instructions":
-        engine = "instr"
-    if engine == "auto":
-        engine = "instr" if m * k16 * madds <= _AUTO_INSTR_LIMIT else "fast"
-    if engine not in ("instr", "fast"):
-        raise ValueError(f"unknown engine {engine!r}")
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; use one of {sorted(_ENGINES)}")
     return _Plan(blk, m, k16, k16 * 16, madds, bounds,
                  np.float32(np.ldexp(1.0, es)), shadow_enabled(policy), engine)
 
@@ -488,7 +476,7 @@ def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, b: np.ndarray,
     return count
 
 
-_ENGINES = {"instr": _run_instr, "fast": _run_fast}
+_ENGINES = {"instructions": _run_instr, "fast": _run_fast}
 
 
 # === public kernel entry points ===
@@ -497,7 +485,7 @@ _ENGINES = {"instr": _run_instr, "fast": _run_fast}
 def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
                blk: Optional[BlockingParams] = None,
                policy: OverflowPolicy = Empirical(),
-               engine: str = "auto",
+               engine: str = "fast",
                debug_partials: Optional[list] = None
                ) -> Tuple[np.ndarray, KernelStats]:
     """Forward convolution of a DFP input with packed DFP weights.
@@ -533,7 +521,7 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
 def gemm_dfp(a: DfpTensor, b: DfpTensor,
              blk: Optional[BlockingParams] = None,
              policy: OverflowPolicy = Empirical(),
-             engine: str = "auto",
+             engine: str = "fast",
              debug_partials: Optional[list] = None
              ) -> Tuple[np.ndarray, KernelStats]:
     """C = A (M x KK) times B (KK x N) through the blocked integer kernels.

@@ -90,9 +90,7 @@ class RunContext:
     stats: KernelStats = dataclasses.field(default_factory=KernelStats)
 
     def blocking_for(self, spec: ConvSpec) -> BlockingParams:
-        if self.icblk is not None:
-            return BlockingParams(icblk=self.icblk, rb_size=self.rb_size)
-        return default_blocking(spec, self.policy, rb_size=self.rb_size)
+        return default_blocking(spec, self.policy, self.rb_size, self.icblk)
 
 
 # === layers ===
@@ -281,7 +279,7 @@ class Dense(WeightedLayer):
         self.in_features, self.out_features = in_features, out_features
 
     def forward(self, x, train):
-        if isinstance(x, DfpTensor) and x.elements.ndim != 2:
+        if len(x.shape) != 2:
             raise ValueError(f"{self.name}: expected flattened input, got shape {x.shape}")
         if self.precision == "dfp":
             a_q = x if isinstance(x, DfpTensor) else self.ctx.q.q_a(self.name, to_fp32(x))
@@ -291,8 +289,6 @@ class Dense(WeightedLayer):
             self._a_q, self._xf = a_q, None
         else:
             xf = to_fp32(x)
-            if xf.ndim != 2:
-                raise ValueError(f"{self.name}: expected flattened input, got shape {xf.shape}")
             out = xf @ self.W.T
             self._a_q, self._xf = None, xf
         if self.b is not None:
@@ -412,8 +408,6 @@ class MaxPool(Layer):
     def _windows(self, arr):
         n, c, h, w = arr.shape
         k = self.k
-        if h % k or w % k:
-            raise ValueError(f"{self.name}: input {h}x{w} not divisible by pool {k}")
         r = arr.reshape(n, c, h // k, k, w // k, k)
         return np.ascontiguousarray(r.transpose(0, 1, 2, 4, 3, 5)).reshape(
             n, c, h // k, w // k, k * k)
@@ -449,8 +443,6 @@ class AvgPool(Layer):
         xf = to_fp32(x)
         n, c, h, w = xf.shape
         k = self.k
-        if h % k or w % k:
-            raise ValueError(f"{self.name}: input {h}x{w} not divisible by pool {k}")
         self._in_shape = xf.shape
         return xf.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+import typing
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,6 +27,48 @@ from .tensor import QuantConfig, rounding_from_name
 
 _LAYER_TYPES = ("conv", "fc", "batchnorm", "relu", "maxpool", "avgpool",
                 "flatten", "residual")
+
+
+def _check_type(where: str, value, hint) -> None:
+    """Reject a JSON value that is not of type hint: bool, int, float (an
+    int is accepted), str, dict, or an Optional or List of one of these."""
+    if typing.get_origin(hint) is Union:        # Optional[X]
+        if value is None:
+            return
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is list and isinstance(value, list):
+        for item in value:
+            _check_type(f"{where} items", item, typing.get_args(hint)[0])
+        return
+    expected = typing.get_origin(hint) or hint
+    accepted = (int, float) if hint is float else expected
+    if not isinstance(value, accepted) or (hint is bool) != isinstance(value, bool):
+        raise ValueError(f"{where} must be {expected.__name__}, got {type(value).__name__}")
+
+
+class _LayerKeys:
+    """One layer object of a config, read key by key.  Each read checks the
+    value's type; a missing required key, or a key no read asked for, is an
+    error naming the layer by its path, so the reads in build_model are the
+    one list of each layer type's keys."""
+
+    def __init__(self, spec: dict, path: str):
+        self.spec, self.path, self.where, self.read = spec, path, path, set()
+        self.where = f"{path} ({self('type', str)})"
+
+    def __call__(self, key: str, hint, default=...):
+        self.read.add(key)
+        if key not in self.spec:
+            if default is ...:
+                raise ValueError(f"{self.where}: missing required key {key!r}")
+            return default
+        _check_type(f"{self.where}: {key}", self.spec[key], hint)
+        return self.spec[key]
+
+    def close(self) -> None:
+        unknown = sorted(set(self.spec) - self.read)
+        if unknown:
+            raise ValueError(f"{self.where}: unknown keys {unknown}")
 
 
 @dataclasses.dataclass
@@ -54,6 +97,8 @@ class TrainConfig:
     rb_size: int = 28
 
     def __post_init__(self):
+        for name, hint in typing.get_type_hints(TrainConfig).items():
+            _check_type(name, getattr(self, name), hint)
         if self.loss not in ("softmax_xent", "mse"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.policy not in ("empirical", "strict"):
@@ -130,65 +175,70 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
         counters[kind] = counters.get(kind, 0) + 1
         return f"{kind}{counters[kind]}"
 
-    def layer_precision(spec: dict) -> str:
-        if precision == "fp32":
-            return "fp32"
-        return spec.get("precision", "dfp")
+    def layer_precision(key: _LayerKeys) -> str:
+        own = key("precision", str, "dfp")
+        if own not in ("dfp", "fp32"):
+            raise ValueError(f"{key.where}: precision must be 'dfp' or 'fp32', got {own!r}")
+        return "fp32" if precision == "fp32" else own
 
-    def build(specs: List[dict], shape, first_conv_seen=[False]) -> Tuple[List[Layer], tuple]:
+    def build(specs: List[dict], shape, path: str,
+              first_conv_seen=[False]) -> Tuple[List[Layer], tuple]:
         out: List[Layer] = []
-        for spec in specs:
-            kind = spec["type"]
+        for i, spec in enumerate(specs):
+            key = _LayerKeys(spec, f"{path}[{i}]")
+            kind = key("type", str)
             if kind == "conv":
                 if len(shape) != 3:
                     raise ValueError(f"conv requires CHW input, have {shape}")
-                name = spec.get("name", fresh_name("conv"))
-                k, pad = spec["kernel"], spec.get("pad", 0)
+                name = key("name", str, fresh_name("conv"))
+                k, pad, stride = key("kernel", int), key("pad", int, 0), key("stride", int, 1)
+                out_ch = key("out_ch", int)
                 try:
-                    cspec = ConvSpec(shape[0], spec["out_ch"], shape[1], shape[2], k, k,
-                                     spec.get("stride", 1), pad)
+                    cspec = ConvSpec(shape[0], out_ch, shape[1], shape[2], k, k, stride, pad)
                 except ValueError as e:
                     raise ValueError(f"{name}: {e}") from None
                 first = not first_conv_seen[0]
                 first_conv_seen[0] = True
                 layer = Conv(ctx, name, cspec.in_ch, cspec.out_ch, k, cspec.stride, pad,
-                             precision=layer_precision(spec),
-                             bias=spec.get("bias", False), first=first, rng=rng)
+                             precision=layer_precision(key),
+                             bias=key("bias", bool, False), first=first, rng=rng)
                 shape = (cspec.out_ch, cspec.oh, cspec.ow)
             elif kind == "fc":
                 feat = int(np.prod(shape))
                 if len(shape) != 1:
                     raise ValueError(f"fc requires flattened input, have {shape}")
-                layer = Dense(ctx, spec.get("name", fresh_name("fc")), feat,
-                              spec["out_features"],
-                              precision=layer_precision(spec),
-                              bias=spec.get("bias", True), rng=rng)
-                shape = (spec["out_features"],)
+                out_features = key("out_features", int)
+                layer = Dense(ctx, key("name", str, fresh_name("fc")), feat, out_features,
+                              precision=layer_precision(key),
+                              bias=key("bias", bool, True), rng=rng)
+                shape = (out_features,)
             elif kind == "batchnorm":
-                layer = BatchNorm(ctx, spec.get("name", fresh_name("bn")),
-                                  shape[0], precision=layer_precision(spec),
-                                  eps=spec.get("eps", 1e-5),
-                                  momentum=spec.get("momentum", 0.1))
+                layer = BatchNorm(ctx, key("name", str, fresh_name("bn")),
+                                  shape[0], precision=layer_precision(key),
+                                  eps=key("eps", float, 1e-5),
+                                  momentum=key("momentum", float, 0.1))
             elif kind == "relu":
-                layer = ReLU(ctx, spec.get("name", fresh_name("relu")))
+                layer = ReLU(ctx, key("name", str, fresh_name("relu")))
             elif kind in ("maxpool", "avgpool"):
-                k = spec["kernel"]
-                name = spec.get("name", fresh_name("pool"))
+                k = key("kernel", int)
+                name = key("name", str, fresh_name("pool"))
                 if len(shape) != 3 or shape[1] % k or shape[2] % k:
                     raise ValueError(f"{name}: pool {k} does not tile input {shape}")
                 layer = (MaxPool if kind == "maxpool" else AvgPool)(ctx, name, k)
                 shape = (shape[0], shape[1] // k, shape[2] // k)
             elif kind == "flatten":
-                layer = Flatten(ctx, spec.get("name", fresh_name("flatten")))
+                layer = Flatten(ctx, key("name", str, fresh_name("flatten")))
                 shape = (int(np.prod(shape)),)
             elif kind == "residual":
-                body, bshape = build(spec["body"], shape, first_conv_seen)
+                body, bshape = build(key("body", List[dict]), shape, f"{key.path}.body",
+                                     first_conv_seen)
                 if bshape != shape:
                     raise ValueError(
                         f"residual body maps {shape} -> {bshape}; shapes must match")
-                layer = Residual(ctx, spec.get("name", fresh_name("res")), body)
-            else:  # pragma: no cover - rejected in TrainConfig
-                raise ValueError(f"unknown layer type {kind!r}")
+                layer = Residual(ctx, key("name", str, fresh_name("res")), body)
+            else:
+                raise ValueError(f"{key.where}: unknown layer type")
+            key.close()
             out.append(layer)
         return out, shape
 
@@ -197,7 +247,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
     phase = ctx.q.phase
     ctx.q.phase = 2
     try:
-        layers, _ = build(cfg.layers, tuple(in_shape))
+        layers, _ = build(cfg.layers, tuple(in_shape), "layers")
         return Model(layers, ctx)
     finally:
         ctx.q.phase = phase

@@ -250,7 +250,7 @@ def test_kernel_oracle_equivalence(capsys):
     qa, qb = quantize(A, cfg, tensor_id=1), quantize(B, cfg, tensor_id=2)
     wide = qa.elements.astype(np.int64) @ qb.elements.astype(np.int64)
     C = None
-    for eng in ("fast", "instr"):
+    for eng in ("fast", "instructions"):
         parts = []
         C, st = gemm_dfp(qa, qb, policy=pol, engine=eng, debug_partials=parts)
         ovf += st.overflow_count
@@ -274,7 +274,7 @@ def test_kernel_oracle_equivalence(capsys):
     pw = pack_weights(qw, spec)
     wide = _conv_exact64(qx.elements, qw.elements, spec)
     out = None
-    for eng in ("fast", "instr"):
+    for eng in ("fast", "instructions"):
         parts = []
         out, st = conv_fprop(qx, pw, spec, None, pol, eng, parts)
         ovf += st.overflow_count
@@ -325,7 +325,7 @@ def test_overflow_claims(capsys):
         sp = ConvSpec(8, 16, 4, 4, 1, 1)
         pwi = pack_weights(DfpTensor(wl, -15, 16), sp)
         outs = []
-        for eng in ("fast", "instr"):
+        for eng in ("fast", "instructions"):
             o, st = conv_fprop(DfpTensor(el, -15, 16), pwi, sp,
                                BlockingParams(icblk=8), Strict(8, shadow_check=True), eng)
             strict_ovf += st.overflow_count

@@ -258,8 +258,6 @@ def test_spill_validation():
 def test_accum_tensor_validation():
     with pytest.raises(TypeError):
         AccumTensor(np.array([1], np.int16), 0)
-    with pytest.raises(ValueError):
-        AccumTensor(np.array([1], np.int32), 0, accum_width=24)
 
 
 def test_shadow_enabled_follows_policy():

@@ -325,6 +325,24 @@ def test_cli_bench_conv(tmp_path, capsys):
     assert int(row["k"]) == 16 * 9
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench-gemm", "--m", "8", "--n", "16", "--k", "64", "--icblk", "32",
+     "--trials", "2"],
+    ["bench-conv", "--spec", "16,16,6,6,3,3,1,1", "--batch", "2",
+     "--dist", "adversarial", "--pre-shift", "0"],
+])
+def test_cli_bench_default_engine_matches_instructions(argv, capsys):
+    tables = []
+    for extra in ([], ["--engine", "instructions"]):
+        assert cli.main(argv + extra) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        tables.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in rows])
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == (2 if argv[0] == "bench-gemm" else 1)
+
+
 def test_cli_bench_conv_bad_spec(capsys):
     rc = cli.main(["bench-conv", "--spec", "16,16,8,8,3"])
     assert rc == 2
@@ -390,6 +408,33 @@ def test_cli_train_bad_config(tmp_path, capsys):
                    "--out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert "hinge" in capsys.readouterr().err
+
+
+_CONV_NET = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
+             {"type": "maxpool", "kernel": 2},
+             {"type": "flatten"},
+             {"type": "fc", "out_features": 10}]
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"layers": [dict(_CONV_NET[0], kernal=3)] + _CONV_NET[1:]},
+     "layers[0] (conv): unknown keys ['kernal']"),
+    ({"layers": [dict(_CONV_NET[0], precision="fp16")] + _CONV_NET[1:]},
+     "layers[0] (conv): precision must be 'dfp' or 'fp32', got 'fp16'"),
+    ({"layers": [{"type": "conv", "kernel": 3}] + _CONV_NET[1:]},
+     "layers[0] (conv): missing required key 'out_ch'"),
+    ({"layers": [_CONV_NET[0], {"type": "maxpool"}] + _CONV_NET[2:]},
+     "layers[1] (maxpool): missing required key 'kernel'"),
+    ({"epochs": "1"}, "epochs must be int, got str"),
+])
+def test_cli_train_rejects_malformed_config(tmp_path, capsys, patch, message):
+    cfg_path = str(tmp_path / "bad.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({**MLP_JSON, "layers": _CONV_NET, **patch}, fh)
+    rc = cli.main(["train", "--config", cfg_path, "--data", "glyphs:train=16,test=16",
+                   "--precision", "dfp16", "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_compare_exit_codes(tmp_path, capsys):

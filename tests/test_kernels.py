@@ -225,7 +225,7 @@ def test_engines_bit_identical(shape):
     wt = _rand_dfp(rng, (k, c, kh, kw), scale=0.2)
     pw = pack_weights(wt, spec)
     pol = Empirical(shadow_check=True)
-    out_i, st_i = conv_fprop(inp, pw, spec, policy=pol, engine="instr")
+    out_i, st_i = conv_fprop(inp, pw, spec, policy=pol, engine="instructions")
     out_f, st_f = conv_fprop(inp, pw, spec, policy=pol, engine="fast")
     npt.assert_array_equal(out_i, out_f)
     assert st_i == st_f
@@ -238,13 +238,13 @@ def test_engines_agree_on_overflow_counts():
     wt = DfpTensor(np.full((16, 32, 1, 1), 32767, np.int16), -15, 16)
     pw = pack_weights(wt, spec)
     pol = Empirical(shadow_check=True)
-    out_i, st_i = conv_fprop(inp, pw, spec, policy=pol, engine="instr")
+    out_i, st_i = conv_fprop(inp, pw, spec, policy=pol, engine="instructions")
     out_f, st_f = conv_fprop(inp, pw, spec, policy=pol, engine="fast")
     assert st_i.overflow_count == 16 * 16       # every (element, chain) pair
     assert st_i.overflow_count == st_f.overflow_count
     npt.assert_array_equal(out_i, out_f)        # wrapped identically
     # without the shadow pass nothing is counted
-    _, st_off = conv_fprop(inp, pw, spec, policy=Empirical(), engine="instr")
+    _, st_off = conv_fprop(inp, pw, spec, policy=Empirical(), engine="instructions")
     assert st_off.overflow_count == 0
 
 
@@ -284,7 +284,7 @@ def _shadow_counts(a_rows, b_col):
     da, db = DfpTensor(a, -14, 16), DfpTensor(b, -14, 16)
     pol, blk = Empirical(shadow_check=True), BlockingParams(icblk=16)
     got = [gemm_dfp(da, db, blk, pol, engine=eng)[1].overflow_count
-           for eng in ("instr", "fast")]
+           for eng in ("instructions", "fast")]
     return want, got
 
 
@@ -317,7 +317,7 @@ def test_strict_policy_safe_on_adversarial_data():
     wt = DfpTensor(np.full((16, 8, 1, 1), m, np.int16), -14, 16)
     pol = Strict(max_chain=safe_chain_length(16, 1), shadow_check=True)
     blk = default_blocking(spec, pol)
-    out, st = conv_fprop(inp, pack_weights(wt, spec), spec, blk, pol, "instr")
+    out, st = conv_fprop(inp, pack_weights(wt, spec), spec, blk, pol, "instructions")
     assert st.overflow_count == 0
     npt.assert_allclose(out, 8 * m * m * 2.0 ** -28, rtol=1e-6)
 
@@ -336,17 +336,21 @@ def test_rb_size_invariance():
     npt.assert_array_equal(outs[1], outs[2])
 
 
-def test_engine_auto_and_alias():
+def test_engines_by_name_only():
     rng = np.random.default_rng(3300)
     spec = ConvSpec(16, 16, 5, 5, 3, 3, 1, 1)
     inp = _rand_dfp(rng, (1, 16, 5, 5))
     pw = pack_weights(_rand_dfp(rng, (16, 16, 3, 3), scale=0.2), spec)
-    ref, _ = conv_fprop(inp, pw, spec, engine="fast")
-    for name in ("auto", "instr", "instructions"):
-        out, _ = conv_fprop(inp, pw, spec, engine=name)
-        npt.assert_array_equal(out, ref)
-    with pytest.raises(ValueError):
-        conv_fprop(inp, pw, spec, engine="bogus")
+    ref, st_ref = conv_fprop(inp, pw, spec, engine="fast")
+    out, st = conv_fprop(inp, pw, spec, engine="instructions")
+    npt.assert_array_equal(out, ref)
+    assert st == st_ref
+    ones = DfpTensor(np.ones((16, 16), np.int16), 0, 16)
+    for name in ("auto", "instr", "bogus"):
+        with pytest.raises(ValueError, match=f"unknown engine '{name}'"):
+            conv_fprop(inp, pw, spec, engine=name)
+        with pytest.raises(ValueError, match=f"unknown engine '{name}'"):
+            gemm_dfp(ones, ones, engine=name)
 
 
 # === numerical exactness ===
@@ -374,7 +378,7 @@ def test_debug_partials_match_int64_mod_2_32():
     blk = BlockingParams(icblk=16, rb_size=28)      # two chunks
     inp = _rand_dfp(rng, (1, 32, 5, 5))
     wt = _rand_dfp(rng, (16, 32, 3, 3), scale=0.2)
-    for engine in ("instr", "fast"):
+    for engine in ("instructions", "fast"):
         dbg = []
         conv_fprop(inp, pack_weights(wt, spec), spec, blk, engine=engine,
                    debug_partials=dbg)

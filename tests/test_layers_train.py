@@ -518,6 +518,50 @@ def test_residual_body_shape_mismatch_rejected():
         build_model(cfg, (4, 5, 5), RunContext(q=q), np.random.default_rng(1))
 
 
+_CONV = {"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1}
+
+
+@pytest.mark.parametrize("layers, match", [
+    # a misspelt key would otherwise be ignored
+    ([{"type": "flatten"}, {"type": "fc", "out_features": 2, "kernal": 3}],
+     r"layers\[1\] \(fc\): unknown keys \['kernal'\]"),
+    ([{"type": "relu", "precision": "fp32"}],
+     r"layers\[0\] \(relu\): unknown keys \['precision'\]"),
+    # a conv pinned to an unknown precision would otherwise run in FP32
+    ([dict(_CONV, precision="fp16")],
+     r"layers\[0\] \(conv\): precision must be 'dfp' or 'fp32', got 'fp16'"),
+    ([{"type": "conv", "kernel": 3}],
+     r"layers\[0\] \(conv\): missing required key 'out_ch'"),
+    ([_CONV, {"type": "maxpool"}],
+     r"layers\[1\] \(maxpool\): missing required key 'kernel'"),
+    ([dict(_CONV, kernel="3")], r"layers\[0\] \(conv\): kernel must be int, got str"),
+    ([dict(_CONV, bias=1)], r"layers\[0\] \(conv\): bias must be bool, got int"),
+    ([{"type": "residual", "body": [dict(_CONV, stride=1.0)]}],
+     r"layers\[0\]\.body\[0\] \(conv\): stride must be int, got float"),
+    ([{"type": "residual", "body": [{"type": "lstm"}]}],
+     r"layers\[0\]\.body\[0\] \(lstm\): unknown layer type"),
+    ([{"type": "residual"}], r"layers\[0\] \(residual\): missing required key 'body'"),
+])
+@pytest.mark.parametrize("precision", ["fp32", "dfp16"])
+def test_build_rejects_malformed_layer(layers, match, precision):
+    with pytest.raises(ValueError, match=match):
+        _build(layers, (4, 6, 6), precision=precision)
+
+
+@pytest.mark.parametrize("patch, match", [
+    ({"epochs": "1"}, "epochs must be int, got str"),
+    ({"base_lr": True}, "base_lr must be float, got bool"),
+    ({"step_epochs": [1, "2"]}, "step_epochs items must be int, got str"),
+    ({"icblk": 16.0}, "icblk must be int, got float"),
+    ({"shadow_check": "yes"}, "shadow_check must be bool, got str"),
+    ({"layers": ["fc"]}, "layers items must be dict, got str"),
+])
+def test_parse_config_rejects_wrong_types(patch, match):
+    with pytest.raises(ValueError, match=match):
+        parse_config(dict(MLP_CFG, **patch))
+    parse_config(dict(MLP_CFG, base_lr=1, momentum=0))    # an int is a float
+
+
 # === losses ===
 
 
