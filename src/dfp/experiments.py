@@ -81,6 +81,9 @@ def load_run_request(path: str) -> dict:
     """Read a --config JSON file; accepts plain configs and resolved runs."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, "
+                         f"got {type(raw).__name__}")
     if raw.get("resolved_run"):
         return raw
     return {"resolved_run": False, "config": raw}

@@ -10,8 +10,10 @@ and feed an FP32 solver over FP32 master weights.
 
 Layers marked fp32 never quantize anything, so a model whose layers are all
 fp32 is a plain FP32 trainer.  Max pooling operates directly on the integer
-elements when its input is quantized (the shared exponent makes argmax
-order-preserving); average pooling and batch-norm statistics are FP32.
+elements when its input is quantized (under one shared exponent the integers
+order as their values do) and keeps the first maximum of each window with a
+strictly-greater scan over strided views; average pooling and batch-norm
+statistics are FP32.
 """
 
 from __future__ import annotations
@@ -399,37 +401,53 @@ class ReLU(Layer):
 
 class MaxPool(Layer):
     """Non-overlapping max pooling; runs directly on integer elements for
-    quantized inputs (argmax is order-preserving under a shared exponent)."""
+    quantized inputs, where a shared exponent orders the integers as it
+    orders the values they stand for.
+
+    The forward pass scans the k*k strided views of the input in row-major
+    window order and takes a value only where it is strictly greater.  It so
+    keeps the first maximum of each window, as argmax does on finite input,
+    ties and mixed -0.0/+0.0 included.  The window index m = i*k + j of that
+    maximum is kept, in one byte for k <= 16, for the backward pass, which
+    routes each output gradient to it and writes +0.0 everywhere else.
+
+    Both passes select by bit masks on unsigned views: np.where branches per
+    element and costs several times more on the random masks pooling makes,
+    and np.maximum may return either zero when -0.0 meets +0.0."""
 
     def __init__(self, ctx, name, kernel):
         super().__init__(ctx, name)
         self.k = kernel
 
-    def _windows(self, arr):
-        n, c, h, w = arr.shape
-        k = self.k
-        r = arr.reshape(n, c, h // k, k, w // k, k)
-        return np.ascontiguousarray(r.transpose(0, 1, 2, 4, 3, 5)).reshape(
-            n, c, h // k, w // k, k * k)
-
     def forward(self, x, train):
         arr = x.elements if isinstance(x, DfpTensor) else to_fp32(x)
-        win = self._windows(arr)
-        self._idx = win.argmax(axis=-1)
+        k = self.k
         self._in_shape = arr.shape
-        out = np.take_along_axis(win, self._idx[..., None], axis=-1)[..., 0]
+        bits = np.dtype(f"u{arr.itemsize}")
+        out = arr[:, :, ::k, ::k].copy()
+        out_bits = out.view(bits)
+        idx = np.zeros(out.shape, np.min_scalar_type(k * k - 1))
+        for m in range(1, k * k):
+            v = arr[:, :, m // k::k, m % k::k]
+            gt = v > out
+            flip = np.bitwise_xor(out_bits, v.view(bits))
+            flip *= gt
+            out_bits ^= flip                   # out = where(gt, v, out)
+            # m grows, so the last view found strictly greater wins
+            np.maximum(idx, gt * idx.dtype.type(m), out=idx)
+        self._idx = idx
         if isinstance(x, DfpTensor):
             return DfpTensor(out, x.shared_exponent, x.bit_width)
         return out
 
     def backward(self, g):
-        g = np.asarray(g, np.float32)
-        n, c, h, w = self._in_shape
+        g_bits = np.asarray(g, np.float32).view(np.uint32)
         k = self.k
-        z = np.zeros((n, c, h // k, w // k, k * k), np.float32)
-        np.put_along_axis(z, self._idx[..., None], g[..., None], axis=-1)
-        z = z.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
-        return np.ascontiguousarray(z).reshape(n, c, h, w)
+        z = np.empty(self._in_shape, np.float32)
+        z_bits = z.view(np.uint32)
+        for m in range(k * k):
+            np.multiply(g_bits, self._idx == m, out=z_bits[:, :, m // k::k, m % k::k])
+        return z
 
 
 class AvgPool(Layer):

@@ -15,6 +15,12 @@ without overflowing it.
 Three rounding modes are provided for the FP32 -> DFP conversion: nearest
 (ties away from zero), stochastic (unbiased, counter-based RNG), and biased
 (truncation toward zero, the cheapest since it is a plain shift).
+
+Both conversions stay in float32 where that is exact.  Scaling by a power
+of two with ldexp loses nothing unless the result is subnormal, and such a
+value rounds to 0 anyway; dequantized values are exact 16-bit multiples of
+2**E_s.  Stochastic rounding alone widens to float64, because its fraction
+is compared with float64 uniform draws whose stream is fixed.
 """
 
 from __future__ import annotations
@@ -236,22 +242,42 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
     # exponent, but the top-bit range guarantee does not apply there.
     es = max(es, INT8_MIN)
 
-    # f / 2**E_s is exact in float64: power-of-two scaling of a 24-bit value.
-    x = np.ldexp(f.astype(np.float64), -es)
+    # Nearest and biased rounding scale in float32: ldexp by 2**-E_s is exact
+    # unless the result is subnormal, and |x| < 2**-126 rounds to 0 in both
+    # modes either way.  (A float32 factor 2**-E_s would overflow at the clamp
+    # E_s = -128.)
     mode = cfg.rounding
-    if isinstance(mode, Nearest):
-        i = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    elif isinstance(mode, Biased):
-        i = np.trunc(x)
+    if isinstance(mode, Biased):
+        i = np.ldexp(f, -es)
+        np.trunc(i, out=i)
+    elif isinstance(mode, Nearest):
+        x = np.ldexp(f, -es)
+        a = np.abs(x)
+        i = np.add(a, 0.5)
+        np.floor(i, out=i)
+        # The sum |x| + 0.5 may round, but its floor is exact except at
+        # |x| = 0.5 - 2**-25, where the sum is a tie that rounds up to 1.0.
+        # i - 0.5 is exact for integer i < 2**16, so the test i - 0.5 > |x|
+        # is exact and catches just that case.
+        i -= (i - 0.5) > a
+        # copysign(i, x) as an OR of x's sign bit into i >= 0; np.copysign is
+        # not vectorised and costs as much as the rest of this branch
+        sign = x.view(np.uint32)
+        sign &= np.uint32(1 << 31)
+        i.view(np.uint32)[...] |= sign
     elif isinstance(mode, Stochastic):
-        lo = np.floor(x)
-        u = _philox_uniforms(mode.seed, tensor_id, x.size).reshape(x.shape)
-        i = lo + (u < (x - lo))
+        # The fraction x - floor(x) is compared with float64 Philox draws,
+        # and in float32 it is inexact for small negative x, so this mode
+        # widens once (f / 2**E_s is exact in float64) and works in place.
+        x = np.multiply(f, 2.0 ** -es, dtype=np.float64)
+        i = np.floor(x)
+        x -= i
+        i += _philox_uniforms(mode.seed, tensor_id, x.size).reshape(x.shape) < x
     else:
         raise TypeError(f"unknown rounding mode {mode!r}")
 
     lim = (1 << (p - 1 - cfg.pre_shift)) - 1
-    i = np.clip(i, -lim, lim)
+    np.clip(i, -lim, lim, out=i)
     return DfpTensor(i.astype(np.int16), es, p)
 
 
@@ -259,9 +285,10 @@ def dequantize(t: DfpTensor) -> np.ndarray:
     """Exact FP32 reconstruction f_n = i_n * 2**E_s.
 
     Every product of a 16-bit integer and an in-range shared exponent is
-    exactly representable in FP32 unless it overflows, which is an error.
+    exactly representable in FP32 unless it overflows, which is an error, so
+    float32 ldexp computes it without rounding, subnormal results included.
     """
     es = int(t.shared_exponent)
     if t.elements.size and math.ldexp(max_abs(t.elements), es) > _F32_MAX:
         raise OverflowError(f"dequantized value exceeds FP32 range (E_s={es})")
-    return np.ldexp(t.elements.astype(np.float64), es).astype(np.float32)
+    return np.ldexp(t.elements.astype(np.float32), es)

@@ -48,22 +48,25 @@ def _check_type(where: str, value, hint) -> None:
 
 class _LayerKeys:
     """One layer object of a config, read key by key.  Each read checks the
-    value's type; a missing required key, or a key no read asked for, is an
-    error naming the layer by its path, so the reads in build_model are the
-    one list of each layer type's keys."""
+    value's type and, given ``lo``, that it is at least lo; a missing required
+    key, or a key no read asked for, is an error naming the layer by its path,
+    so the reads in build_model are the one list of each layer type's keys."""
 
     def __init__(self, spec: dict, path: str):
         self.spec, self.path, self.where, self.read = spec, path, path, set()
         self.where = f"{path} ({self('type', str)})"
 
-    def __call__(self, key: str, hint, default=...):
+    def __call__(self, key: str, hint, default=..., lo=None):
         self.read.add(key)
         if key not in self.spec:
             if default is ...:
                 raise ValueError(f"{self.where}: missing required key {key!r}")
             return default
-        _check_type(f"{self.where}: {key}", self.spec[key], hint)
-        return self.spec[key]
+        value = self.spec[key]
+        _check_type(f"{self.where}: {key}", value, hint)
+        if lo is not None and value < lo:
+            raise ValueError(f"{self.where}: {key} must be >= {lo}, got {value}")
+        return value
 
     def close(self) -> None:
         unknown = sorted(set(self.spec) - self.read)
@@ -207,7 +210,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                 feat = int(np.prod(shape))
                 if len(shape) != 1:
                     raise ValueError(f"fc requires flattened input, have {shape}")
-                out_features = key("out_features", int)
+                out_features = key("out_features", int, lo=1)
                 layer = Dense(ctx, key("name", str, fresh_name("fc")), feat, out_features,
                               precision=layer_precision(key),
                               bias=key("bias", bool, True), rng=rng)
@@ -220,7 +223,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
             elif kind == "relu":
                 layer = ReLU(ctx, key("name", str, fresh_name("relu")))
             elif kind in ("maxpool", "avgpool"):
-                k = key("kernel", int)
+                k = key("kernel", int, lo=1)
                 name = key("name", str, fresh_name("pool"))
                 if len(shape) != 3 or shape[1] % k or shape[2] % k:
                     raise ValueError(f"{name}: pool {k} does not tile input {shape}")

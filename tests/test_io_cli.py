@@ -426,6 +426,12 @@ _CONV_NET = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
     ({"layers": [_CONV_NET[0], {"type": "maxpool"}] + _CONV_NET[2:]},
      "layers[1] (maxpool): missing required key 'kernel'"),
     ({"epochs": "1"}, "epochs must be int, got str"),
+    ({"layers": [_CONV_NET[0], {"type": "maxpool", "kernel": 0}] + _CONV_NET[2:]},
+     "layers[1] (maxpool): kernel must be >= 1, got 0"),
+    ({"layers": [_CONV_NET[0], {"type": "maxpool", "kernel": -2}] + _CONV_NET[2:]},
+     "layers[1] (maxpool): kernel must be >= 1, got -2"),
+    ({"layers": _CONV_NET[:3] + [{"type": "fc", "out_features": 0}]},
+     "layers[3] (fc): out_features must be >= 1, got 0"),
 ])
 def test_cli_train_rejects_malformed_config(tmp_path, capsys, patch, message):
     cfg_path = str(tmp_path / "bad.json")
@@ -435,6 +441,16 @@ def test_cli_train_rejects_malformed_config(tmp_path, capsys, patch, message):
                    "--precision", "dfp16", "--out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_train_rejects_non_object_config(tmp_path, capsys):
+    cfg_path = str(tmp_path / "list.json")
+    with open(cfg_path, "w") as fh:
+        json.dump([1, 2], fh)
+    rc = cli.main(["train", "--config", cfg_path, "--data", "glyphs:train=16,test=16",
+                   "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert f"{cfg_path}: top level must be a JSON object, got list" in capsys.readouterr().err
 
 
 def test_cli_compare_exit_codes(tmp_path, capsys):

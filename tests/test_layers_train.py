@@ -541,6 +541,13 @@ _CONV = {"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1}
     ([{"type": "residual", "body": [{"type": "lstm"}]}],
      r"layers\[0\]\.body\[0\] \(lstm\): unknown layer type"),
     ([{"type": "residual"}], r"layers\[0\] \(residual\): missing required key 'body'"),
+    # range checks come before the pool tiling and fc weight arithmetic
+    ([_CONV, {"type": "maxpool", "kernel": 0}],
+     r"layers\[1\] \(maxpool\): kernel must be >= 1, got 0"),
+    ([_CONV, {"type": "residual", "body": [{"type": "avgpool", "kernel": -2}]}],
+     r"layers\[1\]\.body\[0\] \(avgpool\): kernel must be >= 1, got -2"),
+    ([{"type": "flatten"}, {"type": "fc", "out_features": 0}],
+     r"layers\[1\] \(fc\): out_features must be >= 1, got 0"),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
 def test_build_rejects_malformed_layer(layers, match, precision):

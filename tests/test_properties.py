@@ -1,5 +1,6 @@
 """Property tests: lowering and engine bit identity over random geometry,
-and the range, exponent and error bounds of the format conversions."""
+the range, exponent and error bounds of the format conversions, their
+exactness against float64 formulas, and max pooling against argmax."""
 
 import math
 
@@ -13,8 +14,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from dfp.arith import AccumTensor, Empirical, down_convert
 from dfp.kernels import (BlockingParams, ConvSpec, col2im, conv_fprop,
                          gemm_dfp, im2col, pack_weights)
+from dfp.layers import MaxPool, Quantizers, RunContext
 from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
-                        dequantize, extract_exponent, max_abs, quantize)
+                        _philox_uniforms, dequantize, extract_exponent, max_abs,
+                        quantize)
 
 # Derandomized so the suite is repeatable; each run covers the same cases.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -191,6 +194,65 @@ def test_quantize_range_exponent_and_error(f, p, data, mode):
         assert np.all(err[inside] <= step / 2)
 
 
+def _quantize_f64(f, es, cfg, tensor_id):
+    """Elements of quantize(f, cfg) at exponent es, computed in float64."""
+    x = np.ldexp(f.astype(np.float64), -es)
+    mode = cfg.rounding
+    if isinstance(mode, Nearest):
+        i = np.sign(x) * np.floor(np.abs(x) + 0.5)
+    elif isinstance(mode, Biased):
+        i = np.trunc(x)
+    else:
+        lo = np.floor(x)
+        u = _philox_uniforms(mode.seed, tensor_id, x.size).reshape(x.shape)
+        i = lo + (u < (x - lo))
+    lim = (1 << (cfg.bit_width - 1 - cfg.pre_shift)) - 1
+    return np.clip(i, -lim, lim).astype(np.int16)
+
+
+def _f32(*values):
+    return np.array(values, np.float32)
+
+
+_TIE_UP = 0.5 - 2.0 ** -25             # float32 |x| + 0.5 rounds up to 1.0
+
+
+@SETTINGS
+@given(f=arrays(np.float32, shapes, elements=finite_f32), p=st.integers(2, 16),
+       pre_shift=st.integers(0, 14),
+       mode=st.sampled_from([Nearest(), Biased(), Stochastic(seed=7)]))
+# Max element 1 sets E_s = -14 at P = 16: the others scale to |x| = 0.5 - 2**-25
+# and to half-integers.  Then: subnormal inputs under E_s = 86, the clamp at
+# E_s = -128, and the sliver just below 2**14 that rounds up past the limit.
+@example(f=_f32(1, _TIE_UP * 2**-14, -_TIE_UP * 2**-14), p=16, pre_shift=0, mode=Nearest())
+@example(f=_f32(1, 0.5 * 2**-14, -2.5 * 2**-14, 3.5 * 2**-14, -16382.5 * 2**-14),
+         p=16, pre_shift=0, mode=Nearest())
+@example(f=_f32(2**100, 1e-40, -3e-42), p=16, pre_shift=0, mode=Nearest())
+@example(f=_f32(2**100, 1e-40, -3e-42), p=16, pre_shift=0, mode=Biased())
+@example(f=_f32(1.5 * 2**-129, -2**-130, 2**-149), p=16, pre_shift=0, mode=Nearest())
+@example(f=_f32(1 - 2**-24, -(1 - 2**-24)), p=16, pre_shift=1, mode=Nearest())
+def test_quantize_matches_float64_formula(f, p, pre_shift, mode):
+    cfg = QuantConfig(p, mode, min(pre_shift, p - 2))
+    t = quantize(f, cfg, tensor_id=3)
+    assert t.elements.tobytes() == _quantize_f64(f, t.shared_exponent, cfg, 3).tobytes()
+
+
+@pytest.mark.parametrize("es", [-128, -127, -1, 0, 1, 126, 127])
+def test_dequantize_matches_float64_path(es):
+    # every int16 element value
+    el = np.arange(-32767, 32768, dtype=np.int16)
+    want = np.ldexp(el.astype(np.float64), es)
+    fits = np.abs(want) <= float(np.finfo(np.float32).max)
+    got = dequantize(DfpTensor(el[fits], es, 16))
+    assert got.dtype == np.float32
+    assert got.tobytes() == want[fits].astype(np.float32).tobytes()
+    if not fits.all():                 # the smallest magnitude past FP32 max
+        v = int(np.abs(el[~fits]).min())
+        for i in (v, -v):
+            with pytest.raises(OverflowError):
+                dequantize(DfpTensor(np.array([i], np.int16), es, 16))
+
+
 @st.composite
 def dfp_tensors(draw):
     """A DfpTensor of any bit width and any int8 shared exponent."""
@@ -236,3 +298,64 @@ def test_down_convert_fits_and_bounds_error(acc, shift, p, es):
         assert top >= 1 << (p - 2)
     err = t.elements.astype(np.int64) * (1 << r_s) - acc.astype(np.int64)
     assert np.all(np.abs(err) < 1 << r_s)
+
+
+# === max pooling ===
+
+
+def _argmax_pool(arr, g, k):
+    """Max pooling by argmax over transposed window copies; returns the
+    output and the input gradient for output gradient g."""
+    n, c, h, w = arr.shape
+    win = np.ascontiguousarray(arr.reshape(n, c, h // k, k, w // k, k)
+                               .transpose(0, 1, 2, 4, 3, 5)).reshape(n, c, h // k, w // k, k * k)
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    z = np.zeros(win.shape, np.float32)
+    np.put_along_axis(z, idx[..., None], g[..., None], axis=-1)
+    z = z.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
+    return out, np.ascontiguousarray(z).reshape(n, c, h, w)
+
+
+def _max_pool(k):
+    cfg = QuantConfig()
+    return MaxPool(RunContext(q=Quantizers(cfg, cfg, cfg)), "pool", k)
+
+
+# few distinct values, so windows tie often; zeros of both signs
+tie_f32 = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), finite_f32)
+tie_i16 = st.one_of(st.sampled_from([0, 1, -1, 32767, -32767]), st.integers(-32767, 32767))
+
+
+@SETTINGS
+@given(data=st.data(), k=st.sampled_from([2, 3]), n=st.integers(1, 2), c=st.integers(1, 3),
+       oh=st.integers(1, 4), ow=st.integers(1, 4), quantized=st.booleans(),
+       relu=st.booleans())
+def test_maxpool_matches_argmax(data, k, n, c, oh, ow, quantized, relu):
+    shape = (n, c, oh * k, ow * k)
+    arr = data.draw(arrays(np.int16 if quantized else np.float32, shape,
+                           elements=tie_i16 if quantized else tie_f32))
+    if relu:                           # as ReLU emits them: x * mask gives -0.0
+        arr = np.maximum(arr, 0) if quantized else arr * (arr > 0)
+    g = data.draw(arrays(np.float32, (n, c, oh, ow), elements=tie_f32))
+    want_out, want_gx = _argmax_pool(arr, g, k)
+    pool = _max_pool(k)
+    out = pool.forward(DfpTensor(arr, -3, 16) if quantized else arr, train=True)
+    if quantized:
+        assert out.shared_exponent == -3
+        out = out.elements
+    assert out.dtype == arr.dtype and out.tobytes() == want_out.tobytes()
+    gx = pool.backward(g)
+    assert gx.dtype == np.float32 and gx.tobytes() == want_gx.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 12, 17])    # window indices past int8 and uint8
+def test_maxpool_wide_windows_match_argmax(k):
+    rng = np.random.default_rng(k)
+    arr = rng.integers(-1, 2, (2, 2, 2 * k, k)).astype(np.float32)
+    arr *= arr > 0                     # zeros of both signs
+    g = rng.standard_normal((2, 2, 2, 1)).astype(np.float32)
+    want_out, want_gx = _argmax_pool(arr, g, k)
+    pool = _max_pool(k)
+    assert pool.forward(arr, train=True).tobytes() == want_out.tobytes()
+    assert pool.backward(g).tobytes() == want_gx.tobytes()
