@@ -21,13 +21,10 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .tensor import INT8_MAX, INT8_MIN, DfpTensor, max_abs
+from .tensor import INT8_MAX, INT8_MIN, DfpTensor, check_format, max_abs
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
-
-_F32_MIN_EXP = -149  # smallest exponent with 2**e representable in FP32
-_F32_MAX_EXP = 127
 
 
 # === types ===
@@ -58,10 +55,16 @@ class AccumTensor:
 
 @dataclasses.dataclass(frozen=True)
 class Strict:
-    """Chains capped at a length that cannot overflow for any inputs."""
+    """Chains capped at a length that cannot overflow for any inputs; the
+    cap must hold at least one 8-product madd."""
 
     max_chain: int
     shadow_check: bool = False
+
+    def __post_init__(self):
+        if self.max_chain < 8:
+            raise ValueError(f"max_chain must be >= 8 (one 8-product madd), "
+                             f"got {self.max_chain}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,6 +73,10 @@ class Empirical:
 
     chain_block: int = 208
     shadow_check: bool = False
+
+    def __post_init__(self):
+        if self.chain_block < 1:
+            raise ValueError(f"chain_block must be >= 1, got {self.chain_block}")
 
 
 OverflowPolicy = Union[Strict, Empirical]
@@ -150,8 +157,7 @@ def down_convert(acc: AccumTensor, bit_width: int) -> DfpTensor:
     post-shift pattern -2**(P-1) saturates to -(2**(P-1) - 1), keeping the
     value error below 2**(new E_s).
     """
-    if not 2 <= bit_width <= 16:
-        raise ValueError(f"bit_width must be in [2, 16], got {bit_width}")
+    check_format(bit_width)
     if acc.elements.size == 0:
         raise ValueError("empty accumulator")
     maxabs = max_abs(acc.elements)
@@ -172,18 +178,20 @@ def down_convert(acc: AccumTensor, bit_width: int) -> DfpTensor:
 def safe_chain_length(bit_width: int, pre_shift: int) -> int:
     """Longest worst-case product chain that cannot overflow a 32-bit sum.
 
-    With magnitudes bounded by m = 2**(P - 1 - pre_shift) - 1, this is
-    floor((2**31 - 1) / m**2).  Degenerate formats whose elements are all
-    zero (m = 0) can never overflow; the count is capped at 2**31 - 1.
+    With magnitudes bounded by m = 2**(P - 1 - pre_shift) - 1 >= 1, this is
+    floor((2**31 - 1) / m**2).
     """
-    if not 2 <= bit_width <= 16:
-        raise ValueError(f"bit_width must be in [2, 16], got {bit_width}")
-    if not 0 <= pre_shift < bit_width:
-        raise ValueError(f"pre_shift must be in [0, bit_width), got {pre_shift}")
+    check_format(bit_width, pre_shift)
     m = (1 << (bit_width - 1 - pre_shift)) - 1
-    if m == 0:
-        return INT32_MAX
-    return min(INT32_MAX, INT32_MAX // (m * m))
+    return INT32_MAX // (m * m)
+
+
+def fp32_scale(es: int) -> np.float32:
+    """The FP32 spill scale 2**es; es must lie in [-149, 127], the exponents
+    of FP32 powers of two, subnormals included."""
+    if not -149 <= es <= 127:
+        raise ValueError(f"spill scale 2**{es} is outside the FP32 range")
+    return np.float32(np.ldexp(1.0, es))
 
 
 def spill_to_fp32(acc: AccumTensor, dst: np.ndarray) -> np.ndarray:
@@ -198,10 +206,6 @@ def spill_to_fp32(acc: AccumTensor, dst: np.ndarray) -> np.ndarray:
         raise TypeError(f"spill destination must be float32, got {dst.dtype}")
     if dst.shape != acc.elements.shape:
         raise ValueError(f"shape mismatch: {acc.elements.shape} vs {dst.shape}")
-    es = acc.shared_exponent
-    if not _F32_MIN_EXP <= es <= _F32_MAX_EXP:
-        raise ValueError(f"scale 2**{es} is outside the FP32 range")
-    scale = np.float32(np.ldexp(1.0, es))
-    dst += acc.elements.astype(np.float32) * scale
+    dst += acc.elements.astype(np.float32) * fp32_scale(acc.shared_exponent)
     acc.elements[...] = 0
     return dst

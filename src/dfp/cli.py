@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from . import experiments, fileio
-from .tensor import DfpTensor, QuantConfig, quantize, rounding_from_name
+from .tensor import ROUNDING_MODES, DfpTensor, QuantConfig, quantize, rounding_from_name
 from .training import TrainingDivergence
 
 
@@ -32,8 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="in_path", required=True, metavar="FILE")
     q.add_argument("--out", required=True, metavar="FILE")
     q.add_argument("--bits", type=int, default=16)
-    q.add_argument("--round", default="nearest",
-                   choices=("nearest", "stochastic", "biased"))
+    q.add_argument("--round", default="nearest", choices=tuple(ROUNDING_MODES))
     q.add_argument("--pre-shift", type=int, default=0)
     q.add_argument("--seed", type=int, default=0,
                    help="stream seed for stochastic rounding")

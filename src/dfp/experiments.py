@@ -69,7 +69,6 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
         "fma_count": ctx.stats.fma_count,
         "convert_count": ctx.stats.convert_count,
         "spill_count": ctx.stats.spill_count,
-        "quant_events": len(ctx.q.events),
         "elapsed_s": elapsed,
         "resolved": resolved,
         "model": model,

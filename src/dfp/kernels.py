@@ -58,8 +58,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import (_F32_MAX_EXP, _F32_MIN_EXP, INT32_MAX, INT32_MIN, Empirical,
-                    OverflowPolicy, Strict, shadow_enabled)
+from .arith import (INT32_MAX, INT32_MIN, Empirical, OverflowPolicy, Strict,
+                    fp32_scale, shadow_enabled)
 from .tensor import DfpTensor, max_abs
 
 # Flagged rows per shadow prefix-sum slab: the fast engine replays only the
@@ -147,9 +147,16 @@ class KernelStats:
         return Fraction(self.convert_count, self.fma_count)
 
 
-def chain_length(spec: ConvSpec, blk: BlockingParams) -> int:
-    """Products accumulated into one int32 lane between spills."""
-    return blk.icblk * spec.kh * spec.kw
+def chain_length(spec: ConvSpec, blk: BlockingParams,
+                 policy: Optional[OverflowPolicy] = None) -> int:
+    """Products accumulated into one int32 lane between spills; under a
+    Strict policy a chain longer than its max_chain is an error."""
+    chain = blk.icblk * spec.kh * spec.kw
+    if isinstance(policy, Strict) and chain > policy.max_chain:
+        raise ValueError(
+            f"chain length {chain} (icblk {blk.icblk} x {spec.kh}x{spec.kw} taps) exceeds "
+            f"Strict max_chain {policy.max_chain}; size chains with safe_chain_length")
+    return chain
 
 
 def overhead_ratio(spec: ConvSpec, blk: BlockingParams) -> Fraction:
@@ -172,27 +179,24 @@ def default_blocking(spec: ConvSpec, policy: Optional[OverflowPolicy] = None,
     target (default 208); the whole padded channel count if no block
     reaches it.  Divisibility keeps every chain full-length, so the
     measured convert/FMA ratio equals the analytic one exactly.  Strict:
-    the largest multiple of 8 whose chain stays within max_chain.
+    the largest multiple of 8 whose chain stays within max_chain.  Under
+    Strict, a chain that exceeds max_chain, even one madd per tap or an
+    explicit icblk, is an error.
     """
-    if icblk is not None:
-        return BlockingParams(icblk=icblk, rb_size=rb_size)
     per = spec.kh * spec.kw
     cpad = _ceil_to(spec.in_ch, 16)
-    if isinstance(policy, Strict):
-        icblk = (policy.max_chain // per) // 8 * 8
-        if icblk < 8:
-            raise ValueError(
-                f"Strict max_chain {policy.max_chain} cannot fit one 8-product madd "
-                f"per {spec.kh}x{spec.kw} tap; see safe_chain_length for sizing")
-        icblk = min(icblk, cpad)
-    else:
+    if icblk is None and isinstance(policy, Strict):
+        icblk = min(max(8, policy.max_chain // per // 8 * 8), cpad)
+    elif icblk is None:
         target = policy.chain_block if isinstance(policy, Empirical) else 208
         icblk = cpad
         for cand in range(16, cpad + 1, 16):
             if cpad % cand == 0 and cand * per >= target:
                 icblk = cand
                 break
-    return BlockingParams(icblk=icblk, rb_size=rb_size)
+    blk = BlockingParams(icblk=icblk, rb_size=rb_size)
+    chain_length(spec, blk, policy)
+    return blk
 
 
 def _ceil_to(x: int, m: int) -> int:
@@ -352,12 +356,8 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
     # layout), spilled at scale 2**es.
     if blk is None:
         blk = default_blocking(spec, policy)
-    chain = chain_length(spec, blk)
+    chain = chain_length(spec, blk, policy)
     if isinstance(policy, Strict):
-        if chain > policy.max_chain:
-            raise ValueError(
-                f"chain length {chain} exceeds Strict max_chain {policy.max_chain}; "
-                f"size chains with safe_chain_length")
         maxa = max_abs(a) if a.size else 0
         maxb = max_abs(b) if b.size else 0
         if maxa * maxb * chain > INT32_MAX:
@@ -366,8 +366,7 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
                 f"Strict policy infeasible: chain {chain} of products up to "
                 f"{maxa}*{maxb} can overflow int32; safe_chain_length for these "
                 f"magnitudes is {safe}")
-    if not _F32_MIN_EXP <= es <= _F32_MAX_EXP:
-        raise ValueError(f"spill scale 2**{es} is outside the FP32 range")
+    scale = fp32_scale(es)
 
     k16 = _ceil_to(spec.out_ch, 16) // 16
     # (cb, kh, kw, half) in fixed order: two madds per tap of a 16-channel block
@@ -376,8 +375,8 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
     bounds = [(i, min(i + chain_madds, madds)) for i in range(0, madds, chain_madds)]
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; use one of {sorted(_ENGINES)}")
-    return _Plan(blk, m, k16, k16 * 16, madds, bounds,
-                 np.float32(np.ldexp(1.0, es)), shadow_enabled(policy), engine)
+    return _Plan(blk, m, k16, k16 * 16, madds, bounds, scale, shadow_enabled(policy),
+                 engine)
 
 
 # === engines ===
@@ -505,8 +504,6 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
     k16 = _ceil_to(spec.out_ch, 16) // 16
     if weights.data.shape != (c16, k16, spec.kh, spec.kw, 8, 16, 2):
         raise ValueError(f"packed weights shape {weights.data.shape} does not match spec")
-    if weights.bit_width > 16:
-        raise ValueError("operands must be 16-bit or narrower")
     n = x.shape[0]
     plan = _make_plan(spec, blk, policy, engine, n * spec.oh * spec.ow, x, weights.data,
                       inp.shared_exponent + weights.shared_exponent)

@@ -42,7 +42,7 @@ def to_fp32(x: Activation) -> np.ndarray:
 
 
 class Quantizers:
-    """Q_a / Q_w / Q_e operators with event logging and stable tensor ids.
+    """Q_a / Q_w / Q_e operators with stable tensor ids.
 
     Tensor ids are composed from (phase, iteration, layer slot, role) so
     stochastic rounding draws are unique per quantization event and
@@ -57,7 +57,6 @@ class Quantizers:
         self.cfg_e = cfg_e
         self.phase = 0       # 0 train, 1 eval, 2 weight init
         self.iteration = 0
-        self.events: List[tuple] = []
         self._slots: Dict[str, int] = {}
 
     def _tid(self, layer: str, kind: str) -> int:
@@ -65,10 +64,7 @@ class Quantizers:
         return (((self.phase << 40) + self.iteration) << 12 | slot) << 2 | self._ROLES[kind]
 
     def _apply(self, kind: str, layer: str, values, cfg: QuantConfig) -> DfpTensor:
-        tid = self._tid(layer, kind)
-        out = quantize(values, cfg, tensor_id=tid)
-        self.events.append((kind, layer, tid))
-        return out
+        return quantize(values, cfg, tensor_id=self._tid(layer, kind))
 
     def q_a(self, layer: str, values) -> DfpTensor:
         return self._apply("q_a", layer, values, self.cfg_a)
@@ -82,7 +78,10 @@ class Quantizers:
 
 @dataclasses.dataclass
 class RunContext:
-    """Shared per-run state: quantizers, kernel policy, counters."""
+    """Shared per-run state: quantizers, kernel policy, counters, and the one
+    gateway from the layers to the integer kernels.  The gateway calls the
+    kernels by their names in this module, where the benchmark's tracer
+    patches them."""
 
     q: Quantizers
     policy: OverflowPolicy = dataclasses.field(default_factory=Empirical)
@@ -93,6 +92,21 @@ class RunContext:
 
     def blocking_for(self, spec: ConvSpec) -> BlockingParams:
         return default_blocking(spec, self.policy, self.rb_size, self.icblk)
+
+    def conv(self, x: DfpTensor, w_q: DfpTensor, spec: ConvSpec) -> np.ndarray:
+        """conv_fprop of x with (K, C, KH, KW) weights w_q under this run's
+        blocking, policy and engine; its counters join the run's."""
+        out, st = conv_fprop(x, pack_weights(w_q, spec), spec, self.blocking_for(spec),
+                             self.policy, self.engine)
+        self.stats.merge(st)
+        return out
+
+    def gemm(self, a: DfpTensor, b: DfpTensor) -> np.ndarray:
+        """A (M x KK) times B (KK x N), blocked like the equivalent 1x1 conv."""
+        spec = ConvSpec(a.shape[1], b.shape[1], 1, 1, 1, 1)
+        out, st = gemm_dfp(a, b, self.blocking_for(spec), self.policy, self.engine)
+        self.stats.merge(st)
+        return out
 
 
 # === layers ===
@@ -180,14 +194,6 @@ class WeightedLayer(Layer):
             self.refresh_quantized()
         return self.w_q
 
-    def _gemm(self, a: DfpTensor, b: DfpTensor) -> np.ndarray:
-        # A (M x KK) times B (KK x N), blocked like the equivalent 1x1 conv.
-        spec = ConvSpec(a.shape[1], b.shape[1], 1, 1, 1, 1)
-        out, st = gemm_dfp(a, b, self.ctx.blocking_for(spec), self.ctx.policy,
-                           self.ctx.engine)
-        self.ctx.stats.merge(st)
-        return out
-
 
 class Conv(WeightedLayer):
     """2D convolution; FP32 master weights, optionally a DFP compute path."""
@@ -214,10 +220,7 @@ class Conv(WeightedLayer):
         if self.precision == "dfp":
             a_q = x if isinstance(x, DfpTensor) else self.ctx.q.q_a(self.name, to_fp32(x))
             spec = self._spec(a_q.shape[2], a_q.shape[3])
-            pw = pack_weights(self._quantized_weights(), spec)
-            out, st = conv_fprop(a_q, pw, spec, self.ctx.blocking_for(spec),
-                                 self.ctx.policy, self.ctx.engine)
-            self.ctx.stats.merge(st)
+            out = self.ctx.conv(a_q, self._quantized_weights(), spec)
             self._a_q, self._cols, self._spec_cache = a_q, None, spec
         else:
             xf = to_fp32(x)
@@ -248,7 +251,7 @@ class Conv(WeightedLayer):
                 e_q.shared_exponent, e_q.bit_width)
             a_cols = DfpTensor(im2col(self._a_q.elements, spec),
                                self._a_q.shared_exponent, self._a_q.bit_width)
-            self.gW = self._gemm(e_mat, a_cols).reshape(self.W.shape)
+            self.gW = self.ctx.gemm(e_mat, a_cols).reshape(self.W.shape)
             if self.first:
                 return np.zeros((n, self.in_ch, spec.h, spec.w), np.float32)
             # Input gradient: convolve dilated errors with the flipped,
@@ -260,11 +263,7 @@ class Conv(WeightedLayer):
                 self.w_q.shared_exponent, self.w_q.bit_width)
             bspec = ConvSpec(self.out_ch, self.in_ch, ed.shape[2], ed.shape[3],
                              self.kh, self.kw, 1, self.kh - 1 - self.pad)
-            pw = pack_weights(wf, bspec)
-            gin, st = conv_fprop(ed, pw, bspec, self.ctx.blocking_for(bspec),
-                                 self.ctx.policy, self.ctx.engine)
-            self.ctx.stats.merge(st)
-            return gin
+            return self.ctx.conv(ed, wf, bspec)
         g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, self.out_ch)
         self.gW = (g_mat.T @ self._cols).reshape(self.W.shape)
         if self.first:
@@ -286,8 +285,8 @@ class Dense(WeightedLayer):
         if self.precision == "dfp":
             a_q = x if isinstance(x, DfpTensor) else self.ctx.q.q_a(self.name, to_fp32(x))
             w_q = self._quantized_weights()
-            out = self._gemm(a_q, DfpTensor(w_q.elements.T, w_q.shared_exponent,
-                                            w_q.bit_width))
+            out = self.ctx.gemm(a_q, DfpTensor(w_q.elements.T, w_q.shared_exponent,
+                                               w_q.bit_width))
             self._a_q, self._xf = a_q, None
         else:
             xf = to_fp32(x)
@@ -304,8 +303,8 @@ class Dense(WeightedLayer):
         if self.precision == "dfp":
             e_q = self.ctx.q.q_e(self.name, g)
             e_t = DfpTensor(e_q.elements.T, e_q.shared_exponent, e_q.bit_width)
-            self.gW = self._gemm(e_t, self._a_q)
-            return self._gemm(e_q, self.w_q)
+            self.gW = self.ctx.gemm(e_t, self._a_q)
+            return self.ctx.gemm(e_q, self.w_q)
         self.gW = g.T @ self._xf
         return g @ self.W
 

@@ -68,22 +68,28 @@ class Biased:
 
 
 RoundingMode = Union[Nearest, Stochastic, Biased]
+ROUNDING_MODES = {"nearest": Nearest, "stochastic": Stochastic, "biased": Biased}
 
 
 def rounding_from_name(name: str, seed: int = 0) -> RoundingMode:
-    """Map a CLI-style mode name to a RoundingMode value."""
-    key = name.strip().lower()
-    if key == "nearest":
-        return Nearest()
-    if key == "stochastic":
-        return Stochastic(seed=seed)
-    if key == "biased":
-        return Biased()
-    raise ValueError(f"unknown rounding mode {name!r}; "
-                     "expected nearest, stochastic, or biased")
+    """Map a mode name, a key of ROUNDING_MODES, to a RoundingMode value."""
+    mode = ROUNDING_MODES.get(name.strip().lower())
+    if mode is None:
+        raise ValueError(f"unknown rounding mode {name!r}; "
+                         f"expected one of {', '.join(ROUNDING_MODES)}")
+    return Stochastic(seed=seed) if mode is Stochastic else mode()
 
 
 # === configuration and tensor types ===
+
+
+def check_format(bit_width: int, pre_shift: int = 0) -> None:
+    """Reject a P-bit format outside 2 <= P <= 16 or a pre_shift outside
+    [0, P - 2]; at least one magnitude bit must survive the shift."""
+    if not 2 <= bit_width <= 16:
+        raise ValueError(f"bit_width must be in [2, 16], got {bit_width}")
+    if not 0 <= pre_shift <= bit_width - 2:
+        raise ValueError(f"pre_shift must be in [0, bit_width-2], got {pre_shift}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,11 +106,7 @@ class QuantConfig:
     pre_shift: int = 0
 
     def __post_init__(self):
-        if not 2 <= self.bit_width <= 16:
-            raise ValueError(f"bit_width must be in [2, 16], got {self.bit_width}")
-        if not 0 <= self.pre_shift <= self.bit_width - 2:
-            # at least one magnitude bit must survive the shift
-            raise ValueError(f"pre_shift must be in [0, bit_width-2], got {self.pre_shift}")
+        check_format(self.bit_width, self.pre_shift)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,8 +125,7 @@ class DfpTensor:
         el = np.asarray(self.elements)
         if el.dtype != np.int16:
             raise TypeError(f"elements must be int16, got {el.dtype}")
-        if not 2 <= self.bit_width <= 16:
-            raise ValueError(f"bit_width must be in [2, 16], got {self.bit_width}")
+        check_format(self.bit_width)
         if not INT8_MIN <= self.shared_exponent <= INT8_MAX:
             raise ValueError(f"shared_exponent {self.shared_exponent} outside int8 range")
         lim = 1 << (self.bit_width - 1)
@@ -177,8 +178,7 @@ def extract_exponent(f) -> int:
 
 def shared_exponent(values, bit_width: int) -> int:
     """Shared exponent E_s = E(max|f|) - (bit_width - 2); 0 for all-zero input."""
-    if not 2 <= bit_width <= 16:
-        raise ValueError(f"bit_width must be in [2, 16], got {bit_width}")
+    check_format(bit_width)
     fmax = max_abs(as_float_tensor(values))
     if fmax == 0.0:
         return 0

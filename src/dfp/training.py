@@ -18,15 +18,12 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .arith import Empirical, OverflowPolicy, Strict
-from .kernels import ConvSpec
+from .kernels import BlockingParams, ConvSpec
 from .layers import (AvgPool, BatchNorm, Conv, Dense, Flatten, Layer, MaxPool,
                      Model, Quantizers, ReLU, Residual, RunContext, to_fp32)
 from .tensor import QuantConfig, rounding_from_name
 
 # === configuration ===
-
-_LAYER_TYPES = ("conv", "fc", "batchnorm", "relu", "maxpool", "avgpool",
-                "flatten", "residual")
 
 
 def _check_type(where: str, value, hint) -> None:
@@ -78,7 +75,7 @@ class _LayerKeys:
 class TrainConfig:
     """Run configuration, loadable from a JSON dict."""
 
-    layers: List[dict]
+    layers: List[dict] = dataclasses.field(default_factory=list)
     loss: str = "softmax_xent"
     epochs: int = 1
     batch_size: int = 64
@@ -102,32 +99,22 @@ class TrainConfig:
     def __post_init__(self):
         for name, hint in typing.get_type_hints(TrainConfig).items():
             _check_type(name, getattr(self, name), hint)
-        if self.loss not in ("softmax_xent", "mse"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.policy not in ("empirical", "strict"):
-            raise ValueError(f"unknown overflow policy {self.policy!r}")
-        if self.policy == "strict" and self.max_chain is None:
-            raise ValueError("strict policy requires max_chain")
-        for role, name in (("rounding", self.rounding),
-                           ("rounding_w", self.rounding_w),
-                           ("rounding_e", self.rounding_e)):
-            if name is not None and name not in ("nearest", "stochastic",
-                                                 "biased"):
-                raise ValueError(f"unknown {role} mode {name!r}")
+        if self.loss not in _LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r}; "
+                             f"expected one of {', '.join(_LOSSES)}")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        QuantConfig(bit_width=self.bit_width, pre_shift=self.pre_shift)
-        if self.rb_size <= 0 or (self.icblk is not None and self.icblk <= 0):
-            raise ValueError("rb_size and icblk must be positive")
         if not self.layers:
             raise ValueError("config must list at least one layer")
-        for spec in self.layers:
-            if spec.get("type") not in _LAYER_TYPES:
-                raise ValueError(f"unknown layer type {spec.get('type')!r}")
+        # what a run builds from the other fields checks them; build_model
+        # checks the layers
+        make_policy(self)
+        make_quantizers(self, seed=0)
+        BlockingParams(8 if self.icblk is None else self.icblk, self.rb_size)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -138,25 +125,30 @@ def parse_config(raw: dict) -> TrainConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "layers" not in raw:
-        raise ValueError("config must list at least one layer")
     return TrainConfig(**raw)
 
 
 def make_policy(cfg: TrainConfig) -> OverflowPolicy:
-    if cfg.policy == "strict":
-        return Strict(max_chain=cfg.max_chain, shadow_check=cfg.shadow_check)
-    return Empirical(chain_block=cfg.chain_block, shadow_check=cfg.shadow_check)
+    if cfg.policy == "empirical":
+        return Empirical(chain_block=cfg.chain_block, shadow_check=cfg.shadow_check)
+    if cfg.policy != "strict":
+        raise ValueError(f"unknown overflow policy {cfg.policy!r}")
+    if cfg.max_chain is None:
+        raise ValueError("strict policy requires max_chain")
+    return Strict(max_chain=cfg.max_chain, shadow_check=cfg.shadow_check)
 
 
 def make_quantizers(cfg: TrainConfig, seed: int) -> Quantizers:
-    def qc(name: Optional[str]) -> QuantConfig:
-        mode = rounding_from_name(name or cfg.rounding, seed=seed)
+    def qc(role: str) -> QuantConfig:
+        try:
+            mode = rounding_from_name(getattr(cfg, role) or cfg.rounding, seed=seed)
+        except ValueError as e:
+            raise ValueError(f"{role}: {e}") from None
         return QuantConfig(bit_width=cfg.bit_width, rounding=mode,
                            pre_shift=cfg.pre_shift)
 
     # All three tensor kinds feed multiplier inputs, so all share pre_shift.
-    return Quantizers(qc(None), qc(cfg.rounding_w), qc(cfg.rounding_e))
+    return Quantizers(qc("rounding"), qc("rounding_w"), qc("rounding_e"))
 
 
 # === model construction ===
@@ -167,7 +159,10 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
     """Instantiate the layer pipeline, tracking shapes for weight allocation.
 
     precision "fp32" forces every layer to the FP32 path; "dfp16" honors
-    per-layer precision fields (default "dfp" for conv/fc/batchnorm).
+    per-layer precision fields (default "dfp" for conv/fc/batchnorm).  In
+    both modes a conv or fc whose own precision is "dfp" gets its forward
+    blocking checked here, naming the layer; that chain bounds the bprop
+    (same KH x KW) and wgrad (1 x 1) chains.
     """
     if precision not in ("fp32", "dfp16"):
         raise ValueError(f"unknown precision mode {precision!r}")
@@ -178,10 +173,15 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
         counters[kind] = counters.get(kind, 0) + 1
         return f"{kind}{counters[kind]}"
 
-    def layer_precision(key: _LayerKeys) -> str:
+    def layer_precision(key: _LayerKeys, spec: Optional[ConvSpec] = None) -> str:
         own = key("precision", str, "dfp")
         if own not in ("dfp", "fp32"):
             raise ValueError(f"{key.where}: precision must be 'dfp' or 'fp32', got {own!r}")
+        if own == "dfp" and spec is not None:
+            try:
+                ctx.blocking_for(spec)
+            except ValueError as e:
+                raise ValueError(f"{key.where}: {e}") from None
         return "fp32" if precision == "fp32" else own
 
     def build(specs: List[dict], shape, path: str,
@@ -203,7 +203,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                 first = not first_conv_seen[0]
                 first_conv_seen[0] = True
                 layer = Conv(ctx, name, cspec.in_ch, cspec.out_ch, k, cspec.stride, pad,
-                             precision=layer_precision(key),
+                             precision=layer_precision(key, cspec),
                              bias=key("bias", bool, False), first=first, rng=rng)
                 shape = (cspec.out_ch, cspec.oh, cspec.ow)
             elif kind == "fc":
@@ -212,7 +212,8 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                     raise ValueError(f"fc requires flattened input, have {shape}")
                 out_features = key("out_features", int, lo=1)
                 layer = Dense(ctx, key("name", str, fresh_name("fc")), feat, out_features,
-                              precision=layer_precision(key),
+                              precision=layer_precision(
+                                  key, ConvSpec(feat, out_features, 1, 1, 1, 1)),
                               bias=key("bias", bool, True), rng=rng)
                 shape = (out_features,)
             elif kind == "batchnorm":

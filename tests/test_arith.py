@@ -1,15 +1,13 @@
 """Integer tensor arithmetic: multiply, add, down-convert, chains, spills."""
 
-import os
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from dfp.arith import (INT32_MAX, AccumTensor, Empirical, Strict, dfp_add,
-                       dfp_multiply, down_convert, lzc, safe_chain_length,
-                       shadow_enabled, spill_to_fp32)
-from dfp.tensor import DfpTensor, dequantize
+                       dfp_multiply, down_convert, fp32_scale, lzc,
+                       safe_chain_length, shadow_enabled, spill_to_fp32)
+from dfp.tensor import DfpTensor, QuantConfig, shared_exponent
 
 # === multiply ===
 
@@ -216,6 +214,32 @@ def test_safe_chain_length_soundness_small_widths():
             assert (n + 1) * m * m > INT32_MAX
 
 
+def _accepts(make) -> bool:
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p", range(-1, 19))
+def test_format_bounds_agree(p):
+    # every entry point takes the same bit widths, and QuantConfig and
+    # safe_chain_length the same (bit_width, pre_shift) pairs
+    acc = AccumTensor(np.array([5], np.int32), 0)
+    widths = {
+        "QuantConfig": _accepts(lambda: QuantConfig(bit_width=p)),
+        "DfpTensor": _accepts(lambda: DfpTensor(np.zeros(1, np.int16), 0, p)),
+        "shared_exponent": _accepts(lambda: shared_exponent([1.0], p)),
+        "down_convert": _accepts(lambda: down_convert(acc, p)),
+        "safe_chain_length": _accepts(lambda: safe_chain_length(p, 0)),
+    }
+    assert set(widths.values()) == {2 <= p <= 16}, widths
+    for s in range(-1, p + 1):
+        assert (_accepts(lambda: QuantConfig(bit_width=p, pre_shift=s))
+                == _accepts(lambda: safe_chain_length(p, s))), (p, s)
+
+
 # === spill ===
 
 
@@ -252,12 +276,38 @@ def test_spill_validation():
                       np.zeros(1, np.float32))          # exponent out of range
 
 
+def test_fp32_scale_range():
+    # the FP32 powers of two run from the smallest subnormal to 2**127
+    assert fp32_scale(-149) == np.float32(2.0 ** -149) > 0
+    assert fp32_scale(127) == np.float32(2.0 ** 127)
+    assert fp32_scale(0).dtype == np.float32
+    for es in (-150, 128):
+        with pytest.raises(ValueError, match=f"spill scale 2\\*\\*{es} is outside"):
+            fp32_scale(es)
+
+
 # === policies ===
 
 
 def test_accum_tensor_validation():
     with pytest.raises(TypeError):
         AccumTensor(np.array([1], np.int16), 0)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Strict(max_chain=7), "max_chain must be >= 8 .one 8-product madd., got 7"),
+    (lambda: Strict(max_chain=-5), "max_chain must be >= 8 .one 8-product madd., got -5"),
+    (lambda: Empirical(chain_block=0), "chain_block must be >= 1, got 0"),
+    (lambda: Empirical(chain_block=-208), "chain_block must be >= 1, got -208"),
+])
+def test_policy_rejects_out_of_range(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_policy_accepts_smallest_values():
+    assert Strict(max_chain=8).max_chain == 8
+    assert Empirical(chain_block=1).chain_block == 1
 
 
 def test_shadow_enabled_follows_policy():

@@ -443,6 +443,41 @@ def test_cli_train_rejects_malformed_config(tmp_path, capsys, patch, message):
     assert message in capsys.readouterr().err
 
 
+# One FP32 conv, one DFP 3x3 conv and a DFP fc on 28x28 glyphs.
+_PROBE_NET = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1, "precision": "fp32"},
+              {"type": "relu"},
+              {"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
+              {"type": "relu"},
+              {"type": "maxpool", "kernel": 4},
+              {"type": "flatten"},
+              {"type": "fc", "out_features": 10}]
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"icblk": 12}, "icblk must be a positive multiple of 8, got 12"),
+    ({"icblk": 0}, "icblk must be a positive multiple of 8, got 0"),
+    ({"policy": "strict", "max_chain": 8},
+     "layers[2] (conv): chain length 72 (icblk 8 x 3x3 taps) exceeds Strict max_chain 8"),
+    ({"policy": "strict", "max_chain": -5}, "max_chain must be >= 8 (one 8-product madd), got -5"),
+    ({"chain_block": 0}, "chain_block must be >= 1, got 0"),
+    ({"icblk": 64, "policy": "strict", "max_chain": 100},
+     "layers[2] (conv): chain length 576 (icblk 64 x 3x3 taps) exceeds Strict max_chain 100"),
+])
+@pytest.mark.parametrize("precision", ["fp32", "dfp16"])
+def test_cli_train_rejects_kernel_config_before_training(tmp_path, capsys, patch, message,
+                                                         precision):
+    # rejected when the run is set up, in either precision, before any metrics row
+    cfg_path = str(tmp_path / "bad.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({**MLP_JSON, "layers": _PROBE_NET, **patch}, fh)
+    out = tmp_path / "m.csv"
+    rc = cli.main(["train", "--config", cfg_path, "--data", "glyphs:train=16,test=16",
+                   "--precision", precision, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_train_rejects_non_object_config(tmp_path, capsys):
     cfg_path = str(tmp_path / "list.json")
     with open(cfg_path, "w") as fh:

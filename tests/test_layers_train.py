@@ -1,5 +1,6 @@
 """Layer graph, quantizer placement, losses, and the training loop."""
 
+import re
 import time
 
 import numpy as np
@@ -7,15 +8,29 @@ import numpy.testing as npt
 import pytest
 
 import dfp.training
-from dfp.layers import (BatchNorm, Conv, Dense, Flatten, MaxPool, AvgPool,
-                        Model, Quantizers, ReLU, Residual, RunContext, to_fp32)
+from dfp.layers import (BatchNorm, Conv, Dense, MaxPool, AvgPool, Model,
+                        Quantizers, ReLU, Residual, RunContext, to_fp32)
 from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
                         dequantize, quantize)
-from dfp.training import (TrainConfig, TrainingDivergence, build_model,
+from dfp.training import (TrainingDivergence, build_model,
                           evaluate, lr_at, make_policy, make_quantizers, mse,
                           parse_config, sgd_step, softmax_xent, train_loop)
 
 # === helpers ===
+
+
+def record_quantize_events(monkeypatch) -> list:
+    """(kind, layer, tensor id) of each quantize call any Quantizers makes
+    from now on, in call order."""
+    events = []
+    apply = Quantizers._apply
+
+    def spy(self, kind, layer, values, cfg):
+        events.append((kind, layer, self._tid(layer, kind)))
+        return apply(self, kind, layer, values, cfg)
+
+    monkeypatch.setattr(Quantizers, "_apply", spy)
+    return events
 
 
 def make_ctx(pre_shift=1):
@@ -78,7 +93,7 @@ MLP_CFG = {
 # === quantizer placement ===
 
 
-def test_boundary_plan_quantizes_each_boundary_once():
+def test_boundary_plan_quantizes_each_boundary_once(monkeypatch):
     cfg = parse_config({"layers": [
         {"type": "conv", "out_ch": 8, "kernel": 3, "pad": 1},
         {"type": "relu"},
@@ -91,14 +106,14 @@ def test_boundary_plan_quantizes_each_boundary_once():
     rng = np.random.default_rng(7)
     model = build_model(cfg, (4, 8, 8), ctx, rng)
     x = rng.standard_normal((4, 4, 8, 8)).astype(np.float32)
-    q.events.clear()
+    events = record_quantize_events(monkeypatch)
     trace = []
     out = model.forward(x, train=True, trace=trace)
 
     acts = dict(trace)
     # values cross into integer form exactly once per fp32->dfp boundary:
     # at the first conv input and after each deferred relu/producer output
-    q_a = [(name, _) for kind, name, _ in q.events if kind == "q_a"
+    q_a = [(name, _) for kind, name, _ in events if kind == "q_a"
            for _ in [0]]
     assert [n for n, _ in q_a] == ["conv1", "relu1.out", "conv2.out"]
     assert isinstance(acts["conv1"], np.ndarray)        # deferred past relu
@@ -109,30 +124,30 @@ def test_boundary_plan_quantizes_each_boundary_once():
     assert isinstance(out, np.ndarray)
 
     # error path: one q_e per integer layer, none elsewhere
-    q.events.clear()
+    events.clear()
     model.backward(np.ones_like(out))
-    q_e = [name for kind, name, _ in q.events if kind == "q_e"]
+    q_e = [name for kind, name, _ in events if kind == "q_e"]
     assert sorted(q_e) == ["conv1", "conv2", "fc1"]
-    assert all(kind == "q_e" for kind, _, _ in q.events)
+    assert all(kind == "q_e" for kind, _, _ in events)
 
 
-def test_fp32_mode_never_quantizes():
+def test_fp32_mode_never_quantizes(monkeypatch):
     cfg = parse_config({"layers": [
         {"type": "conv", "out_ch": 8, "kernel": 3, "pad": 1},
         {"type": "relu"},
         {"type": "flatten"},
         {"type": "fc", "out_features": 3}], "loss": "mse"})
-    q = make_quantizers(cfg, seed=3)
-    ctx = RunContext(q=q)
+    events = record_quantize_events(monkeypatch)
+    ctx = RunContext(q=make_quantizers(cfg, seed=3))
     model = build_model(cfg, (4, 6, 6), ctx, np.random.default_rng(3),
                         precision="fp32")
     x = np.random.default_rng(4).standard_normal((2, 4, 6, 6)).astype(np.float32)
     out = model.forward(x, train=True)
     model.backward(np.ones_like(out))
-    assert q.events == []
+    assert events == []
 
 
-def test_tensor_ids_unique_per_iteration():
+def test_tensor_ids_unique_per_iteration(monkeypatch):
     cfg = parse_config({"layers": [
         {"type": "conv", "out_ch": 8, "kernel": 3, "pad": 1},
         {"type": "relu"},
@@ -141,23 +156,24 @@ def test_tensor_ids_unique_per_iteration():
         "rounding": "stochastic"})
     q = make_quantizers(cfg, seed=9)
     ctx = RunContext(q=q)
+    events = record_quantize_events(monkeypatch)
     model = build_model(cfg, (4, 6, 6), ctx, np.random.default_rng(9))
     x = np.random.default_rng(5).standard_normal((2, 4, 6, 6)).astype(np.float32)
     # construction-time weight quantization must not share streams with any
     # training-step event
-    seen = {tid for _, _, tid in q.events}
-    assert len(seen) == len(q.events)
-    q.events.clear()
+    seen = {tid for _, _, tid in events}
+    assert seen and len(seen) == len(events)
+    events.clear()
     for it in range(3):
         q.iteration = it
         out = model.forward(x, train=True)
         model.backward(np.ones_like(out))
         model.refresh_quantized()
-        ids = [tid for _, _, tid in q.events]
+        ids = [tid for _, _, tid in events]
         assert len(ids) == len(set(ids))                # unique within iter
         assert not (set(ids) & seen)                    # and across iters
         seen |= set(ids)
-        q.events.clear()
+        events.clear()
 
 
 # === batchnorm ===
@@ -548,11 +564,58 @@ _CONV = {"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1}
      r"layers\[1\]\.body\[0\] \(avgpool\): kernel must be >= 1, got -2"),
     ([{"type": "flatten"}, {"type": "fc", "out_features": 0}],
      r"layers\[1\] \(fc\): out_features must be >= 1, got 0"),
+    # build_model alone knows the layer types, at the top level as when nested
+    ([{"type": "lstm"}], r"layers\[0\] \(lstm\): unknown layer type"),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
 def test_build_rejects_malformed_layer(layers, match, precision):
     with pytest.raises(ValueError, match=match):
         _build(layers, (4, 6, 6), precision=precision)
+
+
+# An FP32 conv, a DFP 3x3 conv and a DFP fc: the kernel fields reach the DFP
+# layers in both precision modes.
+_PROBE_NET = [dict(_CONV, precision="fp32"), {"type": "relu"}, _CONV, {"type": "relu"},
+              {"type": "flatten"}, {"type": "fc", "out_features": 3}]
+_CHAIN_72 = r"layers\[2\] \(conv\): chain length 72 \(icblk 8 x 3x3 taps\) exceeds"
+
+
+@pytest.mark.parametrize("patch, match", [
+    ({"icblk": 12}, "icblk must be a positive multiple of 8, got 12"),
+    ({"icblk": 0}, "icblk must be a positive multiple of 8, got 0"),
+    ({"rb_size": 0}, "rb_size must be >= 1"),
+    ({"policy": "strict", "max_chain": 8}, _CHAIN_72 + " Strict max_chain 8; .*safe_chain_length"),
+    ({"policy": "strict", "max_chain": 71}, _CHAIN_72 + " Strict max_chain 71"),
+    ({"policy": "strict", "max_chain": -5}, r"max_chain must be >= 8 \(one 8-product madd\)"),
+    ({"chain_block": 0}, "chain_block must be >= 1, got 0"),
+    ({"icblk": 64, "policy": "strict", "max_chain": 100},
+     r"layers\[2\] \(conv\): chain length 576 \(icblk 64 x 3x3 taps\) exceeds "
+     r"Strict max_chain 100"),
+    # these build, so they must train
+    ({"icblk": 16}, None),
+    ({"policy": "strict", "max_chain": 72, "pre_shift": 5}, None),
+])
+@pytest.mark.parametrize("precision", ["fp32", "dfp16"])
+def test_config_that_builds_trains(patch, match, precision):
+    # Kernel fields are checked by parse_config or build_model in both
+    # precision modes, each error naming its field or layer path; a config
+    # that passes both runs a training step.
+    raw = {"layers": _PROBE_NET, "loss": "softmax_xent", "batch_size": 2, **patch}
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+    y = np.array([0, 2])
+    try:
+        cfg = parse_config(raw)
+        ctx = RunContext(q=make_quantizers(cfg, seed=8), policy=make_policy(cfg),
+                         icblk=cfg.icblk, rb_size=cfg.rb_size)
+        model = build_model(cfg, (2, 6, 6), ctx, rng, precision=precision)
+    except ValueError as e:
+        assert match is not None and re.search(match, str(e)), str(e)
+        return
+    assert match is None
+    rows = train_loop(model, cfg, x, y, x, y, seed=8)
+    assert len(rows) == 1 and np.isfinite(rows[0]["train_loss"])
+    assert (ctx.stats.fma_count > 0) == (precision == "dfp16")
 
 
 @pytest.mark.parametrize("patch, match", [
@@ -698,8 +761,6 @@ def test_parse_config_rejects_bad_values():
             parse_config(dict(MLP_CFG, **patch))
     with pytest.raises(ValueError):
         parse_config({"loss": "mse"})                   # layers required
-    with pytest.raises(ValueError):
-        parse_config(dict(MLP_CFG, layers=[{"type": "lstm"}]))
 
 
 def test_quantizer_role_overrides():

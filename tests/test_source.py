@@ -1,11 +1,12 @@
-"""Static checks over the package source."""
+"""Static checks over the package source and its tests."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dfp"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "dfp"
 
 
 def unused_imports(tree: ast.Module):
@@ -33,6 +34,7 @@ def test_unused_import_check_sees_each_binding():
     assert unused_imports(tree) == [(1, "os"), (3, "d")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
