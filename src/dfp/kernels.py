@@ -41,13 +41,17 @@ outputs and statistics:
 With shadow checking enabled, both engines count one overflow event per
 (output element, chain) whose exact running sum leaves the signed 32-bit
 range at some madd boundary.  The instructions engine keeps a live 64-bit
-mirror of every lane.  The fast engine first bounds each chain: with P the
-sum of its positive products and N the magnitude of its negative ones,
-every running sum lies in [-N, P], and P + N = |A| @ |B| and P - N = A @ B
-are both exact float64 matmuls.  Pairs with P <= INT32_MAX and N <= 2**31
-cannot overflow; only the rows holding some other pair are re-summed madd
-by madd (float64 prefix sums over slabs of flagged rows), so the count
-stays exact while clean chains cost one extra matmul.
+mirror of every lane.  The fast engine bounds each chain in three exact
+tiers.  With P the sum of a pair's positive products and N the magnitude
+of its negative ones, every running sum lies in [-N, P].  First, one
+float64 matrix-vector product gives each row r the bound
+B_r = sum_k |A_rk| * max_j |B_kj| >= P + N for all its pairs; a row with
+B_r <= INT32_MAX cannot overflow.  Second, for the remaining rows only,
+P + N = |A| @ |B| and P - N = A @ B are exact float64 matmuls, and pairs
+with P <= INT32_MAX and N <= 2**31 cannot overflow.  Last, only the rows
+holding some other pair are re-summed madd by madd (float64 prefix sums
+over slabs of flagged rows).  The count stays exact, and a chain whose
+rows all pass the row bound costs one extra matrix-vector product.
 """
 
 from __future__ import annotations
@@ -456,13 +460,22 @@ def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, b: np.ndarray,
     # int32 range at any madd boundary; identical to the instruction mirror.
     # a and b are the chain's float64 operands (a is overwritten with |a|),
     # exact = a @ b.  With P the sum of a pair's positive products and N the
-    # magnitude of its negative ones, every running sum lies in [-N, P];
-    # |a| @ |b| = P + N and exact = P - N, both exact like `exact` itself.
-    # Only rows with a pair whose P or -N leaves int32 are summed madd by madd.
-    mag = np.abs(a, out=a) @ np.abs(b)
+    # magnitude of its negative ones, every running sum lies in [-N, P].
+    # Row tier: B_r = |a_r| @ max_j |b_kj| >= P + N for every pair of row r,
+    # so rows with B_r <= INT32_MAX cannot overflow.  Pair tier, for the
+    # rest: |a| @ |b| = P + N and exact = P - N, both exact like `exact`
+    # itself.  Only rows with a pair whose P or -N leaves int32 are summed
+    # madd by madd.
+    absa, absb = np.abs(a, out=a), np.abs(b)
+    rows = np.flatnonzero(absa @ absb.max(axis=1) > INT32_MAX)
+    if rows.size == 0:
+        return 0
+    if rows.size < absa.shape[0]:
+        absa, exact = absa[rows], exact[rows]
+    mag = absa @ absb
     flagged = mag + exact > 2 * INT32_MAX
     flagged |= np.subtract(mag, exact, out=mag) > -2 * INT32_MIN
-    rows = np.flatnonzero(flagged.any(axis=1))
+    rows = rows[flagged.any(axis=1)]
     madds, kp = b.shape[0] // 8, b.shape[1]
     bm = b.reshape(madds, 8, kp)
     count = 0

@@ -192,24 +192,27 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
             kind = key("type", str)
             if kind == "conv":
                 if len(shape) != 3:
-                    raise ValueError(f"conv requires CHW input, have {shape}")
+                    raise ValueError(f"{key.where}: requires CHW input, have {shape}")
                 name = key("name", str, fresh_name("conv"))
                 k, pad, stride = key("kernel", int), key("pad", int, 0), key("stride", int, 1)
                 out_ch = key("out_ch", int)
                 try:
                     cspec = ConvSpec(shape[0], out_ch, shape[1], shape[2], k, k, stride, pad)
                 except ValueError as e:
-                    raise ValueError(f"{name}: {e}") from None
+                    raise ValueError(f"{key.where}: {e}") from None
                 first = not first_conv_seen[0]
                 first_conv_seen[0] = True
-                layer = Conv(ctx, name, cspec.in_ch, cspec.out_ch, k, cspec.stride, pad,
-                             precision=layer_precision(key, cspec),
-                             bias=key("bias", bool, False), first=first, rng=rng)
+                own, bias = layer_precision(key, cspec), key("bias", bool, False)
+                try:
+                    layer = Conv(ctx, name, cspec.in_ch, cspec.out_ch, k, cspec.stride, pad,
+                                 precision=own, bias=bias, first=first, rng=rng)
+                except ValueError as e:
+                    raise ValueError(f"{key.where}: {e}") from None
                 shape = (cspec.out_ch, cspec.oh, cspec.ow)
             elif kind == "fc":
                 feat = int(np.prod(shape))
                 if len(shape) != 1:
-                    raise ValueError(f"fc requires flattened input, have {shape}")
+                    raise ValueError(f"{key.where}: requires flattened input, have {shape}")
                 out_features = key("out_features", int, lo=1)
                 layer = Dense(ctx, key("name", str, fresh_name("fc")), feat, out_features,
                               precision=layer_precision(
@@ -227,7 +230,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                 k = key("kernel", int, lo=1)
                 name = key("name", str, fresh_name("pool"))
                 if len(shape) != 3 or shape[1] % k or shape[2] % k:
-                    raise ValueError(f"{name}: pool {k} does not tile input {shape}")
+                    raise ValueError(f"{key.where}: pool {k} does not tile input {shape}")
                 layer = (MaxPool if kind == "maxpool" else AvgPool)(ctx, name, k)
                 shape = (shape[0], shape[1] // k, shape[2] // k)
             elif kind == "flatten":
@@ -238,7 +241,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                                      first_conv_seen)
                 if bshape != shape:
                     raise ValueError(
-                        f"residual body maps {shape} -> {bshape}; shapes must match")
+                        f"{key.where}: body maps {shape} -> {bshape}; shapes must match")
                 layer = Residual(ctx, key("name", str, fresh_name("res")), body)
             else:
                 raise ValueError(f"{key.where}: unknown layer type")

@@ -277,9 +277,10 @@ def _shadow_oracle(a, b, icblk):
     return count
 
 
-def _shadow_counts(a_rows, b_col):
+def _shadow_counts(a_rows, b_cols):
+    # b_cols: one 16-product column, or a list of them (one per lane)
     a = np.array(a_rows, np.int16)
-    b = np.array(b_col, np.int16).reshape(16, 1)
+    b = np.array(b_cols, np.int16).reshape(-1, 16).T
     want = _shadow_oracle(a, b, 16)
     da, db = DfpTensor(a, -14, 16), DfpTensor(b, -14, 16)
     pol, blk = Empirical(shadow_check=True), BlockingParams(icblk=16)
@@ -294,6 +295,31 @@ def test_shadow_count_at_int32_boundaries(case):
     want, got = _shadow_counts([a_row], b_col)
     assert want == events
     assert got == [events, events]
+
+
+def test_shadow_count_lanes_peaking_in_different_halves():
+    # Each lane's running sum peaks at exactly INT32_MAX, lane 0 in the first
+    # madd and lane 1 in the second, so the row bound sum_k |a_k| max_j |b_kj|
+    # is 2 * INT32_MAX although no lane's P + N leaves int32.
+    a_row = ([_P] * 7 + [_P - 1]) * 2
+    peak = [_P] * 7 + [_P + 1]
+    want, got = _shadow_counts([a_row], [peak + [0] * 8, [0] * 8 + peak])
+    assert want == 0
+    assert got == [0, 0]
+
+
+def test_shadow_count_mixes_all_three_tiers():
+    # One call, one lane over two madds; rows cleared by the row bound, by
+    # the pair bound, and replayed with and without an excursion.
+    rows = [
+        [1] * 16,                     # row bound 2**18: cleared
+        [-_P] * 8 + [0] * 8,          # P + N = 2**31 = N: pair-cleared
+        [_P] * 8 + [0] * 8,           # P = 2**31: replayed, one event
+        [-_P] * 8 + [_P] * 8,         # P = 2**31, sums -2**31 then 0: replayed
+    ]
+    want, got = _shadow_counts(rows, [_P] * 16)
+    assert want == 1
+    assert got == [1, 1]
 
 
 def test_shadow_count_over_several_row_slabs():

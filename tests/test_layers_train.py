@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import dfp.training
+from dfp.experiments import run_training
 from dfp.layers import (BatchNorm, Conv, Dense, MaxPool, AvgPool, Model,
                         Quantizers, ReLU, Residual, RunContext, to_fp32)
 from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
@@ -486,7 +487,7 @@ def _build(layers, in_shape, precision="dfp16"):
 def test_build_rejects_dfp_conv_pad_beyond_kernel():
     layers = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
               {"type": "conv", "out_ch": 4, "kernel": 1, "pad": 1}]
-    with pytest.raises(ValueError, match=r"conv2: pad 1 > kernel-1"):
+    with pytest.raises(ValueError, match=r"layers\[1\] \(conv\): conv2: pad 1 > kernel-1"):
         _build(layers, (2, 6, 6))
     _build(layers, (2, 6, 6), precision="fp32")    # FP32 backward supports it
     _build(layers[1:], (2, 6, 6))                  # a first conv skips bprop
@@ -494,7 +495,7 @@ def test_build_rejects_dfp_conv_pad_beyond_kernel():
 
 def test_build_rejects_non_integral_conv_output():
     layers = [{"type": "conv", "out_ch": 4, "kernel": 3, "stride": 2}]
-    with pytest.raises(ValueError, match=r"conv1: output size .* not integral"):
+    with pytest.raises(ValueError, match=r"layers\[0\] \(conv\): output size .* not integral"):
         _build(layers, (1, 8, 8))
 
 
@@ -502,7 +503,7 @@ def test_build_rejects_non_integral_conv_output():
 def test_build_rejects_non_divisible_pool(kind):
     layers = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
               {"type": kind, "kernel": 2, "name": "p"}]
-    with pytest.raises(ValueError, match=r"p: pool 2 does not tile"):
+    with pytest.raises(ValueError, match=rf"layers\[1\] \({kind}\): pool 2 does not tile"):
         _build(layers, (1, 7, 7))
 
 
@@ -566,6 +567,16 @@ _CONV = {"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1}
      r"layers\[1\] \(fc\): out_features must be >= 1, got 0"),
     # build_model alone knows the layer types, at the top level as when nested
     ([{"type": "lstm"}], r"layers\[0\] \(lstm\): unknown layer type"),
+    # geometry errors name the layer path like the key errors do
+    ([{"type": "flatten"}, _CONV], r"layers\[1\] \(conv\): requires CHW input, have \(144,\)"),
+    ([{"type": "fc", "out_features": 2}],
+     r"layers\[0\] \(fc\): requires flattened input, have \(4, 6, 6\)"),
+    ([{"type": "residual", "body": [dict(_CONV, out_ch=6)]}],
+     r"layers\[0\] \(residual\): body maps \(4, 6, 6\) -> \(6, 6, 6\); shapes must match"),
+    ([{"type": "residual", "body": [{"type": "avgpool", "kernel": 4}]}],
+     r"layers\[0\]\.body\[0\] \(avgpool\): pool 4 does not tile input \(4, 6, 6\)"),
+    ([dict(_CONV, stride=4, pad=0)],
+     r"layers\[0\] \(conv\): output size for dim 6, kernel 3, stride 4, pad 0 is not integral"),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
 def test_build_rejects_malformed_layer(layers, match, precision):
@@ -881,3 +892,39 @@ def test_evaluate_accuracy():
     y = np.array([0, 1, 1, 1])                          # third label is wrong
     acc = evaluate(model, x, y, "softmax_xent", batch_size=2)
     npt.assert_allclose(acc, 0.75)
+
+
+# The resnet_shadow benchmark network at one epoch: stride-2 and residual
+# DFP convs, a DFP fc, stochastic rounding and shadow INT32 accounting.
+_RESNET_SHADOW_CFG = {
+    "layers": [
+        {"type": "conv", "out_ch": 16, "kernel": 5, "pad": 2,
+         "precision": "fp32", "bias": True},
+        {"type": "relu"},
+        {"type": "conv", "out_ch": 16, "kernel": 2, "stride": 2},
+        {"type": "relu"},
+        {"type": "residual", "body": [
+            {"type": "conv", "out_ch": 16, "kernel": 3, "pad": 1},
+            {"type": "batchnorm"},
+            {"type": "relu"},
+            {"type": "conv", "out_ch": 16, "kernel": 3, "pad": 1},
+            {"type": "batchnorm"}]},
+        {"type": "relu"},
+        {"type": "avgpool", "kernel": 2},
+        {"type": "flatten"},
+        {"type": "fc", "out_features": 10, "bias": True}],
+    "loss": "softmax_xent", "epochs": 1, "batch_size": 32, "base_lr": 0.02,
+    "momentum": 0.9, "weight_decay": 5e-4, "step_epochs": [],
+    "pre_shift": 1, "rounding": "stochastic", "shadow_check": True,
+}
+
+
+def test_training_run_with_int32_overflow():
+    # Seed 24 is a deterministic run whose shadow check counts INT32
+    # excursions: none in iterations 1-2, then some from iteration 3 on.
+    res = run_training(_RESNET_SHADOW_CFG, "glyphs:train=576,test=256", "dfp16", seed=24)
+    counts = [row["overflow_count"] for row in res["rows"]]   # cumulative
+    assert len(counts) == 18
+    assert counts[:2] == [0, 0]
+    assert counts[2] > 0
+    assert counts[-1] == res["overflow_count"]

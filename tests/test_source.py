@@ -1,12 +1,15 @@
-"""Static checks over the package source and its tests."""
+"""Static checks over the package source, its tests and the committed
+benchmark results."""
 
 import ast
+import json
 import pathlib
 
 import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "dfp"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "dfp"
 
 
 def unused_imports(tree: ast.Module):
@@ -38,3 +41,27 @@ def test_unused_import_check_sees_each_binding():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_bench_files_report_the_end_to_end_metrics():
+    # Each BENCH_<workload>.json entry is one side of a before/after
+    # comparison: a commit, the run length and seeds, the provenance line,
+    # and the quartiles of each end-to-end metric BENCHMARK.json declares.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    workloads = {w["name"] for w in spec["workloads"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text())
+        assert bench["workload"] in workloads
+        assert path.name == f"BENCH_{bench['workload']}.json"
+        assert bench["entries"]
+        for entry in bench["entries"]:
+            assert isinstance(entry["commit"], str) and entry["commit"]
+            assert entry["seconds"] > 0 and entry["seeds"]
+            assert isinstance(entry["provenance"], dict)
+            metrics = entry["metrics"]
+            assert {name: m["unit"] for name, m in metrics.items()} == units, path.name
+            for m in metrics.values():
+                assert m["q1"] <= m["median"] <= m["q3"], path.name
