@@ -88,10 +88,10 @@ def shadow_enabled(policy: OverflowPolicy) -> bool:
     The policy's shadow_check alone decides.  Shadow overflow counts are
     bit-identical across engines and thread counts.  On the fast engine,
     on a 2-core x86 box, a DFP16 training step of the resnet_shadow
-    network takes 1.20-1.25x as long with them as without, and a
+    network takes 1.15-1.19x as long with them as without, and a
     conv_fprop of its residual conv shape on `dfp bench-conv --dist
     gaussian` operands (16 -> 16 channels, 14x14, 3x3, pad 1, batch 32)
-    1.26-1.32x.  Rows whose chains could leave int32 also pay an extra
+    1.19-1.25x.  Rows whose chains could leave int32 also pay an extra
     matmul, and some of those madd-by-madd prefix sums.
     """
     return bool(policy.shadow_check)

@@ -61,22 +61,15 @@ def read_dft(path: str) -> TensorLike:
     with open(path, "rb") as fh:
         buf = fh.read()
 
-    def need(offset: int, count: int, what: str) -> bytes:
-        if offset + count > len(buf):
-            raise ValueError(
-                f"{path}: truncated {what} at byte {offset}: "
-                f"need {count} bytes, have {len(buf) - offset}")
-        return buf[offset: offset + count]
-
-    if need(0, 4, "magic") != MAGIC:
+    if _need(path, buf, 0, 4, "magic") != MAGIC:
         raise ValueError(f"{path}: bad magic at byte 0: "
                          f"expected {MAGIC!r}, got {buf[:4]!r}")
-    dtype_tag = need(4, 1, "dtype tag")[0]
-    bit_width = need(5, 1, "bit width")[0]
+    dtype_tag = _need(path, buf, 4, 1, "dtype tag")[0]
+    bit_width = _need(path, buf, 5, 1, "bit width")[0]
     off = 6
     shared_exponent = 0
     if dtype_tag == _DTYPE_DFP:
-        shared_exponent = struct.unpack("<b", need(6, 1, "shared exponent"))[0]
+        shared_exponent = struct.unpack("<b", _need(path, buf, 6, 1, "shared exponent"))[0]
         off = 7
         if not 2 <= bit_width <= 16:
             raise ValueError(f"{path}: bad bit width {bit_width} at byte 5")
@@ -86,17 +79,17 @@ def read_dft(path: str) -> TensorLike:
                              f"(FP32 tensors use 32)")
     else:
         raise ValueError(f"{path}: unknown dtype tag {dtype_tag} at byte 4")
-    rank = struct.unpack("<I", need(off, 4, "rank"))[0]
+    rank = struct.unpack("<I", _need(path, buf, off, 4, "rank"))[0]
     off += 4
     if rank > 32:
         raise ValueError(f"{path}: implausible rank {rank} at byte {off - 4}")
     dims = []
     for i in range(rank):
-        dims.append(struct.unpack("<I", need(off, 4, f"dim {i}"))[0])
+        dims.append(struct.unpack("<I", _need(path, buf, off, 4, f"dim {i}"))[0])
         off += 4
     count = int(np.prod(dims, dtype=np.int64)) if dims else 1
     esize = 2 if dtype_tag == _DTYPE_DFP else 4
-    raw = need(off, count * esize, "payload")
+    raw = _need(path, buf, off, count * esize, "payload")
     if len(buf) != off + count * esize:
         raise ValueError(f"{path}: {len(buf) - off - count * esize} trailing "
                          f"bytes after payload at byte {off + count * esize}")
@@ -107,8 +100,21 @@ def read_dft(path: str) -> TensorLike:
             i = int(np.argmax((elements > lim - 1) | (elements < 1 - lim)))
             raise ValueError(f"{path}: element {elements[i]} at byte {off + 2 * i} "
                              f"exceeds {lim - 1} for bit width {bit_width}")
-        return DfpTensor(elements.reshape(dims), shared_exponent, bit_width)
+        tensor = DfpTensor(elements.reshape(dims), shared_exponent, bit_width)
+        if not tensor.fits_fp32():
+            raise ValueError(f"{path}: shared exponent {shared_exponent} at byte 6 "
+                             f"scales element magnitude {max_abs(elements)} "
+                             f"beyond the FP32 range")
+        return tensor
     return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+
+
+def _need(path: str, buf: bytes, offset: int, count: int, what: str) -> bytes:
+    # The `count` bytes of field `what` at `offset`, or an error naming it.
+    if offset + count > len(buf):
+        raise ValueError(f"{path}: truncated {what} at byte {offset}: "
+                         f"need {count} bytes, have {len(buf) - offset}")
+    return buf[offset: offset + count]
 
 
 # === IDX image and label files ===
@@ -137,19 +143,22 @@ def write_idx_labels(path: str, labels: np.ndarray) -> None:
 
 
 def _read_idx(path: str, magic: int, rank: int) -> np.ndarray:
+    # Errors cite the byte offset of the defect, as read_dft's do.
     with open(path, "rb") as fh:
         buf = fh.read()
-    head = 4 * (1 + rank)
-    if len(buf) < head:
-        raise ValueError(f"{path}: truncated header, need {head} bytes, "
-                         f"have {len(buf)}")
-    got = struct.unpack(">I", buf[:4])[0]
+    got = struct.unpack(">I", _need(path, buf, 0, 4, "magic"))[0]
     if got != magic:
-        raise ValueError(f"{path}: bad magic 0x{got:08x}, expected 0x{magic:08x}")
-    dims = struct.unpack(f">{rank}I", buf[4:head])
+        raise ValueError(f"{path}: bad magic at byte 0: 0x{got:08x}, "
+                         f"expected 0x{magic:08x}")
+    dims = tuple(struct.unpack(">I", _need(path, buf, 4 + 4 * i, 4, f"dim {i}"))[0]
+                 for i in range(rank))
+    head = 4 * (1 + rank)
     count = int(np.prod(dims, dtype=np.int64))
     if len(buf) != head + count:
-        raise ValueError(f"{path}: expected {head + count} bytes for dims "
+        where = (f"truncated payload at byte {head}" if len(buf) < head + count else
+                 f"{len(buf) - head - count} trailing bytes after payload at byte "
+                 f"{head + count}")
+        raise ValueError(f"{path}: {where}: expected {head + count} bytes for dims "
                          f"{dims}, file has {len(buf)}")
     return np.frombuffer(buf, dtype=np.uint8, offset=head).reshape(dims)
 

@@ -38,6 +38,17 @@ outputs and statistics:
   instruction sequence's, and spilling in the same chain order reproduces
   the FP32 accumulation bit for bit.
 
+The fast engine walks the output rows in tiles of whole images, about
+_TILE_ROWS rows each (a GEMM row is a single-pixel image; an image larger
+than that is a tile of its own).  Each tile is lowered on its own, and
+its chains are widened, multiplied, wrapped, spilled in chain order and
+shadow-checked while the tile is cache-sized, in work arrays allocated
+once per call and reused by each of its tiles.  Every output row depends
+on its own patch row alone, so tiling changes no bit.  A chain's float64
+weight operand is built once per call, and kept across tiles.  The
+counters are computed once per call from the call's plan: every spill is
+counted per rb_size register block of all M rows, never per tile.
+
 With shadow checking enabled, both engines count one overflow event per
 (output element, chain) whose exact running sum leaves the signed 32-bit
 range at some madd boundary.  The instructions engine keeps a live 64-bit
@@ -49,16 +60,18 @@ B_r = sum_k |A_rk| * max_j |B_kj| >= P + N for all its pairs; a row with
 B_r <= INT32_MAX cannot overflow.  Second, for the remaining rows only,
 P + N = |A| @ |B| and P - N = A @ B are exact float64 matmuls, and pairs
 with P <= INT32_MAX and N <= 2**31 cannot overflow.  Last, only the rows
-holding some other pair are re-summed madd by madd (float64 prefix sums
-over slabs of flagged rows).  The count stays exact, and a chain whose
-rows all pass the row bound costs one extra matrix-vector product.
+holding some other pair are re-summed madd by madd, as float64 prefix sums
+over the tile's flagged rows, so the tile bounds this replay too.  The
+count stays exact, and a chain whose rows all pass the row bound costs one
+extra matrix-vector product.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,10 +79,11 @@ from .arith import (INT32_MAX, INT32_MIN, Empirical, OverflowPolicy, Strict,
                     fp32_scale, shadow_enabled)
 from .tensor import DfpTensor, max_abs
 
-# Flagged rows per shadow prefix-sum slab: the fast engine replays only the
-# rows the interval bound cannot clear, this many at a time, so the float64
-# (madds, rows, Kpad) slab stays bounded however many rows are flagged.
-_SHADOW_ROW_BLOCK = 2048
+# Output rows per fast-engine tile, rounded down to whole images (at least
+# one): a tile's patch matrix, its float64 chain operands and its shadow
+# replay are built and used while they are cache-sized.  Picked by a sweep
+# of 256-2048 rows on both benchmark workloads.
+_TILE_ROWS = 512
 
 
 # === geometry and blocking ===
@@ -344,7 +358,9 @@ def _zero_pad(x: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
 @dataclasses.dataclass
 class _Plan:
     blk: BlockingParams
-    m: int                       # output rows, n * oh * ow
+    images: int                  # n; a GEMM row is one single-pixel image
+    pixels: int                  # output rows per image, oh * ow
+    tile_images: int             # images per fast-engine tile
     k16: int
     kpad: int
     madds: int                   # madds per (row, 16-lane block), L / 8
@@ -353,11 +369,16 @@ class _Plan:
     shadow: bool
     engine: str                  # a key of _ENGINES
 
+    @property
+    def m(self) -> int:
+        """Output rows, n * oh * ow."""
+        return self.images * self.pixels
+
 
 def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPolicy,
-               engine: str, m: int, a: np.ndarray, b: np.ndarray, es: int) -> _Plan:
-    # m output rows from input elements `a` and weight elements `b` (any
-    # layout), spilled at scale 2**es.
+               engine: str, images: int, a: np.ndarray, b: np.ndarray, es: int) -> _Plan:
+    # Output rows of `images` images from input elements `a` and weight
+    # elements `b` (any layout), spilled at scale 2**es.
     if blk is None:
         blk = default_blocking(spec, policy)
     chain = chain_length(spec, blk, policy)
@@ -379,15 +400,22 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
     bounds = [(i, min(i + chain_madds, madds)) for i in range(0, madds, chain_madds)]
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; use one of {sorted(_ENGINES)}")
-    return _Plan(blk, m, k16, k16 * 16, madds, bounds, scale, shadow_enabled(policy),
-                 engine)
+    pixels = spec.oh * spec.ow
+    return _Plan(blk, images, pixels, max(1, _TILE_ROWS // pixels), k16,
+                 k16 * 16, madds, bounds, scale, shadow_enabled(policy), engine)
 
 
 # === engines ===
 
+# lower(i0, i1): the int16 patch matrix of images i0..i1-1, pixel-major.
+Lowering = Callable[[int, int], np.ndarray]
+# store(i0, i1, rows): write the (rows, Kpad) FP32 output of those images.
+Store = Callable[[int, int, np.ndarray], None]
 
-def _run_instr(plan: _Plan, cols: np.ndarray, wmat: np.ndarray,
-               debug_partials: Optional[list]) -> Tuple[np.ndarray, KernelStats]:
+
+def _run_instr(plan: _Plan, lower: Lowering, wmat: np.ndarray, store: Store,
+               debug_partials: Optional[list]) -> KernelStats:
+    cols = lower(0, plan.images)
     rb = plan.blk.rb_size
     stats = KernelStats()
     out = np.zeros((plan.m, plan.kpad), np.float32)
@@ -426,66 +454,105 @@ def _run_instr(plan: _Plan, cols: np.ndarray, wmat: np.ndarray,
             out[t0: t0 + tsz, kb * 16: kb * 16 + 16] = vtemp
     if debug_partials is not None:
         debug_partials.extend(partials)
-    return out, stats
+    store(0, plan.images, out)
+    return stats
 
 
-def _run_fast(plan: _Plan, cols: np.ndarray, wmat: np.ndarray,
-              debug_partials: Optional[list]) -> Tuple[np.ndarray, KernelStats]:
-    out = np.zeros((plan.m, plan.kpad), np.float32)
-    stats = KernelStats()
-    for m0, m1 in plan.chunk_bounds:
-        r0, r1 = m0 * 8, m1 * 8
-        a = cols[:, r0:r1].astype(np.float64)
-        b = wmat[r0:r1].astype(np.float64)
-        # Exact integer sums: |partials| <= chain * 2**30 << 2**53.
-        exact = a @ b
-        wrapped = exact.astype(np.int64).astype(np.int32)
-        if debug_partials is not None:
-            debug_partials.append(wrapped)
-        out += wrapped.astype(np.float32) * plan.scale
-        if plan.shadow:
-            stats.overflow_count += _shadow_excursions(cols[:, r0:r1], a, b, exact)
+def _run_fast(plan: _Plan, lower: Lowering, wmat: np.ndarray, store: Store,
+              debug_partials: Optional[list]) -> KernelStats:
+    if debug_partials is not None:
+        partials = [np.empty((plan.m, plan.kpad), np.int32) for _ in plan.chunk_bounds]
+    # Work arrays for the largest tile, reused by every tile of the call.
+    rows = min(plan.tile_images, plan.images) * plan.pixels
+    exact_buf = np.empty((rows, plan.kpad), np.float64)
+    wide_buf = np.empty((rows, plan.kpad), np.int64)
+    wrapped_buf = np.empty((rows, plan.kpad), np.int32)
+    spill_buf = np.empty((rows, plan.kpad), np.float32)
+    acc_buf = np.empty((rows, plan.kpad), np.float32)
+    a_buf = np.empty(rows * 8 * (plan.chunk_bounds[0][1] - plan.chunk_bounds[0][0]))
+    # A chain's weight operand is built when the first tile needs it and
+    # kept only while later tiles will need it too.
+    ops: List[Optional[_ChainOperand]] = [None] * len(plan.chunk_bounds)
+    overflow = 0
+    for i0 in range(0, plan.images, plan.tile_images):
+        i1 = min(i0 + plan.tile_images, plan.images)
+        cols = lower(i0, i1)
+        t0, t1 = i0 * plan.pixels, i1 * plan.pixels
+        exact, wide, wrapped, spill, acc = (
+            buf[: t1 - t0] for buf in (exact_buf, wide_buf, wrapped_buf, spill_buf, acc_buf))
+        acc[...] = 0
+        for ci, bounds in enumerate(plan.chunk_bounds):
+            op = ops[ci] or _ChainOperand(wmat, bounds, plan.shadow)
+            if i1 < plan.images:
+                ops[ci] = op
+            a_chunk = cols[:, op.r0:op.r1]
+            a = a_buf[: a_chunk.size].reshape(a_chunk.shape)
+            np.copyto(a, a_chunk)
+            # Exact integer sums: |partials| <= chain * 2**30 << 2**53.
+            np.matmul(a, op.b, out=exact)
+            np.copyto(wide, exact, casting="unsafe")
+            np.copyto(wrapped, wide, casting="unsafe")
+            if debug_partials is not None:
+                partials[ci][t0:t1] = wrapped
+            acc += np.multiply(wrapped, plan.scale, out=spill, dtype=np.float32)
+            if plan.shadow:
+                overflow += _shadow_excursions(a_chunk, a, op, exact)
+        store(i0, i1, acc)
+    if debug_partials is not None:
+        debug_partials.extend(partials)
 
     n_chunks = len(plan.chunk_bounds)
     n_tiles = -(-plan.m // plan.blk.rb_size)
-    stats.fma_count = plan.m * plan.k16 * plan.madds
-    stats.convert_count = plan.m * plan.k16 * n_chunks
-    stats.spill_count = n_tiles * plan.k16 * n_chunks
-    return out, stats
+    return KernelStats(fma_count=plan.m * plan.k16 * plan.madds,
+                       convert_count=plan.m * plan.k16 * n_chunks,
+                       spill_count=n_tiles * plan.k16 * n_chunks,
+                       overflow_count=overflow)
 
 
-def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, b: np.ndarray,
+class _ChainOperand:
+    """One chain's rows r0:r1 of the weight matrix in float64, with, for
+    the shadow check, each row's largest magnitude and, built only if some
+    row of A needs them, all the magnitudes."""
+
+    def __init__(self, wmat: np.ndarray, bounds: Tuple[int, int], shadow: bool):
+        self.r0, self.r1 = bounds[0] * 8, bounds[1] * 8
+        w = wmat[self.r0:self.r1]
+        self.b = w.astype(np.float64)
+        if shadow:
+            self.row_max = np.maximum(w.max(axis=1), -w.min(axis=1).astype(np.float64))
+
+    @functools.cached_property
+    def absb(self) -> np.ndarray:
+        return np.abs(self.b)
+
+
+def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, op: _ChainOperand,
                        exact: np.ndarray) -> int:
     # Count (output element, chain) pairs whose exact running sum leaves the
     # int32 range at any madd boundary; identical to the instruction mirror.
-    # a and b are the chain's float64 operands (a is overwritten with |a|),
-    # exact = a @ b.  With P the sum of a pair's positive products and N the
-    # magnitude of its negative ones, every running sum lies in [-N, P].
-    # Row tier: B_r = |a_r| @ max_j |b_kj| >= P + N for every pair of row r,
-    # so rows with B_r <= INT32_MAX cannot overflow.  Pair tier, for the
-    # rest: |a| @ |b| = P + N and exact = P - N, both exact like `exact`
-    # itself.  Only rows with a pair whose P or -N leaves int32 are summed
-    # madd by madd.
-    absa, absb = np.abs(a, out=a), np.abs(b)
-    rows = np.flatnonzero(absa @ absb.max(axis=1) > INT32_MAX)
+    # a is the tile's float64 chain operand (overwritten with |a|), a_chunk
+    # its int16 original, and exact = a @ op.b.  With P the sum of a pair's
+    # positive products and N the magnitude of its negative ones, every
+    # running sum lies in [-N, P].  Row tier: B_r = |a_r| @ max_j |b_kj|
+    # >= P + N for every pair of row r, so rows with B_r <= INT32_MAX cannot
+    # overflow.  Pair tier, for the rest: |a| @ |b| = P + N and exact = P - N,
+    # both exact like `exact` itself.  Only rows with a pair whose P or -N
+    # leaves int32 are summed madd by madd, all of the tile's at once.
+    absa = np.abs(a, out=a)
+    rows = np.flatnonzero(absa @ op.row_max > INT32_MAX)
     if rows.size == 0:
         return 0
     if rows.size < absa.shape[0]:
         absa, exact = absa[rows], exact[rows]
-    mag = absa @ absb
+    mag = absa @ op.absb
     flagged = mag + exact > 2 * INT32_MAX
     flagged |= np.subtract(mag, exact, out=mag) > -2 * INT32_MIN
     rows = rows[flagged.any(axis=1)]
-    madds, kp = b.shape[0] // 8, b.shape[1]
-    bm = b.reshape(madds, 8, kp)
-    count = 0
-    for r0 in range(0, rows.size, _SHADOW_ROW_BLOCK):
-        slab = a_chunk[rows[r0: r0 + _SHADOW_ROW_BLOCK]]
-        am = slab.reshape(slab.shape[0], madds, 8).transpose(1, 0, 2).astype(np.float64)
-        run = am @ bm                        # (madds, rows, kp), exact
-        np.cumsum(run, axis=0, out=run)
-        count += int(np.any((run > INT32_MAX) | (run < INT32_MIN), axis=0).sum())
-    return count
+    madds, kp = op.b.shape[0] // 8, op.b.shape[1]
+    am = a_chunk[rows].reshape(rows.size, madds, 8).transpose(1, 0, 2).astype(np.float64)
+    run = am @ op.b.reshape(madds, 8, kp)       # (madds, rows, kp), exact
+    np.cumsum(run, axis=0, out=run)
+    return int(np.any((run > INT32_MAX) | (run < INT32_MIN), axis=0).sum())
 
 
 _ENGINES = {"instructions": _run_instr, "fast": _run_fast}
@@ -518,14 +585,19 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
     if weights.data.shape != (c16, k16, spec.kh, spec.kw, 8, 16, 2):
         raise ValueError(f"packed weights shape {weights.data.shape} does not match spec")
     n = x.shape[0]
-    plan = _make_plan(spec, blk, policy, engine, n * spec.oh * spec.ow, x, weights.data,
+    plan = _make_plan(spec, blk, policy, engine, n, x, weights.data,
                       inp.shared_exponent + weights.shared_exponent)
-    cols = im2col(x, spec, 16)
     # (L, Kpad) weight matrix in the same (cb, kh, kw, cc) row order.
-    wmat = weights.data.transpose(0, 2, 3, 4, 6, 1, 5).reshape(cols.shape[1], plan.kpad)
-    flat, stats = _ENGINES[plan.engine](plan, cols, wmat, debug_partials)
-    out = flat[:, : spec.out_ch].reshape(n, spec.oh, spec.ow, spec.out_ch)
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), stats
+    wmat = weights.data.transpose(0, 2, 3, 4, 6, 1, 5).reshape(-1, plan.kpad)
+    out = np.empty((n, spec.out_ch, spec.oh, spec.ow), np.float32)
+
+    def store(i0: int, i1: int, rows: np.ndarray) -> None:
+        out[i0:i1] = rows[:, : spec.out_ch].reshape(
+            i1 - i0, spec.oh, spec.ow, spec.out_ch).transpose(0, 3, 1, 2)
+
+    stats = _ENGINES[plan.engine](plan, lambda i0, i1: im2col(x[i0:i1], spec, 16),
+                                  wmat, store, debug_partials)
+    return out, stats
 
 
 def gemm_dfp(a: DfpTensor, b: DfpTensor,
@@ -540,6 +612,7 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
     channels, so the reduction is chunked along KK in icblk-sized chains
     with the same spill discipline as conv_fprop.  Its patch matrix is A
     and its weight matrix is B, each zero-padded to whole 16-lane groups.
+    `debug_partials` acts as in conv_fprop.
     """
     if a.elements.ndim != 2 or b.elements.ndim != 2:
         raise ValueError("gemm operands must be rank-2")
@@ -551,7 +624,12 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
     plan = _make_plan(spec, blk, policy, engine, m, a.elements, b.elements,
                       a.shared_exponent + b.shared_exponent)
     cpad = _ceil_to(kk, 16)
-    flat, stats = _ENGINES[plan.engine](plan, _zero_pad(a.elements, (m, cpad)),
-                                        _zero_pad(b.elements, (cpad, plan.kpad)),
-                                        debug_partials)
-    return np.ascontiguousarray(flat[:, :n]), stats
+    out = np.empty((m, n), np.float32)
+
+    def store(i0: int, i1: int, rows: np.ndarray) -> None:
+        out[i0:i1] = rows[:, :n]
+
+    stats = _ENGINES[plan.engine](
+        plan, lambda i0, i1: _zero_pad(a.elements[i0:i1], (i1 - i0, cpad)),
+        _zero_pad(b.elements, (cpad, plan.kpad)), store, debug_partials)
+    return out, stats

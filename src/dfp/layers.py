@@ -50,6 +50,7 @@ class Quantizers:
     """
 
     _ROLES = {"q_a": 0, "q_w": 1, "q_e": 2}
+    _PHASES = ("train", "eval", "weight init")
 
     def __init__(self, cfg_a: QuantConfig, cfg_w: QuantConfig, cfg_e: QuantConfig):
         self.cfg_a = cfg_a
@@ -64,7 +65,13 @@ class Quantizers:
         return (((self.phase << 40) + self.iteration) << 12 | slot) << 2 | self._ROLES[kind]
 
     def _apply(self, kind: str, layer: str, values, cfg: QuantConfig) -> DfpTensor:
-        return quantize(values, cfg, tensor_id=self._tid(layer, kind))
+        """quantize under this event's tensor id; an error says where it
+        happened: layer, role, phase and iteration."""
+        try:
+            return quantize(values, cfg, tensor_id=self._tid(layer, kind))
+        except (ValueError, OverflowError) as exc:
+            raise type(exc)(f"{layer} {kind}, {self._PHASES[self.phase]} phase, "
+                            f"iteration {self.iteration}: {exc}") from exc
 
     def q_a(self, layer: str, values) -> DfpTensor:
         return self._apply("q_a", layer, values, self.cfg_a)

@@ -40,6 +40,9 @@ ZERO_EXPONENT = -(1 << 31)
 
 _F32_MAX = float(np.finfo(np.float32).max)
 _MASK64 = (1 << 64) - 1
+# Elements per quantize block: its four float64 buffers (1 MiB) fit in a
+# core's L2 cache.
+_BLOCK = 1 << 15
 
 
 # === rounding modes ===
@@ -137,6 +140,12 @@ class DfpTensor:
     def shape(self) -> Tuple[int, ...]:
         return self.elements.shape
 
+    def fits_fp32(self) -> bool:
+        """Whether every element times 2**E_s lies within the FP32 range,
+        as dequantize requires."""
+        return not self.elements.size or \
+            math.ldexp(max_abs(self.elements), self.shared_exponent) <= _F32_MAX
+
 
 def max_abs(a: np.ndarray) -> Union[int, float]:
     """Largest magnitude in a non-empty int16, int32 or float32 array.
@@ -147,14 +156,20 @@ def max_abs(a: np.ndarray) -> Union[int, float]:
     return max(a.max().item(), -a.min().item())
 
 
-def as_float_tensor(values) -> np.ndarray:
-    """Validate and convert input to a finite, non-empty float32 array."""
+def finite_float_max(values) -> Tuple[np.ndarray, float]:
+    """Convert input to a non-empty float32 array and return it with its
+    largest magnitude; NaN or Inf anywhere is an error.
+
+    The extremes propagate NaN and Inf, so the magnitude scan doubles as
+    the finiteness check.
+    """
     f = np.asarray(values, dtype=np.float32)
     if f.size == 0:
         raise ValueError("empty tensor")
-    if not np.isfinite(f).all():
+    fmax = max_abs(f)
+    if not math.isfinite(fmax):
         raise ValueError("tensor contains NaN or Inf")
-    return f
+    return f, fmax
 
 
 # === exponent extraction ===
@@ -179,7 +194,7 @@ def extract_exponent(f) -> int:
 def shared_exponent(values, bit_width: int) -> int:
     """Shared exponent E_s = E(max|f|) - (bit_width - 2); 0 for all-zero input."""
     check_format(bit_width)
-    fmax = max_abs(as_float_tensor(values))
+    fmax = finite_float_max(values)[1]
     if fmax == 0.0:
         return 0
     return extract_exponent(fmax) - (bit_width - 2)
@@ -188,11 +203,16 @@ def shared_exponent(values, bit_width: int) -> int:
 # === rounding primitives ===
 
 
-def _philox_uniforms(seed: int, tensor_id: int, n: int) -> np.ndarray:
-    """Uniform [0,1) draws; draw k belongs to element_index k of the tensor."""
+def _philox(seed: int, tensor_id: int) -> np.random.Generator:
+    """The tensor's uniform stream: its k-th float64 draw belongs to
+    element_index k."""
     key = np.array([seed & _MASK64, tensor_id & _MASK64], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(n, dtype=np.float64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _philox_uniforms(seed: int, tensor_id: int, n: int) -> np.ndarray:
+    """The first n uniform [0,1) draws of the tensor's stream."""
+    return _philox(seed, tensor_id).random(n, dtype=np.float64)
 
 
 def round_value(x, mode: RoundingMode, rng_coords=(0, 0)) -> int:
@@ -228,10 +248,16 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
     is round(f / 2**E_s) under cfg.rounding, saturated to
     +-(2**(P - 1 - pre_shift) - 1).  An all-zero tensor maps to all-zero
     elements with E_s = 0.
+
+    After one scan for the largest magnitude, the elements are rounded in
+    flat blocks of _BLOCK, each through the same few block-sized float
+    buffers and straight into the int16 output, so no temporary grows with
+    the tensor.  Every element is rounded independently, and stochastic
+    draws come from one generator read in order, so the blocks change no
+    result.
     """
-    f = as_float_tensor(values)
+    f, fmax = finite_float_max(values)
     p = cfg.bit_width
-    fmax = max_abs(f)
     if fmax == 0.0:
         return DfpTensor(np.zeros(f.shape, np.int16), 0, p)
     es = extract_exponent(fmax) - (p - 2) + cfg.pre_shift
@@ -241,44 +267,59 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
     # The quantization error bound 2**(E_s - 1) still holds at the clamped
     # exponent, but the top-bit range guarantee does not apply there.
     es = max(es, INT8_MIN)
+    mode = cfg.rounding
+    if not isinstance(mode, (Nearest, Stochastic, Biased)):
+        raise TypeError(f"unknown rounding mode {mode!r}")
 
+    lim = (1 << (p - 1 - cfg.pre_shift)) - 1
+    src = f.reshape(-1)
+    out = np.empty(f.shape, np.int16)
+    dst = out.reshape(-1)
+    size = min(src.size, _BLOCK)
+    # Stochastic rounding compares its fraction x - floor(x) with float64
+    # Philox draws, and in float32 that fraction is inexact for small
+    # negative x, so this mode works in float64 (f / 2**E_s is exact there).
     # Nearest and biased rounding scale in float32: ldexp by 2**-E_s is exact
     # unless the result is subnormal, and |x| < 2**-126 rounds to 0 in both
     # modes either way.  (A float32 factor 2**-E_s would overflow at the clamp
     # E_s = -128.)
-    mode = cfg.rounding
-    if isinstance(mode, Biased):
-        i = np.ldexp(f, -es)
-        np.trunc(i, out=i)
-    elif isinstance(mode, Nearest):
-        x = np.ldexp(f, -es)
-        a = np.abs(x)
-        i = np.add(a, 0.5)
-        np.floor(i, out=i)
-        # The sum |x| + 0.5 may round, but its floor is exact except at
-        # |x| = 0.5 - 2**-25, where the sum is a tie that rounds up to 1.0.
-        # i - 0.5 is exact for integer i < 2**16, so the test i - 0.5 > |x|
-        # is exact and catches just that case.
-        i -= (i - 0.5) > a
-        # copysign(i, x) as an OR of x's sign bit into i >= 0; np.copysign is
-        # not vectorised and costs as much as the rest of this branch
-        sign = x.view(np.uint32)
-        sign &= np.uint32(1 << 31)
-        i.view(np.uint32)[...] |= sign
-    elif isinstance(mode, Stochastic):
-        # The fraction x - floor(x) is compared with float64 Philox draws,
-        # and in float32 it is inexact for small negative x, so this mode
-        # widens once (f / 2**E_s is exact in float64) and works in place.
-        x = np.multiply(f, 2.0 ** -es, dtype=np.float64)
-        i = np.floor(x)
-        x -= i
-        i += _philox_uniforms(mode.seed, tensor_id, x.size).reshape(x.shape) < x
-    else:
-        raise TypeError(f"unknown rounding mode {mode!r}")
-
-    lim = (1 << (p - 1 - cfg.pre_shift)) - 1
-    np.clip(i, -lim, lim, out=i)
-    return DfpTensor(i.astype(np.int16), es, p)
+    stochastic = isinstance(mode, Stochastic)
+    ftype = np.float64 if stochastic else np.float32
+    bufs = [np.empty(size, ftype) for _ in range(4)] + [np.empty(size, bool)]
+    if stochastic:
+        gen = _philox(mode.seed, tensor_id)
+    for s in range(0, src.size, size):
+        fs = src[s: s + size]
+        x, i, t, u, m = (b[: fs.size] for b in bufs)
+        if isinstance(mode, Biased):
+            np.ldexp(fs, -es, out=i)
+            np.trunc(i, out=i)
+        elif isinstance(mode, Nearest):
+            np.ldexp(fs, -es, out=x)
+            a = np.abs(x, out=t)
+            np.add(a, 0.5, out=i)
+            np.floor(i, out=i)
+            # The sum |x| + 0.5 may round, but its floor is exact except at
+            # |x| = 0.5 - 2**-25, where the sum is a tie that rounds up to
+            # 1.0.  i - 0.5 is exact for integer i < 2**16, so the test
+            # i - 0.5 > |x| is exact and catches just that case.
+            np.greater(np.subtract(i, 0.5, out=u), a, out=m)
+            i -= m
+            # copysign(i, x) as an OR of x's sign bit into i >= 0; np.copysign
+            # is not vectorised and costs as much as the rest of this branch
+            sign = x.view(np.uint32)
+            sign &= np.uint32(1 << 31)
+            i.view(np.uint32)[...] |= sign
+        else:
+            np.multiply(fs, 2.0 ** -es, out=x, dtype=np.float64)
+            np.floor(x, out=i)
+            x -= i
+            gen.random(out=u)
+            np.less(u, x, out=m)
+            i += m
+        np.clip(i, -lim, lim, out=i)
+        dst[s: s + fs.size] = i
+    return DfpTensor(out, es, p)
 
 
 def dequantize(t: DfpTensor) -> np.ndarray:
@@ -289,6 +330,6 @@ def dequantize(t: DfpTensor) -> np.ndarray:
     float32 ldexp computes it without rounding, subnormal results included.
     """
     es = int(t.shared_exponent)
-    if t.elements.size and math.ldexp(max_abs(t.elements), es) > _F32_MAX:
+    if not t.fits_fp32():
         raise OverflowError(f"dequantized value exceeds FP32 range (E_s={es})")
     return np.ldexp(t.elements.astype(np.float32), es)

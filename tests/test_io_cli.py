@@ -14,7 +14,8 @@ from dfp.fileio import (METRICS_HEADER, load_checkpoint, read_dft,
                         restore_model, save_checkpoint, write_dft,
                         write_idx_images, write_idx_labels, write_metrics)
 from dfp.layers import RunContext
-from dfp.tensor import DfpTensor, QuantConfig, quantize, rounding_from_name
+from dfp.tensor import (DfpTensor, QuantConfig, dequantize, quantize,
+                        rounding_from_name)
 from dfp.training import build_model, make_quantizers, parse_config
 
 # === tensor container ===
@@ -69,6 +70,9 @@ def test_dft_errors_cite_byte_offsets(tmp_path):
         # bit width 8, rank 1, 3 elements: 1, 200, -3
         (bytes.fromhex("44465431 01 08 00 01000000 03000000 0100 c800 fdff"),
          r"bad\.dft: element 200 at byte 17 exceeds 127 for bit width 8"),
+        # E_s = 114: 2**14 * 2**114 = 2**128 is past FP32's largest value
+        (bytes.fromhex("44465431 01 10 72 01000000 02000000 ff3f 0040"),
+         r"shared exponent 114 at byte 6 scales element magnitude 16384 beyond"),
     ]
     path = str(tmp_path / "bad.dft")
     for blob, pattern in cases:
@@ -76,6 +80,10 @@ def test_dft_errors_cite_byte_offsets(tmp_path):
             fh.write(blob)
         with pytest.raises(ValueError, match=pattern):
             read_dft(path)
+    # (2**14 - 1) * 2**114 = 2**128 - 2**114 still fits in FP32
+    with open(path, "wb") as fh:
+        fh.write(bytes.fromhex("44465431 01 10 72 01000000 01000000 ff3f"))
+    assert dequantize(read_dft(path))[0] == np.float32(2.0 ** 128 - 2.0 ** 114)
 
 
 def test_dft_rejects_other_dtypes(tmp_path):
@@ -109,6 +117,19 @@ def test_idx_errors(tmp_path):
         fh.write(open(ok, "rb").read()[:-5])
     with pytest.raises(ValueError, match=r"expected 52 bytes .* has 47"):
         read_idx_images(path)
+    good = open(ok, "rb").read()
+    cases = [
+        (b"\x00\x00\x09\x99" + good[4:], r"bad magic at byte 0: 0x00000999"),
+        (good[:2], r"truncated magic at byte 0: need 4 bytes, have 2"),
+        (good[:10], r"truncated dim 1 at byte 8: need 4 bytes, have 2"),
+        (good[:-5], r"truncated payload at byte 16: expected 52 bytes"),
+        (good + b"\x00" * 3, r"3 trailing bytes after payload at byte 52"),
+    ]
+    for blob, pattern in cases:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ValueError, match=pattern):
+            read_idx_images(path)
 
 
 # === checkpoints ===

@@ -322,17 +322,85 @@ def test_shadow_count_mixes_all_three_tiers():
     assert got == [1, 1]
 
 
-def test_shadow_count_over_several_row_slabs():
-    # more flagged rows than one shadow slab holds, in a repeating pattern:
+def test_shadow_count_over_several_tiles():
+    # flagged rows in every one of several fast-engine tiles, in a repeating
+    # pattern:
     # an excursion (2**31 after the first madd); a row whose positive
     # products reach 7 * 2**28 but whose running sum peaks at 6 * 2**28;
     # a row far from the bound
     b_col = [_P] * 8 + [-1] + [0] * 7
     pattern = [[_P] * 8 + [0] * 8, [_P] * 7 + [-_P] + [0] * 8, [1] * 8 + [0] * 8]
-    reps = kernels._SHADOW_ROW_BLOCK + 1
+    reps = kernels._TILE_ROWS + 1
     want, got = _shadow_counts(pattern * reps, b_col)
     assert want == reps
     assert got == [reps, reps]
+
+
+# === fast-engine tiles ===
+
+
+def _engines_agree_over_tiles(run):
+    # Output, debug partials and every KernelStats field, shadow on.
+    (oi, si, di), (of, sf, df) = [run(engine) for engine in ("instructions", "fast")]
+    npt.assert_array_equal(oi, of)
+    assert si == sf
+    assert len(di) == len(df) > 1
+    for part_i, part_f in zip(di, df):
+        npt.assert_array_equal(part_i, part_f)
+    return si
+
+
+def _tile_operand(rng, shape, loud):
+    # full-scale elements in the `loud` leading-axis entries, whose rows
+    # leave int32, and small ones elsewhere, whose rows the row bound clears
+    x = rng.integers(-32767, 32768, shape).astype(np.int16)
+    x[~np.isin(np.arange(shape[0]), loud)] >>= 6
+    return DfpTensor(x, -15, 16)
+
+
+@pytest.mark.parametrize("tile_rows", [16, 60])
+def test_conv_engines_agree_across_tiles(monkeypatch, tile_rows):
+    # 25 output pixels per image: a 16-row tile holds less than one image,
+    # so each tile is one image; a 60-row tile holds two.  Either way the
+    # 7 images span at least 4 tiles, and the loud images 0, 3 and 6 put
+    # flagged rows into more than one of them.
+    monkeypatch.setattr(kernels, "_TILE_ROWS", tile_rows)
+    rng = np.random.default_rng(3950)
+    spec = ConvSpec(32, 20, 5, 5, 3, 3, 1, 1)
+    inp = _tile_operand(rng, (7, 32, 5, 5), loud=[0, 3, 6])
+    wt = DfpTensor(rng.integers(-32767, 32768, (20, 32, 3, 3)).astype(np.int16), -15, 16)
+    blk = BlockingParams(icblk=16, rb_size=8)       # two chains per output
+    pol = Empirical(shadow_check=True)
+
+    def run(engine):
+        dbg = []
+        out, st = conv_fprop(inp, pack_weights(wt, spec), spec, blk, pol, engine, dbg)
+        return out, st, dbg
+
+    stats = _engines_agree_over_tiles(run)
+    assert stats.overflow_count > 0
+    # one spill per register block of the whole call, ceil(175 / 8) = 22 of
+    # them per (16-lane block, chain), not a sum over tiles
+    assert stats.spill_count == 22 * 2 * 2
+
+
+def test_gemm_engines_agree_across_tiles(monkeypatch):
+    # A GEMM row is a single-pixel image: 4-row tiles split 13 rows into 4.
+    monkeypatch.setattr(kernels, "_TILE_ROWS", 4)
+    rng = np.random.default_rng(3960)
+    a = _tile_operand(rng, (13, 48), loud=[1, 6, 12])
+    b = DfpTensor(rng.integers(-32767, 32768, (48, 20)).astype(np.int16), -15, 16)
+    blk = BlockingParams(icblk=16, rb_size=3)       # three chains per output
+    pol = Empirical(shadow_check=True)
+
+    def run(engine):
+        dbg = []
+        out, st = gemm_dfp(a, b, blk, pol, engine, dbg)
+        return out, st, dbg
+
+    stats = _engines_agree_over_tiles(run)
+    assert stats.overflow_count > 0
+    assert stats.spill_count == 5 * 2 * 3          # ceil(13 / 3) = 5
 
 
 def test_strict_policy_safe_on_adversarial_data():

@@ -881,6 +881,22 @@ def test_train_loop_divergence_report():
         assert {"layer", "min", "max", "finite_fraction"} <= set(entry)
 
 
+def test_non_finite_batch_names_layer_role_phase_and_iteration():
+    # A NaN batch reaches the first DFP layer's Q_a; the error says where.
+    cfg = parse_config({"layers": [
+        {"type": "fc", "out_features": 8, "precision": "dfp"},
+        {"type": "relu"},
+        {"type": "fc", "out_features": 2, "precision": "fp32"}],
+        "loss": "softmax_xent", "epochs": 1, "batch_size": 8})
+    ctx = RunContext(q=make_quantizers(cfg, seed=5))
+    model = build_model(cfg, (4,), ctx, np.random.default_rng(5))
+    x, y = _toy_data()
+    x[:] = np.nan
+    with pytest.raises(ValueError, match=r"^fc1 q_a, train phase, iteration 0: "
+                                         r"tensor contains NaN or Inf$"):
+        train_loop(model, cfg, x, y, x, y, seed=5)
+
+
 def test_evaluate_accuracy():
     ctx = make_ctx()
     fc = Dense(ctx, "fc1", 2, 2, precision="fp32", bias=True,

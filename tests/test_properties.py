@@ -11,6 +11,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import dfp.tensor
 from dfp.arith import AccumTensor, Empirical, down_convert
 from dfp.kernels import (BlockingParams, ConvSpec, col2im, conv_fprop,
                          gemm_dfp, im2col, pack_weights)
@@ -235,6 +236,26 @@ def test_quantize_matches_float64_formula(f, p, pre_shift, mode):
     cfg = QuantConfig(p, mode, min(pre_shift, p - 2))
     t = quantize(f, cfg, tensor_id=3)
     assert t.elements.tobytes() == _quantize_f64(f, t.shared_exponent, cfg, 3).tobytes()
+
+
+_SMALL_BLOCK = 64
+
+
+@pytest.mark.parametrize("size", [_SMALL_BLOCK - 1, _SMALL_BLOCK, _SMALL_BLOCK + 1,
+                                  2 * _SMALL_BLOCK + 3])
+@pytest.mark.parametrize("mode", [Nearest(), Biased(), Stochastic(seed=7)], ids=repr)
+def test_quantize_blocks_match_float64_formula(monkeypatch, size, mode):
+    # quantize rounds in blocks; at sizes around the block edges every
+    # element is the one the whole-tensor float64 reference gives it, whose
+    # stochastic draws are _philox_uniforms' stream in one piece.
+    monkeypatch.setattr(dfp.tensor, "_BLOCK", _SMALL_BLOCK)
+    rng = np.random.default_rng(size)
+    f = (rng.standard_normal((size, 1)) * 2.0 ** rng.integers(-20, 4, (size, 1)))
+    f = f.astype(np.float32)
+    cfg = QuantConfig(16, mode, 1)
+    t = quantize(f, cfg, tensor_id=9)
+    assert t.elements.shape == f.shape
+    assert t.elements.tobytes() == _quantize_f64(f, t.shared_exponent, cfg, 9).tobytes()
 
 
 @pytest.mark.parametrize("es", [-128, -127, -1, 0, 1, 126, 127])

@@ -43,6 +43,53 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 
 
+def private_definitions(tree: ast.Module):
+    """(line, name) of each _private name the module binds at top level:
+    functions, classes and assignment targets; dunders are not private."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def referenced_names(tree: ast.Module):
+    """Every name the module reads, as a bare name or an attribute, or
+    imports from another module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_private_name_check_sees_each_binding():
+    tree = ast.parse("_A = 1\n_B: int = 2\n__all__ = []\ndef _f(): return _A\n"
+                     "class _C: pass\nx = y._C")
+    assert private_definitions(tree) == [(1, "_A"), (2, "_B"), (4, "_f"), (5, "_C")]
+    assert {"_A", "_C"} <= referenced_names(tree)
+    assert not {"_B", "_f"} & referenced_names(tree)
+
+
+def test_no_unused_private_names():
+    # A module-level _private name that nothing in the package reads is dead
+    # code, such as a constant or buffer left behind by a refactor.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*(referenced_names(tree) for tree in trees.values()))
+    unused = [(name, line, private) for name, tree in trees.items()
+              for line, private in private_definitions(tree) if private not in used]
+    assert unused == []
+
+
 def test_bench_files_report_the_end_to_end_metrics():
     # Each BENCH_<workload>.json entry is one side of a before/after
     # comparison: a commit, the run length and seeds, the provenance line,
