@@ -5,7 +5,7 @@ from .arith import (AccumTensor, Empirical, OverflowPolicy, Strict, dfp_add,
                     shadow_enabled, spill_to_fp32)
 from .kernels import (BlockingParams, ConvSpec, KernelStats, PackedWeights,
                       chain_length, conv_fprop, default_blocking, gemm_dfp,
-                      overhead_ratio, pack_weights, unpack_weights, vnni_madd)
+                      overhead_ratio, pack_weights, vnni_madd)
 from .tensor import (Biased, DfpTensor, Nearest, QuantConfig, RoundingMode,
                      Stochastic, dequantize, extract_exponent, quantize,
                      round_value, rounding_from_name, shared_exponent,
@@ -19,7 +19,7 @@ __all__ = [
     "dfp_multiply", "down_convert", "extract_exponent", "gemm_dfp", "lzc",
     "overhead_ratio", "pack_weights", "quantize", "round_value",
     "rounding_from_name", "safe_chain_length", "shadow_enabled",
-    "shared_exponent", "spill_to_fp32", "unpack_weights", "vnni_madd",
+    "shared_exponent", "spill_to_fp32", "vnni_madd",
 ]
 
 __version__ = "0.1.0"

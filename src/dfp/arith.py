@@ -17,7 +17,7 @@ excursion beyond the signed 32-bit range.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -80,6 +80,21 @@ class Empirical:
 
 
 OverflowPolicy = Union[Strict, Empirical]
+POLICIES = ("empirical", "strict")
+
+
+def policy_from_name(name: str, max_chain: Optional[int] = None, chain_block: int = 208,
+                     shadow_check: bool = False) -> OverflowPolicy:
+    """Map a policy name, one of POLICIES, to an OverflowPolicy value;
+    strict needs max_chain, empirical reads chain_block."""
+    if name not in POLICIES:
+        raise ValueError(f"unknown overflow policy {name!r}; "
+                         f"expected one of {', '.join(POLICIES)}")
+    if name == "empirical":
+        return Empirical(chain_block=chain_block, shadow_check=shadow_check)
+    if max_chain is None:
+        raise ValueError("strict policy requires max_chain")
+    return Strict(max_chain=max_chain, shadow_check=shadow_check)
 
 
 def shadow_enabled(policy: OverflowPolicy) -> bool:
@@ -186,6 +201,16 @@ def safe_chain_length(bit_width: int, pre_shift: int) -> int:
     check_format(bit_width, pre_shift)
     m = (1 << (bit_width - 1 - pre_shift)) - 1
     return INT32_MAX // (m * m)
+
+
+def check_strict_chain(chain: int, max_a: int, max_b: int) -> None:
+    """Strict's magnitude rule: a chain of `chain` products of operands up
+    to max_a and max_b in magnitude must not be able to leave int32."""
+    if max_a * max_b * chain > INT32_MAX:
+        raise ValueError(
+            f"Strict policy infeasible: chain {chain} of products up to "
+            f"{max_a}*{max_b} can overflow int32; safe_chain_length for these "
+            f"magnitudes is {INT32_MAX // (max_a * max_b)}")
 
 
 def fp32_scale(es: int) -> np.float32:

@@ -18,6 +18,8 @@ import argparse
 import sys
 
 from . import experiments, fileio
+from .arith import POLICIES
+from .kernels import ENGINES
 from .tensor import ROUNDING_MODES, DfpTensor, QuantConfig, quantize, rounding_from_name
 from .training import TrainingDivergence
 
@@ -40,14 +42,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def bench_common(p):
         p.add_argument("--icblk", type=int, default=None)
         p.add_argument("--rb", type=int, default=28)
-        p.add_argument("--policy", default="empirical",
-                       choices=("strict", "empirical"))
+        p.add_argument("--policy", default="empirical", choices=POLICIES)
         p.add_argument("--pre-shift", type=int, default=1)
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dist", default="gaussian",
                        choices=("gaussian", "adversarial"))
-        p.add_argument("--engine", default="fast", choices=("fast", "instructions"))
+        p.add_argument("--engine", default="fast", choices=tuple(ENGINES))
         p.add_argument("--out", default=None, metavar="CSV",
                        help="also write rows to a CSV file")
 
@@ -71,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, metavar="CSV")
     t.add_argument("--checkpoint", default=None, metavar="DIR")
-    t.add_argument("--engine", default="fast", choices=("fast", "instructions"))
+    t.add_argument("--engine", default="fast", choices=tuple(ENGINES))
 
     c = sub.add_parser("compare", help="compare two metrics files")
     c.add_argument("--a", required=True, metavar="CSV", help="reference run")

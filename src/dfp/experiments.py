@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import Empirical, Strict
+from .arith import policy_from_name
 from .datasets import DatasetHandle, make_dataset
 from .fileio import save_checkpoint, write_metrics
 from .kernels import (ConvSpec, chain_length, conv_fprop, default_blocking, gemm_dfp,
@@ -121,12 +121,7 @@ def _bench_rows(spec: ConvSpec, shapes, kernel, oracle, icblk: Optional[int],
     m counts output rows, the leading dimension of shapes[0] times OH*OW."""
     blk = default_blocking(spec, rb_size=rb, icblk=icblk)
     chain = chain_length(spec, blk)
-    if policy == "strict":
-        pol = Strict(max_chain=chain, shadow_check=True)
-    elif policy == "empirical":
-        pol = Empirical(shadow_check=True)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    pol = policy_from_name(policy, max_chain=chain, shadow_check=True)
     rows = []
     for trial in range(trials):
         a, b = _bench_operands(*shapes, dist, pre_shift, seed + trial)
@@ -169,12 +164,13 @@ def run_bench_conv(shape: Tuple[int, int, int, int, int, int, int, int],
                    trials: int = 1, seed: int = 0, dist: str = "gaussian",
                    engine: str = "fast", n_batch: int = 1) -> List[dict]:
     """Convolution benchmark; shape = (C, K, H, W, KH, KW, stride, pad).
-    wall_ms includes the weight relayout (pack_weights)."""
+    wall_ms includes lowering the weights to the kernels' weight matrix
+    (pack_weights), as a training run does once per weight update."""
     c, k, h, w, kh, kw, stride, pad = shape
     spec = ConvSpec(c, k, h, w, kh, kw, stride, pad)
     return _bench_rows(
         spec, ((n_batch, c, h, w), (k, c, kh, kw)),
-        lambda a, b, blk, pol: conv_fprop(a, pack_weights(b, spec), spec, blk, pol,
+        lambda a, b, blk, pol: conv_fprop(a, pack_weights(b), spec, blk, pol,
                                           engine),
         lambda x, wt: _conv_oracle_f64(x, wt, stride, pad),
         icblk, rb, policy, pre_shift, trials, seed, dist)

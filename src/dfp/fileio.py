@@ -199,19 +199,52 @@ def save_checkpoint(directory: str, model, manifest_extra: dict) -> None:
 
 
 def load_checkpoint(directory: str) -> Tuple[dict, Dict[str, Dict[str, np.ndarray]]]:
-    """Returns (manifest, {layer_name: {tensor_name: array}})."""
-    with open(os.path.join(directory, "manifest.json")) as fh:
+    """Returns (manifest, {layer_name: {tensor_name: array}}).
+
+    A manifest that is not a JSON object of save_checkpoint's shape is a
+    ValueError naming the offending key, and so is a tensor file name that
+    does not name a file directly in the checkpoint directory, or names a
+    quantized one."""
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, "
+                         f"got {type(manifest).__name__}")
     if manifest.get("format") != "dfp-checkpoint-v1":
         raise ValueError(f"{directory}: unknown checkpoint format "
                          f"{manifest.get('format')!r}")
+    root = os.path.realpath(directory)
     tensors: Dict[str, Dict[str, np.ndarray]] = {}
-    for entry in manifest["entries"]:
+    for i, entry in enumerate(_manifest_value(path, manifest, "entries", list)):
+        where = f"entries[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: {where} must be dict, got {type(entry).__name__}")
+        files = _manifest_value(path, entry, "tensors", dict, where)
         loaded = {}
-        for pname, fname in entry["tensors"].items():
-            loaded[pname] = read_dft(os.path.join(directory, fname))
-        tensors[entry["layer"]] = loaded
+        for pname in files:
+            fname = _manifest_value(path, files, pname, str, f"{where}.tensors")
+            full = os.path.realpath(os.path.join(root, fname))
+            if os.path.dirname(full) != root:
+                raise ValueError(f"{path}: {where}.tensors.{pname}: {fname!r} is not "
+                                 f"a file in the checkpoint directory")
+            loaded[pname] = read_dft(full)
+            if isinstance(loaded[pname], DfpTensor):
+                raise ValueError(f"{path}: {where}.tensors.{pname}: {fname!r} holds a "
+                                 f"quantized tensor; checkpoints hold FP32 masters")
+        tensors[_manifest_value(path, entry, "layer", str, where)] = loaded
     return manifest, tensors
+
+
+def _manifest_value(path: str, obj: dict, key: str, kind: type, where: str = ""):
+    # obj[key], which must exist and be of type kind
+    name = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise ValueError(f"{path}: missing key {name!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{path}: {name} must be {kind.__name__}, "
+                         f"got {type(obj[key]).__name__}")
+    return obj[key]
 
 
 def restore_model(model, tensors: Dict[str, Dict[str, np.ndarray]]) -> None:

@@ -8,22 +8,20 @@ whose semantics are exactly this loop (wrapping 32-bit arithmetic):
             vout[o] += vinp2[v][2*o] * mem[2*v] + vinp2[v][2*o+1] * mem[2*v+1]
 
 One instruction therefore accumulates 8 products into each of 16 int32
-output lanes.  Convolution weights are packed into the layout
-
-    [C/16][K/16][KH][KW][8][16][2]
-
-where the trailing 2 spans consecutive input channels, so each (kh, kw)
-step of a 16-input-channel block feeds two madd instructions per 16 output
-channels.  Reductions run in a fixed order, input-channel block major, then
-kernel row, column, and 8-channel half.  The running int32 sum is spilled
-into an FP32 accumulator (scaled by 2**(E_inp + E_wt)) every `icblk*KH*KW`
-products; this chain length is the overflow-management knob.
+output lanes.  Reductions run in a fixed order, input-channel block major,
+then kernel row, column, and 8-channel half.  The running int32 sum is
+spilled into an FP32 accumulator (scaled by 2**(E_inp + E_wt)) every
+`icblk*KH*KW` products; this chain length is the overflow-management knob.
 
 Every pass is lowered to one operand pair: an (M, L) patch matrix from
-im2col whose columns follow the madd order, and an (L, Kpad) weight
-matrix with rows in the same order.  The packed layout is conv_fprop's
-input format, lowered to the weight matrix once per call; a GEMM's A and
-B operands are the pair itself, zero-padded to whole 16-lane groups.  Two
+im2col whose columns follow the madd order, and an (L, Kpad) int16 weight
+matrix with rows in the same order.  For (K, C, KH, KW) convolution weights
+pack_weights builds that matrix once per weight update: input channel c at
+tap (kh, kw) is row ((c//16 * KH + kh) * KW + kw) * 16 + c%16, output
+channel k is column k, and both channel counts are zero-padded to
+multiples of 16.  Each 8-row half of a 16-row group is the vinp2 operand
+of one madd, consecutive rows pairing in its lanes.  A GEMM's A and B
+operands are the pair itself, zero-padded to whole 16-lane groups.  Two
 engines, chosen by name, read the same pair and produce bit-identical
 outputs and statistics:
 
@@ -76,7 +74,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .arith import (INT32_MAX, INT32_MIN, Empirical, OverflowPolicy, Strict,
-                    fp32_scale, shadow_enabled)
+                    check_strict_chain, fp32_scale, shadow_enabled)
 from .tensor import DfpTensor, max_abs
 
 # Output rows per fast-engine tile, rounded down to whole images (at least
@@ -253,51 +251,32 @@ def _madd_contrib64(mem: np.ndarray, vinp2: np.ndarray) -> np.ndarray:
     return m[0::2] @ even + m[1::2] @ odd
 
 
-# === weight packing ===
+# === weight lowering ===
 
 
 @dataclasses.dataclass(frozen=True)
 class PackedWeights:
-    """Weights relaid as [C/16][K/16][KH][KW][8][16][2] int16.
-
-    The trailing dimension spans two consecutive input channels, matching
-    the pairing consumed by vnni_madd.  Channel counts are zero-padded to
-    multiples of 16; out_ch/in_ch record the original sizes.
-    """
+    """(K, C, KH, KW) weights lowered to the (L, Kpad) int16 weight matrix
+    the kernels read (see the module docstring for its row order), with
+    the shared exponent and the shape before lowering."""
 
     data: np.ndarray
     shared_exponent: int
     bit_width: int
-    out_ch: int
-    in_ch: int
+    shape: Tuple[int, int, int, int]
 
 
-def pack_weights(weights: DfpTensor, spec: ConvSpec) -> PackedWeights:
-    """Relayout (K, C, KH, KW) weights for the blocked kernels.
-
-    Element W[k][c][r][s] lands at packed index
-    ([c//16], [k//16], r, s, (c%16)//2, k%16, c%2).
-    """
+def pack_weights(weights: DfpTensor) -> PackedWeights:
+    """Lower (K, C, KH, KW) weights to the kernels' weight matrix: element
+    W[k][c][r][s] lands at row ((c//16 * KH + r) * KW + s) * 16 + c%16,
+    column k; padded channels are zero."""
     w = weights.elements
-    if w.shape != (spec.out_ch, spec.in_ch, spec.kh, spec.kw):
-        raise ValueError(
-            f"weights shape {w.shape} does not match spec "
-            f"({spec.out_ch}, {spec.in_ch}, {spec.kh}, {spec.kw})")
-    kpad = _ceil_to(spec.out_ch, 16)
-    cpad = _ceil_to(spec.in_ch, 16)
-    wp = np.zeros((kpad, cpad, spec.kh, spec.kw), np.int16)
-    wp[: spec.out_ch, : spec.in_ch] = w
-    arr = wp.reshape(kpad // 16, 16, cpad // 16, 8, 2, spec.kh, spec.kw)
-    packed = arr.transpose(2, 0, 5, 6, 3, 1, 4).copy()
-    return PackedWeights(packed, weights.shared_exponent, weights.bit_width,
-                         spec.out_ch, spec.in_ch)
-
-
-def unpack_weights(pw: PackedWeights) -> DfpTensor:
-    """Inverse relayout; padded channels are dropped."""
-    c16, k16, kh, kw = pw.data.shape[:4]
-    wp = pw.data.transpose(1, 5, 0, 4, 6, 2, 3).reshape(k16 * 16, c16 * 16, kh, kw)
-    return DfpTensor(wp[: pw.out_ch, : pw.in_ch].copy(), pw.shared_exponent, pw.bit_width)
+    k, c, kh, kw = w.shape
+    kpad, cpad = _ceil_to(k, 16), _ceil_to(c, 16)
+    wp = np.zeros((kpad, cpad, kh, kw), np.int16)
+    wp[:k, :c] = w
+    mat = wp.reshape(kpad, cpad // 16, 16, kh, kw).transpose(1, 3, 4, 2, 0).reshape(-1, kpad)
+    return PackedWeights(mat, weights.shared_exponent, weights.bit_width, w.shape)
 
 
 # === lowering ===
@@ -367,7 +346,7 @@ class _Plan:
     chunk_bounds: List[Tuple[int, int]]  # madd index ranges per chain
     scale: np.float32
     shadow: bool
-    engine: str                  # a key of _ENGINES
+    engine: str                  # a key of ENGINES
 
     @property
     def m(self) -> int:
@@ -383,14 +362,7 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
         blk = default_blocking(spec, policy)
     chain = chain_length(spec, blk, policy)
     if isinstance(policy, Strict):
-        maxa = max_abs(a) if a.size else 0
-        maxb = max_abs(b) if b.size else 0
-        if maxa * maxb * chain > INT32_MAX:
-            safe = INT32_MAX // (maxa * maxb) if maxa * maxb else INT32_MAX
-            raise ValueError(
-                f"Strict policy infeasible: chain {chain} of products up to "
-                f"{maxa}*{maxb} can overflow int32; safe_chain_length for these "
-                f"magnitudes is {safe}")
+        check_strict_chain(chain, max_abs(a) if a.size else 0, max_abs(b) if b.size else 0)
     scale = fp32_scale(es)
 
     k16 = _ceil_to(spec.out_ch, 16) // 16
@@ -398,8 +370,8 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
     madds = _ceil_to(spec.in_ch, 16) // 8 * spec.kh * spec.kw
     chain_madds = chain // 8
     bounds = [(i, min(i + chain_madds, madds)) for i in range(0, madds, chain_madds)]
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; use one of {sorted(_ENGINES)}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; use one of {sorted(ENGINES)}")
     pixels = spec.oh * spec.ow
     return _Plan(blk, images, pixels, max(1, _TILE_ROWS // pixels), k16,
                  k16 * 16, madds, bounds, scale, shadow_enabled(policy), engine)
@@ -555,7 +527,8 @@ def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, op: _ChainOperand,
     return int(np.any((run > INT32_MAX) | (run < INT32_MIN), axis=0).sum())
 
 
-_ENGINES = {"instructions": _run_instr, "fast": _run_fast}
+# The engines by name; every list of engine names is read from here.
+ENGINES = {"instructions": _run_instr, "fast": _run_fast}
 
 
 # === public kernel entry points ===
@@ -567,7 +540,8 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
                engine: str = "fast",
                debug_partials: Optional[list] = None
                ) -> Tuple[np.ndarray, KernelStats]:
-    """Forward convolution of a DFP input with packed DFP weights.
+    """Forward convolution of a DFP input with DFP weights lowered by
+    pack_weights.
 
     Returns the FP32 output (N, K, OH, OW) plus instruction statistics.
     INT32 partial chains of icblk*KH*KW products are spilled into FP32 with
@@ -580,23 +554,21 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
         raise ValueError(f"input must be NCHW, got shape {inp.shape}")
     if x.shape[1:] != (spec.in_ch, spec.h, spec.w):
         raise ValueError(f"input shape {inp.shape} does not match spec")
-    c16 = _ceil_to(spec.in_ch, 16) // 16
-    k16 = _ceil_to(spec.out_ch, 16) // 16
-    if weights.data.shape != (c16, k16, spec.kh, spec.kw, 8, 16, 2):
-        raise ValueError(f"packed weights shape {weights.data.shape} does not match spec")
+    if weights.shape != (spec.out_ch, spec.in_ch, spec.kh, spec.kw):
+        raise ValueError(
+            f"weights shape {weights.shape} does not match spec "
+            f"({spec.out_ch}, {spec.in_ch}, {spec.kh}, {spec.kw})")
     n = x.shape[0]
     plan = _make_plan(spec, blk, policy, engine, n, x, weights.data,
                       inp.shared_exponent + weights.shared_exponent)
-    # (L, Kpad) weight matrix in the same (cb, kh, kw, cc) row order.
-    wmat = weights.data.transpose(0, 2, 3, 4, 6, 1, 5).reshape(-1, plan.kpad)
     out = np.empty((n, spec.out_ch, spec.oh, spec.ow), np.float32)
 
     def store(i0: int, i1: int, rows: np.ndarray) -> None:
         out[i0:i1] = rows[:, : spec.out_ch].reshape(
             i1 - i0, spec.oh, spec.ow, spec.out_ch).transpose(0, 3, 1, 2)
 
-    stats = _ENGINES[plan.engine](plan, lambda i0, i1: im2col(x[i0:i1], spec, 16),
-                                  wmat, store, debug_partials)
+    stats = ENGINES[plan.engine](plan, lambda i0, i1: im2col(x[i0:i1], spec, 16),
+                                 weights.data, store, debug_partials)
     return out, stats
 
 
@@ -629,7 +601,7 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
     def store(i0: int, i1: int, rows: np.ndarray) -> None:
         out[i0:i1] = rows[:, :n]
 
-    stats = _ENGINES[plan.engine](
+    stats = ENGINES[plan.engine](
         plan, lambda i0, i1: _zero_pad(a.elements[i0:i1], (i1 - i0, cpad)),
         _zero_pad(b.elements, (cpad, plan.kpad)), store, debug_partials)
     return out, stats

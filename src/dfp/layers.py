@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from .arith import Empirical, OverflowPolicy
-from .kernels import (BlockingParams, ConvSpec, KernelStats, col2im, conv_fprop,
-                      default_blocking, gemm_dfp, im2col, pack_weights)
+from .kernels import (BlockingParams, ConvSpec, KernelStats, PackedWeights, col2im,
+                      conv_fprop, default_blocking, gemm_dfp, im2col, pack_weights)
 from .tensor import DfpTensor, QuantConfig, dequantize, quantize
 
 Activation = Union[np.ndarray, DfpTensor]
@@ -100,11 +100,10 @@ class RunContext:
     def blocking_for(self, spec: ConvSpec) -> BlockingParams:
         return default_blocking(spec, self.policy, self.rb_size, self.icblk)
 
-    def conv(self, x: DfpTensor, w_q: DfpTensor, spec: ConvSpec) -> np.ndarray:
-        """conv_fprop of x with (K, C, KH, KW) weights w_q under this run's
-        blocking, policy and engine; its counters join the run's."""
-        out, st = conv_fprop(x, pack_weights(w_q, spec), spec, self.blocking_for(spec),
-                             self.policy, self.engine)
+    def conv(self, x: DfpTensor, w: PackedWeights, spec: ConvSpec) -> np.ndarray:
+        """conv_fprop of x with lowered weights w under this run's blocking,
+        policy and engine; its counters join the run's."""
+        out, st = conv_fprop(x, w, spec, self.blocking_for(spec), self.policy, self.engine)
         self.stats.merge(st)
         return out
 
@@ -203,7 +202,8 @@ class WeightedLayer(Layer):
 
 
 class Conv(WeightedLayer):
-    """2D convolution; FP32 master weights, optionally a DFP compute path."""
+    """2D convolution; FP32 master weights, optionally a DFP compute path,
+    whose weight matrices are lowered once per update (refresh_quantized)."""
 
     def __init__(self, ctx, name, in_ch, out_ch, kernel, stride=1, pad=0,
                  precision="dfp", bias=False, first=False, rng=None):
@@ -218,16 +218,43 @@ class Conv(WeightedLayer):
         self.stride, self.pad = stride, pad
         self.first = first  # the input layer skips the input-gradient pass
         self._spec_cache: Optional[ConvSpec] = None
+        self.w_fwd: Optional[PackedWeights] = None   # forward weight matrix
+        self.w_bwd: Optional[PackedWeights] = None   # flipped, for bprop
 
     def _spec(self, h, w) -> ConvSpec:
         return ConvSpec(self.in_ch, self.out_ch, h, w, self.kh, self.kw,
                         self.stride, self.pad)
 
+    def _bprop_spec(self, spec: ConvSpec) -> ConvSpec:
+        # the errors, dilated by the stride, convolved with pad kernel-1-pad
+        return ConvSpec(self.out_ch, self.in_ch, (spec.oh - 1) * self.stride + 1,
+                        (spec.ow - 1) * self.stride + 1, self.kh, self.kw, 1,
+                        self.kh - 1 - self.pad)
+
+    def pass_specs(self, spec: ConvSpec, n: int) -> List[ConvSpec]:
+        """The kernel call of each DFP pass on n images of geometry spec:
+        fprop, wgrad and, unless first (or padded beyond kernel-1), bprop."""
+        specs = [spec, ConvSpec(n * spec.oh * spec.ow, self.in_ch * self.kh * self.kw,
+                                1, 1, 1, 1)]
+        if not self.first and self.pad <= self.kh - 1:
+            specs.append(self._bprop_spec(spec))
+        return specs
+
+    def refresh_quantized(self):
+        super().refresh_quantized()
+        if self.precision == "dfp":
+            w = self.w_q
+            self.w_fwd = pack_weights(w)
+            if not self.first:   # taps flipped, channels transposed
+                flipped = w.elements[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                self.w_bwd = pack_weights(DfpTensor(flipped, w.shared_exponent, w.bit_width))
+
     def forward(self, x, train):
         if self.precision == "dfp":
             a_q = x if isinstance(x, DfpTensor) else self.ctx.q.q_a(self.name, to_fp32(x))
             spec = self._spec(a_q.shape[2], a_q.shape[3])
-            out = self.ctx.conv(a_q, self._quantized_weights(), spec)
+            self._quantized_weights()               # lowers w_fwd on first use
+            out = self.ctx.conv(a_q, self.w_fwd, spec)
             self._a_q, self._cols, self._spec_cache = a_q, None, spec
         else:
             xf = to_fp32(x)
@@ -263,14 +290,8 @@ class Conv(WeightedLayer):
                 return np.zeros((n, self.in_ch, spec.h, spec.w), np.float32)
             # Input gradient: convolve dilated errors with the flipped,
             # channel-transposed quantized weights.
-            ed = _dilate_errors(e_q, self.stride)
-            wf = DfpTensor(
-                np.ascontiguousarray(
-                    self.w_q.elements[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)),
-                self.w_q.shared_exponent, self.w_q.bit_width)
-            bspec = ConvSpec(self.out_ch, self.in_ch, ed.shape[2], ed.shape[3],
-                             self.kh, self.kw, 1, self.kh - 1 - self.pad)
-            return self.ctx.conv(ed, wf, bspec)
+            return self.ctx.conv(_dilate_errors(e_q, self.stride), self.w_bwd,
+                                 self._bprop_spec(spec))
         g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, self.out_ch)
         self.gW = (g_mat.T @ self._cols).reshape(self.W.shape)
         if self.first:
@@ -285,6 +306,12 @@ class Dense(WeightedLayer):
                  bias=True, rng=None):
         super().__init__(ctx, name, (out_features, in_features), precision, bias, rng)
         self.in_features, self.out_features = in_features, out_features
+
+    def pass_specs(self, n: int) -> List[ConvSpec]:
+        """The GEMM of each DFP pass on n samples: fprop, wgrad, bprop."""
+        return [ConvSpec(kk, nn, 1, 1, 1, 1) for kk, nn in (
+            (self.in_features, self.out_features), (n, self.in_features),
+            (self.out_features, self.in_features))]
 
     def forward(self, x, train):
         if len(x.shape) != 2:
@@ -508,10 +535,6 @@ class Residual(Layer):
         for l in self.body:
             yield from l.iter_layers()
 
-    def refresh_quantized(self):
-        for l in self.body:
-            l.refresh_quantized()
-
     def forward(self, x, train):
         x0 = to_fp32(x)
         y = x
@@ -566,7 +589,7 @@ class Model:
             yield from l.iter_layers()
 
     def refresh_quantized(self):
-        for l in self.layers:
+        for l in self.iter_layers():
             l.refresh_quantized()
 
     def forward(self, x: np.ndarray, train: bool = True, trace: Optional[list] = None):

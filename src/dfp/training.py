@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .arith import Empirical, OverflowPolicy, Strict
-from .kernels import BlockingParams, ConvSpec
+from .arith import OverflowPolicy, Strict, check_strict_chain, policy_from_name
+from .kernels import BlockingParams, ConvSpec, chain_length
 from .layers import (AvgPool, BatchNorm, Conv, Dense, Flatten, Layer, MaxPool,
                      Model, Quantizers, ReLU, Residual, RunContext, to_fp32)
 from .tensor import QuantConfig, rounding_from_name
@@ -129,13 +129,7 @@ def parse_config(raw: dict) -> TrainConfig:
 
 
 def make_policy(cfg: TrainConfig) -> OverflowPolicy:
-    if cfg.policy == "empirical":
-        return Empirical(chain_block=cfg.chain_block, shadow_check=cfg.shadow_check)
-    if cfg.policy != "strict":
-        raise ValueError(f"unknown overflow policy {cfg.policy!r}")
-    if cfg.max_chain is None:
-        raise ValueError("strict policy requires max_chain")
-    return Strict(max_chain=cfg.max_chain, shadow_check=cfg.shadow_check)
+    return policy_from_name(cfg.policy, cfg.max_chain, cfg.chain_block, cfg.shadow_check)
 
 
 def make_quantizers(cfg: TrainConfig, seed: int) -> Quantizers:
@@ -160,9 +154,12 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
 
     precision "fp32" forces every layer to the FP32 path; "dfp16" honors
     per-layer precision fields (default "dfp" for conv/fc/batchnorm).  In
-    both modes a conv or fc whose own precision is "dfp" gets its forward
-    blocking checked here, naming the layer; that chain bounds the bprop
-    (same KH x KW) and wgrad (1 x 1) chains.
+    both modes a conv or fc whose own precision is "dfp" gets the blocking
+    of each pass (fprop, wgrad at cfg.batch_size, bprop) checked here,
+    naming the layer.  Under Strict its longest chain must also pass the
+    kernels' magnitude check for the smallest maxima quantize can give a
+    nonzero tensor, 2**(P-2-pre_shift): a chain that cannot would fail at
+    the first DFP16 step whatever the data.
     """
     if precision not in ("fp32", "dfp16"):
         raise ValueError(f"unknown precision mode {precision!r}")
@@ -173,16 +170,24 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
         counters[kind] = counters.get(kind, 0) + 1
         return f"{kind}{counters[kind]}"
 
-    def layer_precision(key: _LayerKeys, spec: Optional[ConvSpec] = None) -> str:
+    least = 1 << (cfg.bit_width - 2 - cfg.pre_shift)
+
+    def mode(own: str) -> str:
+        return "fp32" if precision == "fp32" else own
+
+    def own_precision(key: _LayerKeys) -> str:
         own = key("precision", str, "dfp")
         if own not in ("dfp", "fp32"):
             raise ValueError(f"{key.where}: precision must be 'dfp' or 'fp32', got {own!r}")
-        if own == "dfp" and spec is not None:
-            try:
-                ctx.blocking_for(spec)
-            except ValueError as e:
-                raise ValueError(f"{key.where}: {e}") from None
-        return "fp32" if precision == "fp32" else own
+        return own
+
+    def check_chains(key: _LayerKeys, specs: List[ConvSpec]) -> None:
+        try:
+            chain = max(chain_length(s, ctx.blocking_for(s)) for s in specs)
+            if isinstance(ctx.policy, Strict):
+                check_strict_chain(chain, least, least)
+        except ValueError as e:
+            raise ValueError(f"{key.where}: {e}") from None
 
     def build(specs: List[dict], shape, path: str,
               first_conv_seen=[False]) -> Tuple[List[Layer], tuple]:
@@ -202,26 +207,28 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                     raise ValueError(f"{key.where}: {e}") from None
                 first = not first_conv_seen[0]
                 first_conv_seen[0] = True
-                own, bias = layer_precision(key, cspec), key("bias", bool, False)
+                own, bias = own_precision(key), key("bias", bool, False)
                 try:
                     layer = Conv(ctx, name, cspec.in_ch, cspec.out_ch, k, cspec.stride, pad,
-                                 precision=own, bias=bias, first=first, rng=rng)
+                                 precision=mode(own), bias=bias, first=first, rng=rng)
                 except ValueError as e:
                     raise ValueError(f"{key.where}: {e}") from None
+                if own == "dfp":
+                    check_chains(key, layer.pass_specs(cspec, cfg.batch_size))
                 shape = (cspec.out_ch, cspec.oh, cspec.ow)
             elif kind == "fc":
                 feat = int(np.prod(shape))
                 if len(shape) != 1:
                     raise ValueError(f"{key.where}: requires flattened input, have {shape}")
-                out_features = key("out_features", int, lo=1)
+                out_features, own = key("out_features", int, lo=1), own_precision(key)
                 layer = Dense(ctx, key("name", str, fresh_name("fc")), feat, out_features,
-                              precision=layer_precision(
-                                  key, ConvSpec(feat, out_features, 1, 1, 1, 1)),
-                              bias=key("bias", bool, True), rng=rng)
+                              precision=mode(own), bias=key("bias", bool, True), rng=rng)
+                if own == "dfp":
+                    check_chains(key, layer.pass_specs(cfg.batch_size))
                 shape = (out_features,)
             elif kind == "batchnorm":
                 layer = BatchNorm(ctx, key("name", str, fresh_name("bn")),
-                                  shape[0], precision=layer_precision(key),
+                                  shape[0], precision=mode(own_precision(key)),
                                   eps=key("eps", float, 1e-5),
                                   momentum=key("momentum", float, 0.1))
             elif kind == "relu":

@@ -271,7 +271,7 @@ def test_kernel_oracle_equivalence(capsys):
     w = rng.standard_normal((32, 32, 3, 3)).astype(np.float32)
     qx, qw = quantize(x, cfg, tensor_id=3), quantize(w, cfg, tensor_id=4)
     spec = ConvSpec(32, 32, 14, 14, 3, 3, 1, 1)
-    pw = pack_weights(qw, spec)
+    pw = pack_weights(qw)
     wide = _conv_exact64(qx.elements, qw.elements, spec)
     out = None
     for eng in ("fast", "instructions"):
@@ -323,7 +323,7 @@ def test_overflow_claims(capsys):
             el = ((patt_rng.integers(0, 2, el.shape) * 2 - 1) * m).astype(np.int16)
             wl = ((patt_rng.integers(0, 2, wl.shape) * 2 - 1) * m).astype(np.int16)
         sp = ConvSpec(8, 16, 4, 4, 1, 1)
-        pwi = pack_weights(DfpTensor(wl, -15, 16), sp)
+        pwi = pack_weights(DfpTensor(wl, -15, 16))
         outs = []
         for eng in ("fast", "instructions"):
             o, st = conv_fprop(DfpTensor(el, -15, 16), pwi, sp,
@@ -351,7 +351,7 @@ def test_overflow_claims(capsys):
         xq = quantize(r.standard_normal((1, 24, 6, 6)).astype(np.float32), cfg)
         wq = quantize(r.standard_normal((16, 24, 3, 3)).astype(np.float32), cfg)
         sp = ConvSpec(24, 16, 6, 6, 3, 3, 1, 1)
-        _, st = conv_fprop(xq, pack_weights(wq, sp), sp, BlockingParams(icblk=24), pol)
+        _, st = conv_fprop(xq, pack_weights(wq), sp, BlockingParams(icblk=24), pol)
         emp_ovf += st.overflow_count
         n_inv += 1
         chains.add(24 * 9)
@@ -360,7 +360,7 @@ def test_overflow_claims(capsys):
         xq = quantize(r.standard_normal((1, 8, 8, 8)).astype(np.float32), cfg)
         wq = quantize(r.standard_normal((16, 8, 5, 5)).astype(np.float32), cfg)
         sp = ConvSpec(8, 16, 8, 8, 5, 5, 1, 2)
-        _, st = conv_fprop(xq, pack_weights(wq, sp), sp, BlockingParams(icblk=8), pol)
+        _, st = conv_fprop(xq, pack_weights(wq), sp, BlockingParams(icblk=8), pol)
         emp_ovf += st.overflow_count
         n_inv += 1
         chains.add(8 * 25)
@@ -370,7 +370,7 @@ def test_overflow_claims(capsys):
             xq = quantize(r.standard_normal((1, c, 3, 3)).astype(np.float32), cfg)
             wq = quantize(r.standard_normal((16, c, 1, 1)).astype(np.float32), cfg)
             sp = ConvSpec(c, 16, 3, 3, 1, 1)
-            _, st = conv_fprop(xq, pack_weights(wq, sp), sp, BlockingParams(icblk=c), pol)
+            _, st = conv_fprop(xq, pack_weights(wq), sp, BlockingParams(icblk=c), pol)
             emp_ovf += st.overflow_count
             n_inv += 1
             chains.add(c)
@@ -404,7 +404,7 @@ def test_overhead_accounting(capsys):
             blk = BlockingParams(icblk=c)
             xq = quantize(rng.standard_normal((1, c, 9, 9)).astype(np.float32), cfg)
             wq = quantize(rng.standard_normal((16, c, kh, kh)).astype(np.float32), cfg)
-            _, st = conv_fprop(xq, pack_weights(wq, spec), spec, blk, Empirical())
+            _, st = conv_fprop(xq, pack_weights(wq), spec, blk, Empirical())
             analytic = overhead_ratio(spec, blk)
             measured = Fraction(st.convert_count, st.fma_count)
             exact += int(analytic == measured == Fraction(16, c * kh * kh * 2))
@@ -418,7 +418,7 @@ def test_overhead_accounting(capsys):
         blk = default_blocking(spec, Empirical())
         xq = quantize(rng.standard_normal((1, c, 14, 14)).astype(np.float32), cfg)
         wq = quantize(rng.standard_normal((32, c, 3, 3)).astype(np.float32), cfg)
-        _, st = conv_fprop(xq, pack_weights(wq, spec), spec, blk, Empirical())
+        _, st = conv_fprop(xq, pack_weights(wq), spec, blk, Empirical())
         analytic = overhead_ratio(spec, blk)
         measured = Fraction(st.convert_count, st.fma_count)
         deep_ok = deep_ok and analytic == measured and analytic <= Fraction(3, 100)

@@ -13,10 +13,11 @@ from dfp.fileio import (METRICS_HEADER, load_checkpoint, read_dft,
                         read_idx_images, read_idx_labels, read_metrics,
                         restore_model, save_checkpoint, write_dft,
                         write_idx_images, write_idx_labels, write_metrics)
-from dfp.layers import RunContext
+from dfp.kernels import pack_weights
+from dfp.layers import Conv, RunContext
 from dfp.tensor import (DfpTensor, QuantConfig, dequantize, quantize,
                         rounding_from_name)
-from dfp.training import build_model, make_quantizers, parse_config
+from dfp.training import build_model, make_quantizers, parse_config, sgd_step
 
 # === tensor container ===
 
@@ -179,6 +180,93 @@ def test_restore_model_shape_mismatch(tmp_path):
                         np.random.default_rng(1))
     with pytest.raises(ValueError):
         restore_model(other, tensors)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: [m], "top level must be a JSON object, got list"),
+    (lambda m: {k: v for k, v in m.items() if k != "entries"}, "missing key 'entries'"),
+    (lambda m: dict(m, entries={}), "entries must be list, got dict"),
+    (lambda m: dict(m, entries=[7]), "entries[0] must be dict, got int"),
+    (lambda m: dict(m, entries=[{"layer": "conv1"}]), "missing key 'entries[0].tensors'"),
+    (lambda m: dict(m, entries=[{"layer": "conv1", "tensors": ["W"]}]),
+     "entries[0].tensors must be dict, got list"),
+    (lambda m: dict(m, entries=[{"layer": "conv1", "tensors": {"W": 3}}]),
+     "entries[0].tensors.W must be str, got int"),
+    (lambda m: dict(m, entries=[{"tensors": {}}]), "missing key 'entries[0].layer'"),
+    (lambda m: dict(m, entries=[{"layer": 1, "tensors": {}}]),
+     "entries[0].layer must be str, got int"),
+    # a readable tensor file outside the checkpoint directory is refused
+    (lambda m: dict(m, entries=[{"layer": "conv1", "tensors": {"W": "../outside.dft"}}]),
+     "entries[0].tensors.W: '../outside.dft' is not a file in the checkpoint directory"),
+    (lambda m: dict(m, entries=[{"layer": "conv1", "tensors": {"W": "OUTSIDE"}}]),
+     "is not a file in the checkpoint directory"),
+])
+def test_load_checkpoint_rejects_malformed_manifest(tmp_path, edit, message):
+    model, _ = _small_model(seed=17)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), model, manifest_extra={})
+    outside = tmp_path / "outside.dft"
+    write_dft(str(outside), np.zeros((8, 4, 3, 3), np.float32))
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    edited = json.dumps(edit(manifest)).replace("OUTSIDE", str(outside))
+    (ckpt / "manifest.json").write_text(edited)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(ckpt))
+    assert message in str(err.value)
+    assert str(err.value).startswith(str(ckpt / "manifest.json"))
+
+
+def test_load_checkpoint_rejects_quantized_tensor_file(tmp_path):
+    # restore_model copies FP32 masters; a DFP file would fail there with a TypeError
+    model, _ = _small_model(seed=17)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), model, manifest_extra={})
+    write_dft(str(ckpt / "conv1.W.dft"), DfpTensor(np.ones((8, 4, 3, 3), np.int16), -3, 16))
+    with pytest.raises(ValueError, match=r"entries\[0\]\.tensors\.W: 'conv1\.W\.dft' holds a "
+                       r"quantized tensor"):
+        load_checkpoint(str(ckpt))
+
+
+def test_conv_weight_matrices_follow_every_update(tmp_path):
+    # a DFP conv's lowered weights are pack_weights of its current w_q after
+    # a restore and after an update: forward, and flipped and
+    # channel-transposed for the input gradient
+    cfg = parse_config({"layers": [
+        {"type": "conv", "out_ch": 8, "kernel": 3, "pad": 1},
+        {"type": "relu"},
+        {"type": "conv", "out_ch": 20, "kernel": 3, "stride": 2, "pad": 1},
+        {"type": "flatten"},
+        {"type": "fc", "out_features": 3}], "loss": "mse"})
+
+    def build(seed):
+        return build_model(cfg, (4, 7, 7), RunContext(q=make_quantizers(cfg, seed)),
+                           np.random.default_rng(seed))
+
+    def assert_lowered(conv):
+        w = conv.w_q
+        flipped = DfpTensor(w.elements[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                            w.shared_exponent, w.bit_width)
+        for got, want in ((conv.w_fwd, pack_weights(w)), (conv.w_bwd, pack_weights(flipped))):
+            npt.assert_array_equal(got.data, want.data)
+            assert (got.shape, got.shared_exponent) == (want.shape, want.shared_exponent)
+
+    model = build(17)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(ckpt, model, manifest_extra={})
+    other = build(99)
+    conv = [l for l in other.iter_layers() if isinstance(l, Conv)][1]
+    before = conv.w_q.elements.copy()
+    restore_model(other, load_checkpoint(ckpt)[1])
+    assert not np.array_equal(conv.w_q.elements, before)
+    assert_lowered(conv)
+
+    x = np.random.default_rng(18).standard_normal((2, 4, 7, 7)).astype(np.float32)
+    out = other.forward(x)
+    other.backward(np.ones_like(out))
+    before = conv.w_q.elements.copy()
+    sgd_step(other, lr=0.1, momentum=0.0, weight_decay=0.0)
+    assert not np.array_equal(conv.w_q.elements, before)
+    assert_lowered(conv)
 
 
 # === metrics csv ===
@@ -483,6 +571,13 @@ _PROBE_NET = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1, "precision": 
     ({"chain_block": 0}, "chain_block must be >= 1, got 0"),
     ({"icblk": 64, "policy": "strict", "max_chain": 100},
      "layers[2] (conv): chain length 576 (icblk 64 x 3x3 taps) exceeds Strict max_chain 100"),
+    # quantize's largest elements are at least 2**(14 - pre_shift), so these
+    # chains would fail the kernels' magnitude check at the first DFP16 step
+    ({"policy": "strict", "max_chain": 72},
+     "layers[2] (conv): Strict policy infeasible: chain 72 of products up to 8192*8192"),
+    # fprop 72 passes; the weight gradient's chain of 136 does not
+    ({"policy": "strict", "max_chain": 136, "pre_shift": 2},
+     "layers[2] (conv): Strict policy infeasible: chain 136 of products up to 4096*4096"),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
 def test_cli_train_rejects_kernel_config_before_training(tmp_path, capsys, patch, message,

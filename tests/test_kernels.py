@@ -1,4 +1,4 @@
-"""Blocked integer convolution kernels: madd semantics, packing, engines."""
+"""Blocked integer convolution kernels: madd semantics, weight lowering, engines."""
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +9,7 @@ from dfp.arith import INT32_MAX, INT32_MIN, safe_chain_length
 from dfp.kernels import (BlockingParams, ConvSpec, Empirical, Fraction,
                          KernelStats, Strict, chain_length, conv_fprop,
                          default_blocking, gemm_dfp, overhead_ratio,
-                         pack_weights, unpack_weights, vnni_madd)
+                         pack_weights, vnni_madd)
 from dfp.tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
 
 # === helpers ===
@@ -99,46 +99,16 @@ def test_vnni_madd_validation():
         vnni_madd(ok_m, ok_v, np.zeros(16, np.int64))
 
 
-# === weight packing ===
+# === weight lowering ===
 
 
-def test_pack_weights_index_map():
-    # W[k][c][r][s] -> data[c//16][k//16][r][s][(c%16)//2][k%16][c%2]
-    rng = np.random.default_rng(3002)
-    spec = ConvSpec(32, 48, 8, 8, 3, 3, 1, 1)
-    w = rng.integers(-1000, 1000, (48, 32, 3, 3)).astype(np.int16)
-    pw = pack_weights(DfpTensor(w, -9, 16), spec)
-    assert pw.data.shape == (2, 3, 3, 3, 8, 16, 2)
-    for k, c, r, s in [(0, 0, 0, 0), (17, 5, 2, 1), (47, 31, 1, 2), (16, 16, 0, 2)]:
-        assert pw.data[c // 16, k // 16, r, s, (c % 16) // 2, k % 16, c % 2] \
-            == w[k, c, r, s]
-
-
-def test_pack_weights_pads_with_zeros():
-    spec = ConvSpec(8, 20, 4, 4, 1, 1, 1, 0)
-    w = np.arange(1, 20 * 8 + 1, dtype=np.int16).reshape(20, 8, 1, 1)
-    pw = pack_weights(DfpTensor(w, -3, 16), spec)
-    assert pw.data.shape == (1, 2, 1, 1, 8, 16, 2)
-    assert not pw.data[0, :, :, :, 4:, :, :].any()      # channels 8..15
-    assert not pw.data[0, 1, :, :, :, 4:, :].any()      # out 20..31
-
-
-def test_pack_unpack_roundtrip():
-    rng = np.random.default_rng(3003)
-    for k, c, kh in [(16, 16, 3), (24, 8, 5), (10, 40, 1)]:
-        spec = ConvSpec(c, k, 8, 8, kh, kh, 1, 0)
-        w = rng.integers(-30000, 30000, (k, c, kh, kh)).astype(np.int16)
-        t = DfpTensor(w, -11, 16)
-        back = unpack_weights(pack_weights(t, spec))
-        npt.assert_array_equal(back.elements, w)
-        assert back.shared_exponent == -11
-
-
-def test_pack_weights_shape_mismatch():
+def test_conv_fprop_rejects_weights_not_matching_spec():
     spec = ConvSpec(16, 16, 4, 4, 3, 3, 1, 1)
-    bad = DfpTensor(np.zeros((16, 16, 1, 1), np.int16), 0, 16)
-    with pytest.raises(ValueError):
-        pack_weights(bad, spec)
+    inp = DfpTensor(np.zeros((1, 16, 4, 4), np.int16), 0, 16)
+    bad = pack_weights(DfpTensor(np.zeros((16, 16, 1, 1), np.int16), 0, 16))
+    with pytest.raises(ValueError, match=r"weights shape \(16, 16, 1, 1\) does not match "
+                       r"spec \(16, 16, 3, 3\)"):
+        conv_fprop(inp, bad, spec)
 
 
 # === chain lengths and analytic overheads ===
@@ -223,7 +193,7 @@ def test_engines_bit_identical(shape):
     spec = ConvSpec(c, k, h, w, kh, kw, st, pad)
     inp = _rand_dfp(rng, (n, c, h, w))
     wt = _rand_dfp(rng, (k, c, kh, kw), scale=0.2)
-    pw = pack_weights(wt, spec)
+    pw = pack_weights(wt)
     pol = Empirical(shadow_check=True)
     out_i, st_i = conv_fprop(inp, pw, spec, policy=pol, engine="instructions")
     out_f, st_f = conv_fprop(inp, pw, spec, policy=pol, engine="fast")
@@ -236,7 +206,7 @@ def test_engines_agree_on_overflow_counts():
     spec = ConvSpec(32, 16, 4, 4, 1, 1, 1, 0)
     inp = DfpTensor(np.full((1, 32, 4, 4), 32767, np.int16), -15, 16)
     wt = DfpTensor(np.full((16, 32, 1, 1), 32767, np.int16), -15, 16)
-    pw = pack_weights(wt, spec)
+    pw = pack_weights(wt)
     pol = Empirical(shadow_check=True)
     out_i, st_i = conv_fprop(inp, pw, spec, policy=pol, engine="instructions")
     out_f, st_f = conv_fprop(inp, pw, spec, policy=pol, engine="fast")
@@ -374,7 +344,7 @@ def test_conv_engines_agree_across_tiles(monkeypatch, tile_rows):
 
     def run(engine):
         dbg = []
-        out, st = conv_fprop(inp, pack_weights(wt, spec), spec, blk, pol, engine, dbg)
+        out, st = conv_fprop(inp, pack_weights(wt), spec, blk, pol, engine, dbg)
         return out, st, dbg
 
     stats = _engines_agree_over_tiles(run)
@@ -411,7 +381,7 @@ def test_strict_policy_safe_on_adversarial_data():
     wt = DfpTensor(np.full((16, 8, 1, 1), m, np.int16), -14, 16)
     pol = Strict(max_chain=safe_chain_length(16, 1), shadow_check=True)
     blk = default_blocking(spec, pol)
-    out, st = conv_fprop(inp, pack_weights(wt, spec), spec, blk, pol, "instructions")
+    out, st = conv_fprop(inp, pack_weights(wt), spec, blk, pol, "instructions")
     assert st.overflow_count == 0
     npt.assert_allclose(out, 8 * m * m * 2.0 ** -28, rtol=1e-6)
 
@@ -420,7 +390,7 @@ def test_rb_size_invariance():
     rng = np.random.default_rng(3200)
     spec = ConvSpec(24, 16, 9, 9, 3, 3, 1, 1)
     inp = _rand_dfp(rng, (2, 24, 9, 9))
-    pw = pack_weights(_rand_dfp(rng, (16, 24, 3, 3), scale=0.3), spec)
+    pw = pack_weights(_rand_dfp(rng, (16, 24, 3, 3), scale=0.3))
     outs = []
     for rb in (7, 28, 97):
         blk = default_blocking(spec, rb_size=rb)
@@ -434,7 +404,7 @@ def test_engines_by_name_only():
     rng = np.random.default_rng(3300)
     spec = ConvSpec(16, 16, 5, 5, 3, 3, 1, 1)
     inp = _rand_dfp(rng, (1, 16, 5, 5))
-    pw = pack_weights(_rand_dfp(rng, (16, 16, 3, 3), scale=0.2), spec)
+    pw = pack_weights(_rand_dfp(rng, (16, 16, 3, 3), scale=0.2))
     ref, st_ref = conv_fprop(inp, pw, spec, engine="fast")
     out, st = conv_fprop(inp, pw, spec, engine="instructions")
     npt.assert_array_equal(out, ref)
@@ -457,7 +427,7 @@ def test_conv_matches_int64_oracle_single_chunk():
     spec = ConvSpec(16, 16, 6, 6, 3, 3, 1, 1)
     inp = _rand_dfp(rng, (2, 16, 6, 6), pre_shift=4)
     wt = _rand_dfp(rng, (16, 16, 3, 3), pre_shift=4, scale=0.5)
-    out, stats = conv_fprop(inp, pack_weights(wt, spec), spec)
+    out, stats = conv_fprop(inp, pack_weights(wt), spec)
     acc = _conv_int64(inp, wt, spec)
     assert np.abs(acc).max() < 1 << 31
     scale = np.float32(2.0 ** (inp.shared_exponent + wt.shared_exponent))
@@ -474,7 +444,7 @@ def test_debug_partials_match_int64_mod_2_32():
     wt = _rand_dfp(rng, (16, 32, 3, 3), scale=0.2)
     for engine in ("instructions", "fast"):
         dbg = []
-        conv_fprop(inp, pack_weights(wt, spec), spec, blk, engine=engine,
+        conv_fprop(inp, pack_weights(wt), spec, blk, engine=engine,
                    debug_partials=dbg)
         assert len(dbg) == 2 and dbg[0].shape == (25, 16)
         for ci, part in enumerate(dbg):
@@ -495,7 +465,7 @@ def test_conv_impulse_identity():
     w = np.zeros((16, 16, 3, 3), np.int16)
     for k in range(16):
         w[k, k, 1, 1] = 1024                    # 1024 * 2^-10 = 1.0
-    out, _ = conv_fprop(inp, pack_weights(DfpTensor(w, -10, 16), spec), spec)
+    out, _ = conv_fprop(inp, pack_weights(DfpTensor(w, -10, 16)), spec)
     npt.assert_array_equal(out, dequantize(inp))
 
 
@@ -550,6 +520,6 @@ def test_stats_analytic_consistency():
         blk = default_blocking(spec)
         inp = _rand_dfp(rng, (1, c, 6, 6))
         wt = _rand_dfp(rng, (k, c, kh, kh), scale=0.2)
-        _, stats = conv_fprop(inp, pack_weights(wt, spec), spec, blk)
+        _, stats = conv_fprop(inp, pack_weights(wt), spec, blk)
         assert Fraction(stats.convert_count, stats.fma_count) \
             == overhead_ratio(spec, blk)

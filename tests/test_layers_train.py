@@ -605,6 +605,13 @@ _CHAIN_72 = r"layers\[2\] \(conv\): chain length 72 \(icblk 8 x 3x3 taps\) excee
     # these build, so they must train
     ({"icblk": 16}, None),
     ({"policy": "strict", "max_chain": 72, "pre_shift": 5}, None),
+    # quantize's largest elements are at least 2**(14 - pre_shift), so these
+    # chains would fail the kernels' magnitude check at the first DFP16 step
+    ({"policy": "strict", "max_chain": 72},
+     r"layers\[2\] \(conv\): Strict policy infeasible: chain 72 of products up to 8192\*8192"),
+    # the weight gradient's chain (96 at batch 16) is checked, not just fprop's 72
+    ({"policy": "strict", "max_chain": 100, "batch_size": 16},
+     r"layers\[2\] \(conv\): Strict policy infeasible: chain 96 "),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
 def test_config_that_builds_trains(patch, match, precision):

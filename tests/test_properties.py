@@ -82,6 +82,27 @@ def test_col2im_is_adjoint_of_im2col(spec, n, group, seed):
     assert int((cols * y).sum()) == int((x * back).sum())
 
 
+@SETTINGS
+@given(k=st.integers(1, 40), c=st.integers(1, 40), kh=st.integers(1, 5),
+       kw=st.integers(1, 5), es=st.integers(-128, 127), seed=st.integers(0, 2**32 - 1))
+def test_pack_weights_matrix_layout(k, c, kh, kw, es, seed):
+    # W[k][c][r][s] is row ((c//16 * KH + r) * KW + s) * 16 + c%16, column k,
+    # the row order of im2col(x, spec, 16)'s columns; padding is zero
+    rng = np.random.default_rng(seed)
+    w = rng.integers(-32767, 32768, (k, c, kh, kw)).astype(np.int16)
+    pw = pack_weights(DfpTensor(w, es, 16))
+    kpad, cpad = -(-k // 16) * 16, -(-c // 16) * 16
+    assert pw.data.shape == (cpad * kh * kw, kpad) and pw.data.dtype == np.int16
+    assert (pw.shape, pw.shared_exponent, pw.bit_width) == ((k, c, kh, kw), es, 16)
+    kk, cc, r, s = np.meshgrid(np.arange(k), np.arange(c), np.arange(kh), np.arange(kw),
+                               indexing="ij")
+    rows = ((cc // 16 * kh + r) * kw + s) * 16 + cc % 16
+    npt.assert_array_equal(pw.data[rows, kk], w)
+    pad = np.ones(pw.data.shape, bool)
+    pad[rows, kk] = False
+    assert not pw.data[pad].any()
+
+
 @st.composite
 def dfp_values(draw, shape):
     """Int16 elements of a drawn kind: narrow random, full-range random, or
@@ -121,7 +142,7 @@ def _assert_engines_agree(run):
 def test_conv_engines_bit_identical(data, spec, n, blk):
     inp = data.draw(dfp_values((n, spec.in_ch, spec.h, spec.w)))
     wt = data.draw(dfp_values((spec.out_ch, spec.in_ch, spec.kh, spec.kw)))
-    pw = pack_weights(wt, spec)
+    pw = pack_weights(wt)
     pol = Empirical(shadow_check=True)
     _assert_engines_agree(lambda engine, dbg: conv_fprop(
         inp, pw, spec, blk, pol, engine, dbg))
