@@ -102,6 +102,43 @@ def test_vnni_madd_validation():
 # === weight lowering ===
 
 
+def _matrix_row(c, r, s, kh, kw):
+    # row of W[k][c][r][s] in the (L, Kpad) weight matrix
+    return ((c // 16 * kh + r) * kw + s) * 16 + c % 16
+
+
+def test_pack_weights_index_map():
+    # W[k][c][r][s] -> data[((c//16 * KH + r) * KW + s) * 16 + c%16, k]
+    rng = np.random.default_rng(3002)
+    w = rng.integers(-1000, 1000, (48, 32, 3, 3)).astype(np.int16)
+    pw = pack_weights(DfpTensor(w, -9, 16))
+    assert pw.data.shape == (32 * 3 * 3, 48)
+    for k, c, r, s in [(0, 0, 0, 0), (17, 5, 2, 1), (47, 31, 1, 2), (16, 16, 0, 2)]:
+        assert pw.data[_matrix_row(c, r, s, 3, 3), k] == w[k, c, r, s]
+
+
+def test_pack_weights_pads_with_zeros():
+    w = np.arange(1, 20 * 8 + 1, dtype=np.int16).reshape(20, 8, 1, 1)
+    pw = pack_weights(DfpTensor(w, -3, 16))
+    assert pw.data.shape == (16, 32)
+    assert not pw.data[8:, :].any()                     # channels 8..15
+    assert not pw.data[:, 20:].any()                    # out 20..31
+    npt.assert_array_equal(pw.data[:8, :20], w[:, :, 0, 0].T)
+
+
+def test_pack_unpack_roundtrip():
+    # reading every element back through the row map recovers the weights
+    rng = np.random.default_rng(3003)
+    for k, c, kh in [(16, 16, 3), (24, 8, 5), (10, 40, 1)]:
+        w = rng.integers(-30000, 30000, (k, c, kh, kh)).astype(np.int16)
+        pw = pack_weights(DfpTensor(w, -11, 16))
+        kk, cc, r, s = np.meshgrid(np.arange(k), np.arange(c), np.arange(kh),
+                                   np.arange(kh), indexing="ij")
+        back = pw.data[_matrix_row(cc, r, s, kh, kh), kk]
+        npt.assert_array_equal(back, w)
+        assert (pw.shape, pw.shared_exponent, pw.bit_width) == (w.shape, -11, 16)
+
+
 def test_conv_fprop_rejects_weights_not_matching_spec():
     spec = ConvSpec(16, 16, 4, 4, 3, 3, 1, 1)
     inp = DfpTensor(np.zeros((1, 16, 4, 4), np.int16), 0, 16)
