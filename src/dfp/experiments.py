@@ -76,16 +76,31 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
     }
 
 
+# The fields of a resolved run that replace command-line values, by type.
+_RESOLVED_FIELDS = {"config": dict, "data": str, "precision": str, "engine": str,
+                    "seed": int}
+
+
 def load_run_request(path: str) -> dict:
-    """Read a --config JSON file; accepts plain configs and resolved runs."""
+    """Read a --config JSON file; accepts plain configs and resolved runs.
+
+    A resolved run must carry its config, and each of its fields that is
+    present must have its type (a seed is an int, not a bool); otherwise
+    a ValueError names the key."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top level must be a JSON object, "
                          f"got {type(raw).__name__}")
-    if raw.get("resolved_run"):
-        return raw
-    return {"resolved_run": False, "config": raw}
+    if not raw.get("resolved_run"):
+        return {"resolved_run": False, "config": raw}
+    if "config" not in raw:
+        raise ValueError(f"{path}: resolved run is missing key 'config'")
+    for key, kind in _RESOLVED_FIELDS.items():
+        if key in raw and (not isinstance(raw[key], kind) or isinstance(raw[key], bool)):
+            raise ValueError(f"{path}: resolved run key {key!r} must be "
+                             f"{kind.__name__}, got {type(raw[key]).__name__}")
+    return raw
 
 
 # === benchmark input generation ===

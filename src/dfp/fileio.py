@@ -19,6 +19,7 @@ big-endian u32 dims and raw bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from typing import Dict, Tuple, Union
@@ -87,7 +88,7 @@ def read_dft(path: str) -> TensorLike:
     for i in range(rank):
         dims.append(struct.unpack("<I", _need(path, buf, off, 4, f"dim {i}"))[0])
         off += 4
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    count = math.prod(dims)                     # exact: no int64 wraparound
     esize = 2 if dtype_tag == _DTYPE_DFP else 4
     raw = _need(path, buf, off, count * esize, "payload")
     if len(buf) != off + count * esize:
@@ -153,7 +154,7 @@ def _read_idx(path: str, magic: int, rank: int) -> np.ndarray:
     dims = tuple(struct.unpack(">I", _need(path, buf, 4 + 4 * i, 4, f"dim {i}"))[0]
                  for i in range(rank))
     head = 4 * (1 + rank)
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)
     if len(buf) != head + count:
         where = (f"truncated payload at byte {head}" if len(buf) < head + count else
                  f"{len(buf) - head - count} trailing bytes after payload at byte "

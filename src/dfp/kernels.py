@@ -178,11 +178,12 @@ def chain_length(spec: ConvSpec, blk: BlockingParams,
 def overhead_ratio(spec: ConvSpec, blk: BlockingParams) -> Fraction:
     """Analytic convert/FMA instruction ratio, RB / ((ICBLK/16)*KH*KW*2*RB).
 
-    Exact whenever icblk divides the padded channel count (uniform chains);
-    bench runs cross-check it against measured KernelStats.
+    RB cancels: each output row converts once per chain of chain_length / 8
+    madds, so the ratio is 8 / chain_length.  Exact whenever icblk divides
+    the padded channel count (uniform chains); bench runs cross-check it
+    against measured KernelStats.
     """
-    rb = blk.rb_size
-    return Fraction(rb * 16, blk.icblk * spec.kh * spec.kw * 2 * rb)
+    return Fraction(8, chain_length(spec, blk))
 
 
 def default_blocking(spec: ConvSpec, policy: Optional[OverflowPolicy] = None,

@@ -8,6 +8,10 @@ On the way back, incoming FP32 output-gradients are quantized (Q_e) before
 the integer backward kernels, while weight gradients stay FP32 end to end
 and feed an FP32 solver over FP32 master weights.
 
+A fully connected layer is a 1x1 convolution over n 1x1 images, so every
+conv and fc runs the same FP32 and DFP passes, and every DFP conv and fc
+quantizes and lowers its weights once per update (refresh_quantized).
+
 Layers marked fp32 never quantize anything, so a model whose layers are all
 fp32 is a plain FP32 trainer.  Max pooling operates directly on the integer
 elements when its input is quantized (under one shared exponent the integers
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -108,7 +112,8 @@ class RunContext:
         return out
 
     def gemm(self, a: DfpTensor, b: DfpTensor) -> np.ndarray:
-        """A (M x KK) times B (KK x N), blocked like the equivalent 1x1 conv."""
+        """The weight-gradient GEMM, A (M x KK) times B (KK x N), blocked
+        like the equivalent 1x1 conv."""
         spec = ConvSpec(a.shape[1], b.shape[1], 1, 1, 1, 1)
         out, st = gemm_dfp(a, b, self.blocking_for(spec), self.policy, self.engine)
         self.stats.merge(st)
@@ -161,20 +166,37 @@ class Layer:
         yield self
 
 
-class WeightedLayer(Layer):
-    """FP32 master weight W (out, ...) and optional bias, SGD state, and the
-    quantized copy w_q that DFP passes consume."""
+class Conv(Layer):
+    """2D convolution: FP32 master weight W (K, C, KH, KW), optional FP32
+    bias and SGD state, and optionally a DFP compute path, whose quantized
+    weights w_q are lowered once per update (refresh_quantized) to the
+    forward and input-gradient weight matrices."""
 
-    def __init__(self, ctx, name, w_shape, precision, bias, rng):
+    flat = False   # Dense: n feature vectors in and out, as n 1x1 images
+
+    def __init__(self, ctx, name, in_ch, out_ch, kernel, stride=1, pad=0,
+                 precision="dfp", bias=False, first=False, rng=None):
+        if precision == "dfp" and not first and pad > kernel - 1:
+            # the DFP input gradient is a convolution with pad kernel-1-pad
+            raise ValueError(f"{name}: pad {pad} > kernel-1 is unsupported "
+                             f"by the DFP input-gradient pass")
         super().__init__(ctx, name)
         self.precision = precision
+        self.in_ch, self.out_ch = in_ch, out_ch
+        self.kh = self.kw = kernel
+        self.stride, self.pad = stride, pad
+        self.first = first  # the input layer skips the input-gradient pass
+        w_shape = (out_ch, in_ch) if self.flat else (out_ch, in_ch, kernel, kernel)
         std = float(np.sqrt(2.0 / math.prod(w_shape[1:])))
         self.W = (rng.standard_normal(w_shape) * std).astype(np.float32)
-        self.b = np.zeros(w_shape[0], np.float32) if bias else None
+        self.b = np.zeros(out_ch, np.float32) if bias else None
         self._vel = {k: np.zeros_like(v) for k, v in self.params().items()}
-        self.w_q: Optional[DfpTensor] = None
         self.gW = None
         self.gb = None
+        self._spec_cache: Optional[ConvSpec] = None
+        self.w_q: Optional[DfpTensor] = None
+        self.w_fwd: Optional[PackedWeights] = None   # forward weight matrix
+        self.w_bwd: Optional[PackedWeights] = None   # flipped, for bprop
 
     def params(self):
         p = {"W": self.W}
@@ -191,36 +213,6 @@ class WeightedLayer(Layer):
     def velocities(self):
         return self._vel
 
-    def refresh_quantized(self):
-        if self.precision == "dfp":
-            self.w_q = self.ctx.q.q_w(self.name, self.W)
-
-    def _quantized_weights(self) -> DfpTensor:
-        if self.w_q is None:
-            self.refresh_quantized()
-        return self.w_q
-
-
-class Conv(WeightedLayer):
-    """2D convolution; FP32 master weights, optionally a DFP compute path,
-    whose weight matrices are lowered once per update (refresh_quantized)."""
-
-    def __init__(self, ctx, name, in_ch, out_ch, kernel, stride=1, pad=0,
-                 precision="dfp", bias=False, first=False, rng=None):
-        if precision == "dfp" and not first and pad > kernel - 1:
-            # the DFP input gradient is a convolution with pad kernel-1-pad
-            raise ValueError(f"{name}: pad {pad} > kernel-1 is unsupported "
-                             f"by the DFP input-gradient pass")
-        super().__init__(ctx, name, (out_ch, in_ch, kernel, kernel), precision,
-                         bias, rng)
-        self.in_ch, self.out_ch = in_ch, out_ch
-        self.kh = self.kw = kernel
-        self.stride, self.pad = stride, pad
-        self.first = first  # the input layer skips the input-gradient pass
-        self._spec_cache: Optional[ConvSpec] = None
-        self.w_fwd: Optional[PackedWeights] = None   # forward weight matrix
-        self.w_bwd: Optional[PackedWeights] = None   # flipped, for bprop
-
     def _spec(self, h, w) -> ConvSpec:
         return ConvSpec(self.in_ch, self.out_ch, h, w, self.kh, self.kw,
                         self.stride, self.pad)
@@ -231,9 +223,11 @@ class Conv(WeightedLayer):
                         (spec.ow - 1) * self.stride + 1, self.kh, self.kw, 1,
                         self.kh - 1 - self.pad)
 
-    def pass_specs(self, spec: ConvSpec, n: int) -> List[ConvSpec]:
-        """The kernel call of each DFP pass on n images of geometry spec:
-        fprop, wgrad and, unless first (or padded beyond kernel-1), bprop."""
+    def pass_specs(self, in_shape: Tuple[int, ...], n: int) -> List[ConvSpec]:
+        """The kernel call of each DFP pass on n inputs of shape in_shape,
+        (C, H, W), or (C,) for an fc: fprop, wgrad and, unless first (or
+        padded beyond kernel-1), bprop."""
+        spec = self._spec(*(in_shape[1:] or (1, 1)))
         specs = [spec, ConvSpec(n * spec.oh * spec.ow, self.in_ch * self.kh * self.kw,
                                 1, 1, 1, 1)]
         if not self.first and self.pad <= self.kh - 1:
@@ -241,19 +235,26 @@ class Conv(WeightedLayer):
         return specs
 
     def refresh_quantized(self):
-        super().refresh_quantized()
-        if self.precision == "dfp":
-            w = self.w_q
-            self.w_fwd = pack_weights(w)
-            if not self.first:   # taps flipped, channels transposed
-                flipped = w.elements[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                self.w_bwd = pack_weights(DfpTensor(flipped, w.shared_exponent, w.bit_width))
+        if self.precision != "dfp":
+            return
+        self.w_q = w = self.ctx.q.q_w(
+            self.name, self.W.reshape(self.out_ch, self.in_ch, self.kh, self.kw))
+        self.w_fwd = pack_weights(w)
+        if not self.first:   # taps flipped, channels transposed
+            flipped = w.elements[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            self.w_bwd = pack_weights(DfpTensor(flipped, w.shared_exponent, w.bit_width))
 
     def forward(self, x, train):
+        if self.flat:
+            if len(x.shape) != 2:
+                raise ValueError(f"{self.name}: expected flattened input, got shape {x.shape}")
+            x = (DfpTensor(x.elements.reshape(*x.shape, 1, 1), x.shared_exponent, x.bit_width)
+                 if isinstance(x, DfpTensor) else np.reshape(x, (*x.shape, 1, 1)))
         if self.precision == "dfp":
             a_q = x if isinstance(x, DfpTensor) else self.ctx.q.q_a(self.name, to_fp32(x))
             spec = self._spec(a_q.shape[2], a_q.shape[3])
-            self._quantized_weights()               # lowers w_fwd on first use
+            if self.w_fwd is None:
+                self.refresh_quantized()
             out = self.ctx.conv(a_q, self.w_fwd, spec)
             self._a_q, self._cols, self._spec_cache = a_q, None, spec
         else:
@@ -266,16 +267,17 @@ class Conv(WeightedLayer):
             self._a_q, self._cols, self._spec_cache = None, cols, spec
         if self.b is not None:
             out = out + self.b.reshape(1, -1, 1, 1)
-        return out
+        return out.reshape(out.shape[:2]) if self.flat else out
 
     def backward(self, g):
         spec = self._spec_cache
         if spec is None:
             raise RuntimeError(f"{self.name}: backward before forward")
-        g = np.asarray(g, np.float32)
+        g = np.asarray(g, np.float32).reshape(-1, self.out_ch, spec.oh, spec.ow)
         n = g.shape[0]
         if self.b is not None:
             self.gb = g.sum(axis=(0, 2, 3))
+        gx = None
         if self.precision == "dfp":
             e_q = self.ctx.q.q_e(self.name, g)
             # Weight gradient: GEMM over the minibatch x spatial reduction,
@@ -286,61 +288,33 @@ class Conv(WeightedLayer):
             a_cols = DfpTensor(im2col(self._a_q.elements, spec),
                                self._a_q.shared_exponent, self._a_q.bit_width)
             self.gW = self.ctx.gemm(e_mat, a_cols).reshape(self.W.shape)
-            if self.first:
-                return np.zeros((n, self.in_ch, spec.h, spec.w), np.float32)
-            # Input gradient: convolve dilated errors with the flipped,
-            # channel-transposed quantized weights.
-            return self.ctx.conv(_dilate_errors(e_q, self.stride), self.w_bwd,
-                                 self._bprop_spec(spec))
-        g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, self.out_ch)
-        self.gW = (g_mat.T @ self._cols).reshape(self.W.shape)
-        if self.first:
-            return np.zeros((n, self.in_ch, spec.h, spec.w), np.float32)
-        return col2im(g_mat @ self.W.reshape(self.out_ch, -1), spec)
+            if not self.first:
+                # Input gradient: convolve dilated errors with the flipped,
+                # channel-transposed quantized weights.
+                gx = self.ctx.conv(_dilate_errors(e_q, self.stride), self.w_bwd,
+                                   self._bprop_spec(spec))
+        else:
+            g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, self.out_ch)
+            self.gW = (g_mat.T @ self._cols).reshape(self.W.shape)
+            if not self.first:
+                gx = col2im(g_mat @ self.W.reshape(self.out_ch, -1), spec)
+        if gx is None:
+            gx = np.zeros((n, self.in_ch, spec.h, spec.w), np.float32)
+        return gx.reshape(n, -1) if self.flat else gx
 
 
-class Dense(WeightedLayer):
-    """Fully connected layer with FP32 bias."""
+class Dense(Conv):
+    """Fully connected layer: a 1x1 convolution over n 1x1 images, with an
+    (out_features, in_features) master W and, by default, an FP32 bias.
+    Feature vectors become 1x1 images on the way in and back on the way
+    out; every pass is Conv's."""
+
+    flat = True
 
     def __init__(self, ctx, name, in_features, out_features, precision="fp32",
                  bias=True, rng=None):
-        super().__init__(ctx, name, (out_features, in_features), precision, bias, rng)
-        self.in_features, self.out_features = in_features, out_features
-
-    def pass_specs(self, n: int) -> List[ConvSpec]:
-        """The GEMM of each DFP pass on n samples: fprop, wgrad, bprop."""
-        return [ConvSpec(kk, nn, 1, 1, 1, 1) for kk, nn in (
-            (self.in_features, self.out_features), (n, self.in_features),
-            (self.out_features, self.in_features))]
-
-    def forward(self, x, train):
-        if len(x.shape) != 2:
-            raise ValueError(f"{self.name}: expected flattened input, got shape {x.shape}")
-        if self.precision == "dfp":
-            a_q = x if isinstance(x, DfpTensor) else self.ctx.q.q_a(self.name, to_fp32(x))
-            w_q = self._quantized_weights()
-            out = self.ctx.gemm(a_q, DfpTensor(w_q.elements.T, w_q.shared_exponent,
-                                               w_q.bit_width))
-            self._a_q, self._xf = a_q, None
-        else:
-            xf = to_fp32(x)
-            out = xf @ self.W.T
-            self._a_q, self._xf = None, xf
-        if self.b is not None:
-            out = out + self.b
-        return out
-
-    def backward(self, g):
-        g = np.asarray(g, np.float32)
-        if self.b is not None:
-            self.gb = g.sum(axis=0)
-        if self.precision == "dfp":
-            e_q = self.ctx.q.q_e(self.name, g)
-            e_t = DfpTensor(e_q.elements.T, e_q.shared_exponent, e_q.bit_width)
-            self.gW = self.ctx.gemm(e_t, self._a_q)
-            return self.ctx.gemm(e_q, self.w_q)
-        self.gW = g.T @ self._xf
-        return g @ self.W
+        super().__init__(ctx, name, in_features, out_features, 1, precision=precision,
+                         bias=bias, rng=rng)
 
 
 class BatchNorm(Layer):

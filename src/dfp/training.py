@@ -214,7 +214,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                 except ValueError as e:
                     raise ValueError(f"{key.where}: {e}") from None
                 if own == "dfp":
-                    check_chains(key, layer.pass_specs(cspec, cfg.batch_size))
+                    check_chains(key, layer.pass_specs(shape, cfg.batch_size))
                 shape = (cspec.out_ch, cspec.oh, cspec.ow)
             elif kind == "fc":
                 feat = int(np.prod(shape))
@@ -224,7 +224,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                 layer = Dense(ctx, key("name", str, fresh_name("fc")), feat, out_features,
                               precision=mode(own), bias=key("bias", bool, True), rng=rng)
                 if own == "dfp":
-                    check_chains(key, layer.pass_specs(cfg.batch_size))
+                    check_chains(key, layer.pass_specs(shape, cfg.batch_size))
                 shape = (out_features,)
             elif kind == "batchnorm":
                 layer = BatchNorm(ctx, key("name", str, fresh_name("bn")),

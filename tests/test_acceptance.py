@@ -463,7 +463,7 @@ def test_gradient_fidelity(capsys):
     # actual quantized operands of both weight-gradient reductions; nearest
     # rounding is value-deterministic, so re-quantizing reproduces them
     a0q = dequantize(conv1._a_q).astype(np.float64)
-    a1q = dequantize(fc1._a_q).astype(np.float64)
+    a1q = dequantize(fc1._a_q).astype(np.float64).reshape(2, -1)   # 1x1 images
     e2q = dequantize(quantize(g2, ctx.q.cfg_e)).astype(np.float64)
     e1q = dequantize(quantize(captured["g1"], ctx.q.cfg_e)).astype(np.float64)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -85,6 +86,19 @@ def test_dft_errors_cite_byte_offsets(tmp_path):
     with open(path, "wb") as fh:
         fh.write(bytes.fromhex("44465431 01 10 72 01000000 01000000 ff3f"))
     assert dequantize(read_dft(path))[0] == np.float32(2.0 ** 128 - 2.0 ** 114)
+
+
+def test_readers_size_payload_from_exact_dims(tmp_path):
+    # dims 2**31 x 2**31 x 4 have 2**64 elements, which wraps to 0 in int64
+    path = str(tmp_path / "huge")
+    with open(path, "wb") as fh:
+        fh.write(b"DFT1\x00\x20" + struct.pack("<4I", 3, 2**31, 2**31, 4))
+    with pytest.raises(ValueError, match=r"truncated payload at byte 22"):
+        read_dft(path)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">4I", 0x803, 2**31, 2**31, 4))
+    with pytest.raises(ValueError, match=r"truncated payload at byte 16"):
+        read_idx_images(path)
 
 
 def test_dft_rejects_other_dtypes(tmp_path):
@@ -541,6 +555,19 @@ _CONV_NET = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
      "layers[1] (maxpool): kernel must be >= 1, got -2"),
     ({"layers": _CONV_NET[:3] + [{"type": "fc", "out_features": 0}]},
      "layers[3] (fc): out_features must be >= 1, got 0"),
+    # a resolved run's fields replace the command line's, so each is checked
+    ({"resolved_run": True}, "resolved run is missing key 'config'"),
+    ({"resolved_run": True, "config": 5}, "resolved run key 'config' must be dict, got int"),
+    ({"resolved_run": True, "config": MLP_JSON, "data": 7},
+     "resolved run key 'data' must be str, got int"),
+    ({"resolved_run": True, "config": MLP_JSON, "precision": ["fp32"]},
+     "resolved run key 'precision' must be str, got list"),
+    ({"resolved_run": True, "config": MLP_JSON, "engine": 1},
+     "resolved run key 'engine' must be str, got int"),
+    ({"resolved_run": True, "config": MLP_JSON, "seed": "x"},
+     "resolved run key 'seed' must be int, got str"),
+    ({"resolved_run": True, "config": MLP_JSON, "seed": True},
+     "resolved run key 'seed' must be int, got bool"),
 ])
 def test_cli_train_rejects_malformed_config(tmp_path, capsys, patch, message):
     cfg_path = str(tmp_path / "bad.json")

@@ -1,8 +1,12 @@
 """Property tests: lowering and engine bit identity over random geometry,
-the range, exponent and error bounds of the format conversions, their
-exactness against float64 formulas, and max pooling against argmax."""
+an fc layer against its GEMM formulation, the range, exponent and error
+bounds of the format conversions, their exactness against float64
+formulas, max pooling against argmax, and the file readers on truncated
+and corrupted files."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -13,9 +17,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import dfp.tensor
 from dfp.arith import AccumTensor, Empirical, down_convert
-from dfp.kernels import (BlockingParams, ConvSpec, col2im, conv_fprop,
+from dfp.fileio import (load_checkpoint, read_dft, read_idx_images, read_idx_labels,
+                        save_checkpoint, write_dft, write_idx_images, write_idx_labels)
+from dfp.kernels import (BlockingParams, ConvSpec, KernelStats, col2im, conv_fprop,
                          gemm_dfp, im2col, pack_weights)
-from dfp.layers import MaxPool, Quantizers, RunContext
+from dfp.layers import Dense, MaxPool, Model, Quantizers, RunContext
 from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
                         _philox_uniforms, dequantize, extract_exponent, max_abs,
                         quantize)
@@ -156,6 +162,77 @@ def test_gemm_engines_bit_identical(data, m, kk, n, blk):
     b = data.draw(dfp_values((kk, n)))
     pol = Empirical(shadow_check=True)
     _assert_engines_agree(lambda engine, dbg: gemm_dfp(a, b, blk, pol, engine, dbg))
+
+
+# === an fc layer is a 1x1 convolution ===
+
+
+def _fc_case(n, c, k, bias, precision, rounding, seed):
+    """A Dense layer after one forward and backward pass on random x and g,
+    with its quantizer configuration and the inputs."""
+    cfg = QuantConfig(rounding=rounding)
+    ctx = RunContext(q=Quantizers(cfg, cfg, cfg), policy=Empirical(shadow_check=True))
+    rng = np.random.default_rng(seed)
+    fc = Dense(ctx, "fc", c, k, precision=precision, bias=bias, rng=rng)
+    if bias:
+        fc.b[...] = rng.standard_normal(k)
+    x = rng.standard_normal((n, c)).astype(np.float32)
+    g = rng.standard_normal((n, k)).astype(np.float32)
+    out = fc.forward(x, train=True)
+    gx = fc.backward(g)
+    return fc, ctx, cfg, x, g, out, gx
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(SETTINGS, max_examples=30)
+@given(n=st.integers(1, 6), c=st.integers(1, 40), k=st.integers(1, 40), bias=st.booleans(),
+       rounding=st.sampled_from([Nearest(), Stochastic(seed=11)]), seed=st.integers(0, 2**16))
+# a chain longer than chain_block, as resnet_shadow's fc1 (784 -> 10) runs
+@example(n=3, c=784, k=10, bias=True, rounding=Stochastic(seed=11), seed=1)
+@example(n=3, c=784, k=10, bias=False, rounding=Nearest(), seed=2)
+def test_dfp_dense_equals_gemm_formulation(n, c, k, bias, rounding, seed):
+    # output, weight and bias gradients, input gradient and counters equal,
+    # bit for bit, those of three gemm_dfp calls on the same quantized operands
+    fc, ctx, cfg, x, g, out, gx = _fc_case(n, c, k, bias, "dfp", rounding, seed)
+    q = Quantizers(cfg, cfg, cfg)              # the same tensor ids, so the same draws
+    a_q, w_q, e_q = q.q_a("fc", x), q.q_w("fc", fc.W), q.q_e("fc", g)
+
+    def t(d):
+        return DfpTensor(d.elements.T, d.shared_exponent, d.bit_width)
+
+    stats = KernelStats()
+
+    def gemm(a, b):
+        blk = ctx.blocking_for(ConvSpec(a.shape[1], b.shape[1], 1, 1, 1, 1))
+        res, st_ = gemm_dfp(a, b, blk, ctx.policy)
+        stats.merge(st_)
+        return res
+
+    want_out = gemm(a_q, t(w_q))
+    if bias:
+        want_out = want_out + fc.b
+    _same_bits(out, want_out)
+    _same_bits(fc.gW, gemm(t(e_q), a_q))
+    _same_bits(gx, gemm(e_q, w_q))
+    if bias:
+        _same_bits(fc.gb, g.sum(axis=0))
+    assert ctx.stats == stats
+
+
+@SETTINGS
+@given(n=st.integers(1, 6), c=st.integers(1, 40), k=st.integers(1, 40), bias=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_fp32_dense_equals_matmul_formulation(n, c, k, bias, seed):
+    fc, _, _, x, g, out, gx = _fc_case(n, c, k, bias, "fp32", Nearest(), seed)
+    npt.assert_array_equal(out, x @ fc.W.T + fc.b if bias else x @ fc.W.T)
+    npt.assert_array_equal(fc.gW, g.T @ x)
+    npt.assert_array_equal(gx, g @ fc.W)
+    if bias:
+        npt.assert_array_equal(fc.gb, g.sum(axis=0))
 
 
 # === format conversion bounds ===
@@ -401,3 +478,132 @@ def test_maxpool_wide_windows_match_argmax(k):
     pool = _max_pool(k)
     assert pool.forward(arr, train=True).tobytes() == want_out.tobytes()
     assert pool.backward(g).tobytes() == want_gx.tobytes()
+
+
+# === file readers ===
+#
+# Every strict prefix of a valid file, and every single-byte flip of its
+# header, must raise a ValueError naming a byte offset, unless the flipped
+# file decodes as a well-formed tensor of the shape its header states.
+
+READER_SETTINGS = settings(SETTINGS, max_examples=15)
+flip_masks = st.lists(st.integers(1, 255), min_size=1, max_size=2, unique=True)
+
+
+def _probe(path, blob, read):
+    """read(path) of a file holding blob, or None if it raised a ValueError
+    naming the file and a byte offset; any other error fails the test."""
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    try:
+        return read(path)
+    except ValueError as e:
+        assert str(path) in str(e) and re.search(r"at byte \d+", str(e)), str(e)
+        return None
+
+
+def _check_prefixes_and_flips(path, blob, head, masks, read, check):
+    # blob's first head bytes are its header; check(value, file) asserts the
+    # value is what the file's header states
+    for cut in range(len(blob)):
+        assert _probe(path, blob[:cut], read) is None, f"prefix of {cut} bytes decoded"
+    for pos in range(head):
+        for mask in masks:
+            bad = bytearray(blob)
+            bad[pos] ^= mask
+            value = _probe(path, bytes(bad), read)
+            if value is not None:
+                check(value, bytes(bad))
+
+
+def _dft_check(value, blob):
+    tag, width = blob[4], blob[5]
+    off = 7 if tag == 1 else 6
+    rank = struct.unpack_from("<I", blob, off)[0]
+    dims = struct.unpack_from(f"<{rank}I", blob, off + 4)
+    if tag == 1:
+        assert isinstance(value, DfpTensor) and value.bit_width == width
+        assert value.shared_exponent == struct.unpack_from("<b", blob, 6)[0]
+        elements, dtype = value.elements, "<i2"
+    else:
+        assert isinstance(value, np.ndarray) and width == 32
+        elements, dtype = value, "<f4"
+    assert elements.shape == dims
+    assert elements.astype(dtype).tobytes() == blob[off + 4 + 4 * rank:]
+
+
+@st.composite
+def dft_tensors(draw):
+    """An FP32 array or a quantized tensor within the FP32 range, of rank
+    0-3, empty ones included."""
+    shape = draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    if draw(st.booleans()):
+        return draw(arrays(np.float32, shape))
+    p = draw(st.integers(2, 16))
+    lim = (1 << (p - 1)) - 1
+    elements = draw(arrays(np.int16, shape, elements=st.integers(-lim, lim)))
+    return DfpTensor(elements, draw(st.integers(-128, 112)), p)
+
+
+@READER_SETTINGS
+@given(t=dft_tensors(), masks=flip_masks)
+def test_dft_reader_rejects_prefixes_and_header_flips(tmp_path_factory, t, masks):
+    path = tmp_path_factory.mktemp("dft") / "t.dft"
+    write_dft(str(path), t)
+    blob = path.read_bytes()
+    back = read_dft(str(path))                  # the round trip
+    _dft_check(back, blob)
+    quantized = isinstance(t, DfpTensor)
+    assert quantized == isinstance(back, DfpTensor)
+    want = t.elements if quantized else t
+    assert (back.elements if quantized else back).tobytes() == want.tobytes()
+    _check_prefixes_and_flips(path, blob, len(blob) - want.nbytes, masks, read_dft,
+                              _dft_check)
+
+
+@READER_SETTINGS
+@given(images=st.booleans(), shape=array_shapes(min_dims=3, max_dims=3, min_side=0,
+                                                  max_side=4), masks=flip_masks)
+def test_idx_readers_reject_prefixes_and_header_flips(tmp_path_factory, images, shape,
+                                                      masks):
+    path = tmp_path_factory.mktemp("idx") / "t.idx"
+    arr = np.arange(math.prod(shape), dtype=np.uint8).reshape(shape)
+    if not images:
+        arr = arr.reshape(-1)
+    (write_idx_images if images else write_idx_labels)(str(path), arr)
+    read = read_idx_images if images else read_idx_labels
+    blob = path.read_bytes()
+    head = 4 * (1 + arr.ndim)
+
+    def check(value, blob):
+        dims = struct.unpack_from(f">{arr.ndim}I", blob, 4)
+        assert value.dtype == np.uint8 and value.shape == dims
+        assert value.tobytes() == blob[head:]
+
+    check(read(str(path)), blob)                # the round trip
+    _check_prefixes_and_flips(path, blob, head, masks, read, check)
+
+
+@settings(READER_SETTINGS, max_examples=8)
+@given(member=st.sampled_from(["W", "b"]), seed=st.integers(0, 2**16), masks=flip_masks)
+def test_checkpoint_members_reject_prefixes_and_header_flips(tmp_path_factory, member,
+                                                             seed, masks):
+    # a checkpoint's tensor files are read as DFT files, with the same errors
+    cfg = QuantConfig()
+    ctx = RunContext(q=Quantizers(cfg, cfg, cfg))
+    fc = Dense(ctx, "fc", 3, 2, rng=np.random.default_rng(seed))
+    directory = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(str(directory), Model([fc], ctx), {})
+    path = directory / f"fc.{member}.dft"
+    blob = path.read_bytes()
+    stored = fc.params()[member]
+
+    def read(_):
+        return load_checkpoint(str(directory))[1]["fc"][member]
+
+    def check(value, blob):
+        _dft_check(value, blob)
+        assert isinstance(value, np.ndarray)
+
+    npt.assert_array_equal(read(path), stored)  # the round trip
+    _check_prefixes_and_flips(path, blob, len(blob) - stored.nbytes, masks, read, check)

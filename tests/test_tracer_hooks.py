@@ -42,12 +42,17 @@ def test_traced_dfp16_step_records_kernels_and_weight_lowering():
     with tracing.instrument(tracer, [model]), tracer.span("training.step") as root:
         _, dout = softmax_xent(model.forward(x), y)
         model.backward(dout)
-        sgd_step(model, 0.1, 0.9, 0.0)
+        with tracer.span("training.sgd_step") as update:
+            sgd_step(model, 0.1, 0.9, 0.0)
+        model.forward(x, train=False)
 
     names = [s.name for s in tracer.spans]
     assert {"kernels.conv_fprop", "kernels.gemm_dfp", "kernels.pack_weights"} <= set(names)
-    # the DFP conv lowers its forward and input-gradient weights once per update
-    assert names.count("kernels.pack_weights") == 2
+    # each DFP conv and fc lowers its forward and input-gradient weights once
+    # per update, and neither forward, backward nor evaluation lowers any
+    packs = [s for s in tracer.spans if s.name == "kernels.pack_weights"]
+    assert len(packs) == 2 * 2
+    assert all(s.parent == update.sid for s in packs)
     passes = {s.attrs["pass"] for s in tracer.spans if s.name in tracing.KERNEL_CALLS}
     assert passes == {"fprop", "bprop", "wgrad"}
     assert ctx.stats.fma_count > 0
