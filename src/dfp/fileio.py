@@ -203,9 +203,9 @@ def load_checkpoint(directory: str) -> Tuple[dict, Dict[str, Dict[str, np.ndarra
     """Returns (manifest, {layer_name: {tensor_name: array}}).
 
     A manifest that is not a JSON object of save_checkpoint's shape is a
-    ValueError naming the offending key, and so is a tensor file name that
-    does not name a file directly in the checkpoint directory, or names a
-    quantized one."""
+    ValueError naming the offending key, and so is a layer named by two
+    entries and a tensor file name that does not name a regular file
+    directly in the checkpoint directory, or names a quantized one."""
     path = os.path.join(directory, "manifest.json")
     with open(path) as fh:
         manifest = json.load(fh)
@@ -213,7 +213,7 @@ def load_checkpoint(directory: str) -> Tuple[dict, Dict[str, Dict[str, np.ndarra
         raise ValueError(f"{path}: top level must be a JSON object, "
                          f"got {type(manifest).__name__}")
     if manifest.get("format") != "dfp-checkpoint-v1":
-        raise ValueError(f"{directory}: unknown checkpoint format "
+        raise ValueError(f"{path}: format: unknown checkpoint format "
                          f"{manifest.get('format')!r}")
     root = os.path.realpath(directory)
     tensors: Dict[str, Dict[str, np.ndarray]] = {}
@@ -221,19 +221,23 @@ def load_checkpoint(directory: str) -> Tuple[dict, Dict[str, Dict[str, np.ndarra
         where = f"entries[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: {where} must be dict, got {type(entry).__name__}")
+        layer = _manifest_value(path, entry, "layer", str, where)
+        if layer in tensors:
+            raise ValueError(f"{path}: {where}.layer: layer {layer!r} has an "
+                             f"earlier entry")
         files = _manifest_value(path, entry, "tensors", dict, where)
-        loaded = {}
+        loaded = tensors[layer] = {}
         for pname in files:
             fname = _manifest_value(path, files, pname, str, f"{where}.tensors")
-            full = os.path.realpath(os.path.join(root, fname))
-            if os.path.dirname(full) != root:
+            # realpath itself fails on a NUL byte, naming no key
+            full = "" if "\0" in fname else os.path.realpath(os.path.join(root, fname))
+            if os.path.dirname(full) != root or not os.path.isfile(full):
                 raise ValueError(f"{path}: {where}.tensors.{pname}: {fname!r} is not "
                                  f"a file in the checkpoint directory")
             loaded[pname] = read_dft(full)
             if isinstance(loaded[pname], DfpTensor):
                 raise ValueError(f"{path}: {where}.tensors.{pname}: {fname!r} holds a "
                                  f"quantized tensor; checkpoints hold FP32 masters")
-        tensors[_manifest_value(path, entry, "layer", str, where)] = loaded
     return manifest, tensors
 
 

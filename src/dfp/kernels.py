@@ -21,8 +21,18 @@ tap (kh, kw) is row ((c//16 * KH + kh) * KW + kw) * 16 + c%16, output
 channel k is column k, and both channel counts are zero-padded to
 multiples of 16.  Each 8-row half of a 16-row group is the vinp2 operand
 of one madd, consecutive rows pairing in its lanes.  A GEMM's A and B
-operands are the pair itself, zero-padded to whole 16-lane groups.  Two
-engines, chosen by name, read the same pair and produce bit-identical
+operands are the pair itself, zero-padded to whole 16-lane groups.
+
+The same im2col/col2im pair lowers every FP32 pass (group=1) and every
+DFP one (group=16, per tile).  im2col is one gather that writes the patch
+matrix once, contiguously; col2im adds the taps back in (kh, kw) order
+into a channels-last buffer and transposes once.  Neither changes a bit:
+the column order is fixed, so the patch matrix, and with it every sgemm
+and chain, is the same, and each input element sums its taps in the same
+order from +0.0 as a per-tap scatter-add would.  For an fc (1x1 images)
+both are reshapes.
+
+Two engines, chosen by name, read the same pair and produce bit-identical
 outputs and statistics:
 
 * "instructions": a Python loop nest issuing one vnni_madd per emulated
@@ -283,6 +293,32 @@ def pack_weights(weights: DfpTensor) -> PackedWeights:
 # === lowering ===
 
 
+# Gather indices kept, one per (ConvSpec, group): enough for every pass of
+# a model's layers in training and eval, each a few hundred KB at most.
+_GATHER_CACHE = 32
+
+
+@functools.lru_cache(maxsize=_GATHER_CACHE)
+def _gather_index(spec: ConvSpec, group: int) -> Optional[np.ndarray]:
+    # Read-only flat indices, in patch-matrix order (oy, ox, c // group,
+    # kh, kw), of the group-channel chunks of one image in im2col's
+    # (C/group, H, W, group) layout; taps in the spatial padding read chunk
+    # C/group*H*W, the zero chunk im2col appends.  None when the patch
+    # matrix is the input itself: 1x1 taps of 1x1 unpadded images over
+    # whole channel groups.
+    c, h, w, s, p = spec.in_ch, spec.h, spec.w, spec.stride, spec.pad
+    if (h, w, spec.kh, spec.kw, p) == (1, 1, 1, 1, 0) and c % group == 0:
+        return None
+    cg = -(-c // group)
+    g = np.arange(cg).reshape(1, 1, cg, 1, 1)
+    y = (np.arange(spec.oh) * s - p).reshape(-1, 1, 1, 1, 1) + np.arange(spec.kh).reshape(-1, 1)
+    x = (np.arange(spec.ow) * s - p).reshape(-1, 1, 1, 1) + np.arange(spec.kw)
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    idx = np.where(inside, (g * h + y) * w + x, cg * h * w).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
 def im2col(x: np.ndarray, spec: ConvSpec, group: int = 1) -> np.ndarray:
     """(N*OH*OW, L) patch matrix of an NCHW array of any dtype.
 
@@ -291,36 +327,59 @@ def im2col(x: np.ndarray, spec: ConvSpec, group: int = 1) -> np.ndarray:
     (c // group, kh, kw, c % group) order: group=16 is the fixed madd order
     of the integer kernels, group=1 the plain (c, kh, kw) order of a
     flattened (K, C, KH, KW) weight.
+
+    Lowering is one gather.  Each image is laid out as (C/group, H, W,
+    group), so that the `group` channels one column block reads sit in
+    one contiguous chunk (for group=1 that is NCHW itself), with one zero
+    chunk appended that every padding tap reads.  np.take then copies
+    chunks into the patch matrix, written once and contiguously, through
+    an index cached per (spec, group).  Where that index would be the
+    identity (1x1 images, 1x1 taps, no padding, whole channel groups:
+    every fc) the patch matrix is x itself, reshaped.  The bytes are those
+    of a per-tap copy.
     """
-    n, cg = x.shape[0], -(-spec.in_ch // group)
-    oh, ow, s, p = spec.oh, spec.ow, spec.stride, spec.pad
-    if p or cg * group != spec.in_ch:
-        xp = np.zeros((n, cg * group, spec.h + 2 * p, spec.w + 2 * p), x.dtype)
-        xp[:, : spec.in_ch, p: p + spec.h, p: p + spec.w] = x
-        x = xp
-    x = x.reshape(n, cg, group, x.shape[2], x.shape[3])
-    cols = np.empty((n, oh, ow, cg, spec.kh, spec.kw, group), x.dtype)
-    for r in range(spec.kh):
-        for t in range(spec.kw):
-            view = x[..., r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s]
-            cols[:, :, :, :, r, t] = view.transpose(0, 3, 4, 1, 2)
-    return cols.reshape(n * oh * ow, -1)
+    n, c = x.shape[0], spec.in_ch
+    idx = _gather_index(spec, group)
+    if idx is None:
+        return x.reshape(n, c)
+    h, w, cg = spec.h, spec.w, -(-c // group)
+    if group == 1 and not spec.pad:          # x's own layout; no padding read
+        xb = x.reshape(n, c * h * w, 1)
+    else:
+        if c % group:
+            x = np.concatenate((x, np.zeros((n, cg * group - c, h, w), x.dtype)), axis=1)
+        xb = np.empty((n, cg * h * w + 1, group), x.dtype)
+        xb[:, -1] = 0
+        xb[:, :-1].reshape(n, cg, h, w, group)[...] = \
+            x.reshape(n, cg, group, h, w).transpose(0, 1, 3, 4, 2)
+    cols = np.empty((n, idx.size, group), x.dtype)
+    np.take(xb, idx, axis=1, out=cols, mode="clip")
+    return cols.reshape(n * spec.oh * spec.ow, -1)
 
 
 def col2im(cols: np.ndarray, spec: ConvSpec, group: int = 1) -> np.ndarray:
-    """Adjoint of im2col: scatter-add each patch column back onto the NCHW
-    input it was read from, taps in (kh, kw) order; padding is dropped."""
-    cg = -(-spec.in_ch // group)
+    """Adjoint of im2col: add each patch column back onto the NCHW input it
+    was read from; padding is dropped.
+
+    Taps are added in (kh, kw) order into a channels-last zero buffer,
+    which is transposed once to NCHW.  Each input element therefore sums
+    its taps in the same order, from +0.0, as a per-tap NCHW scatter-add,
+    and FP32 bits do not depend on the layout.  Where im2col is a reshape,
+    col2im is one too, plus 0: the zero start turns a -0.0 tap into +0.0.
+    """
+    c, cg = spec.in_ch, -(-spec.in_ch // group)
     oh, ow, s, p = spec.oh, spec.ow, spec.stride, spec.pad
     n = cols.shape[0] // (oh * ow)
+    if _gather_index(spec, group) is None:
+        return cols.reshape(n, c, 1, 1) + 0
     d = cols.reshape(n, oh, ow, cg, spec.kh, spec.kw, group)
-    xp = np.zeros((n, cg, group, spec.h + 2 * p, spec.w + 2 * p), cols.dtype)
+    hp, wp = spec.h + 2 * p, spec.w + 2 * p
+    xp = np.zeros((n, hp, wp, cg, group), cols.dtype)
     for r in range(spec.kh):
         for t in range(spec.kw):
-            xp[..., r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s] += \
-                d[:, :, :, :, r, t].transpose(0, 3, 4, 1, 2)
-    xp = xp.reshape(n, cg * group, spec.h + 2 * p, spec.w + 2 * p)
-    return xp[:, : spec.in_ch, p: p + spec.h, p: p + spec.w]
+            xp[:, r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s] += d[:, :, :, :, r, t]
+    xp = xp.reshape(n, hp, wp, cg * group)[:, p: p + spec.h, p: p + spec.w, :c]
+    return np.ascontiguousarray(xp.transpose(0, 3, 1, 2))
 
 
 def _zero_pad(x: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:

@@ -266,7 +266,7 @@ class Conv(Layer):
             out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
             self._a_q, self._cols, self._spec_cache = None, cols, spec
         if self.b is not None:
-            out = out + self.b.reshape(1, -1, 1, 1)
+            out += self.b.reshape(1, -1, 1, 1)
         return out.reshape(out.shape[:2]) if self.flat else out
 
     def backward(self, g):

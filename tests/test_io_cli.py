@@ -214,6 +214,10 @@ def test_restore_model_shape_mismatch(tmp_path):
      "entries[0].tensors.W: '../outside.dft' is not a file in the checkpoint directory"),
     (lambda m: dict(m, entries=[{"layer": "conv1", "tensors": {"W": "OUTSIDE"}}]),
      "is not a file in the checkpoint directory"),
+    # a later entry for the same layer would silently replace the earlier one
+    (lambda m: dict(m, entries=m["entries"] + m["entries"][:1]),
+     "entries[3].layer: layer 'conv1' has an earlier entry"),
+    (lambda m: dict(m, format=2), "format: unknown checkpoint format 2"),
 ])
 def test_load_checkpoint_rejects_malformed_manifest(tmp_path, edit, message):
     model, _ = _small_model(seed=17)
@@ -228,6 +232,18 @@ def test_load_checkpoint_rejects_malformed_manifest(tmp_path, edit, message):
         load_checkpoint(str(ckpt))
     assert message in str(err.value)
     assert str(err.value).startswith(str(ckpt / "manifest.json"))
+
+
+def test_load_checkpoint_rejects_directory_as_tensor_file(tmp_path):
+    model, _ = _small_model(seed=17)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(str(ckpt), model, manifest_extra={})
+    (ckpt / "sub").mkdir()
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["entries"][0]["tensors"]["W"] = "sub"
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"entries\[0\]\.tensors\.W: 'sub' is not a file"):
+        load_checkpoint(str(ckpt))
 
 
 def test_load_checkpoint_rejects_quantized_tensor_file(tmp_path):

@@ -1,10 +1,14 @@
 """Property tests: lowering and engine bit identity over random geometry,
 an fc layer against its GEMM formulation, the range, exponent and error
 bounds of the format conversions, their exactness against float64
-formulas, max pooling against argmax, and the file readers on truncated
-and corrupted files."""
+formulas, max pooling against argmax, the file readers on truncated
+and corrupted files, and checkpoint loading on mutated manifests."""
 
+import copy
+import functools
+import json
 import math
+import operator
 import re
 import struct
 
@@ -86,6 +90,72 @@ def test_col2im_is_adjoint_of_im2col(spec, n, group, seed):
     back = col2im(y, spec, group)
     assert back.shape == x.shape
     assert int((cols * y).sum()) == int((x * back).sum())
+
+
+def _tap_scatter(cols, spec, group):
+    # col2im as a per-tap scatter-add onto a padded NCHW zero array, taps in
+    # (kh, kw) order: the summation order every col2im must keep
+    cg = -(-spec.in_ch // group)
+    oh, ow, s, p = spec.oh, spec.ow, spec.stride, spec.pad
+    n = cols.shape[0] // (oh * ow)
+    d = cols.reshape(n, oh, ow, cg, spec.kh, spec.kw, group)
+    xp = np.zeros((n, cg, group, spec.h + 2 * p, spec.w + 2 * p), cols.dtype)
+    for r in range(spec.kh):
+        for t in range(spec.kw):
+            xp[..., r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s] += \
+                d[:, :, :, :, r, t].transpose(0, 3, 4, 1, 2)
+    xp = xp.reshape(n, cg * group, spec.h + 2 * p, spec.w + 2 * p)
+    return xp[:, : spec.in_ch, p: p + spec.h, p: p + spec.w]
+
+
+def _signed_f32(rng, shape):
+    # float32 values of both signs with magnitudes 2**-20..2**21, a few -0.0
+    mag = rng.uniform(1, 2, shape) * np.exp2(rng.integers(-20, 21, shape))
+    f = (mag * rng.choice([-1.0, 1.0], shape)).astype(np.float32)
+    f[rng.random(shape) < 0.1] = -0.0
+    return f
+
+
+@settings(SETTINGS, max_examples=40)
+@given(spec=conv_specs(), n=st.integers(1, 2), group=st.sampled_from([1, 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_col2im_keeps_tap_order_bits(spec, n, group, seed):
+    # overlapping taps sum in (kh, kw) order from +0.0: any other order or
+    # start value changes float32 bits, which the adjoint test cannot see
+    cols = _signed_f32(np.random.default_rng(seed),
+                       (n * spec.oh * spec.ow, -(-spec.in_ch // group) * group * spec.kh * spec.kw))
+    back = col2im(cols, spec, group)
+    assert back.shape == (n, spec.in_ch, spec.h, spec.w) and back.dtype == np.float32
+    npt.assert_array_equal(back.view(np.uint32), _tap_scatter(cols, spec, group).view(np.uint32))
+
+
+@settings(SETTINGS, max_examples=30)
+@given(spec=conv_specs(), n=st.integers(1, 2), group=st.sampled_from([1, 16]),
+       dtype=st.sampled_from([np.int16, np.float32]), seed=st.integers(0, 2**32 - 1))
+def test_im2col_of_a_strided_view_matches_direct_gather(spec, n, group, dtype, seed):
+    rng = np.random.default_rng(seed)
+    big = rng.integers(-30000, 30000, (2 * n, 2 * spec.in_ch, spec.h + 1, spec.w)).astype(dtype)
+    x = big[::-2, 1::2, 1:, ::-1]                # a view: negative, non-unit strides
+    npt.assert_array_equal(im2col(x, spec, group), _gather(x, spec, group))
+
+
+@SETTINGS
+@given(n=st.integers(1, 4), c=st.one_of(st.integers(1, 40), st.integers(1, 4).map(lambda m: 16 * m)),
+       group=st.sampled_from([1, 16]), dtype=st.sampled_from([np.int16, np.float32]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lowering_of_1x1_images(n, c, group, dtype, seed):
+    # an fc's lowering: the patch matrix is the input itself when no channel
+    # padding is needed, and col2im keeps the scatter's bits (-0.0 included)
+    rng = np.random.default_rng(seed)
+    spec = ConvSpec(c, 3, 1, 1, 1, 1)
+    x = rng.integers(-30000, 30000, (n, c, 1, 1)).astype(dtype)
+    cols = im2col(x, spec, group)
+    npt.assert_array_equal(cols, _gather(x, spec, group))
+    assert np.shares_memory(cols, x) == (c % group == 0)
+    g = _signed_f32(rng, cols.shape)
+    back = col2im(g, spec, group)
+    assert back.shape == x.shape
+    npt.assert_array_equal(back.view(np.uint32), _tap_scatter(g, spec, group).view(np.uint32))
 
 
 @SETTINGS
@@ -607,3 +677,71 @@ def test_checkpoint_members_reject_prefixes_and_header_flips(tmp_path_factory, m
 
     npt.assert_array_equal(read(path), stored)  # the round trip
     _check_prefixes_and_flips(path, blob, len(blob) - stored.nbytes, masks, read, check)
+
+
+def _manifest_paths(node, path=(), name=""):
+    # (path, name) of every value below a JSON node, each named as
+    # load_checkpoint's errors name it
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        sub = f"{name}[{key}]" if isinstance(node, list) else f"{name}.{key}" if name else key
+        yield path + (key,), sub
+        if isinstance(value, (dict, list)):
+            yield from _manifest_paths(value, path + (key,), sub)
+
+
+# File names for a tensor: outside the directory, not a regular file, not a
+# valid path, or (the last two) the saved file itself by another name.
+_TENSOR_NAMES = ["..", ".", "", "sub", "a\0b", "../fc1.W.dft", "/fc1.W.dft",
+                 "sub/../fc1.W.dft", "ABSOLUTE"]
+
+
+@pytest.mark.parametrize("kind, name", [("drop", None), ("retype", None), ("top level", None),
+                                        ("duplicate", None)]
+                         + [("name", name) for name in _TENSOR_NAMES])
+@settings(READER_SETTINGS, max_examples=8)
+@given(data=st.data())
+def test_checkpoint_manifest_mutations_name_the_key_or_load(tmp_path_factory, kind, name,
+                                                            data):
+    # one mutation of a saved manifest must raise a ValueError naming the
+    # mutated key, or load every entry: a dropped key, a value of another type, a
+    # non-object top level, a layer given a second entry, or a tensor name
+    cfg = QuantConfig()
+    ctx = RunContext(q=Quantizers(cfg, cfg, cfg))
+    rng = np.random.default_rng(3)
+    model = Model([Dense(ctx, "fc1", 3, 4, rng=rng), Dense(ctx, "fc2", 4, 2, rng=rng)], ctx)
+    directory = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(str(directory), model, {"seed": 5})
+    (directory / "sub").mkdir()
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if kind == "top level":
+        manifest, key = data.draw(st.sampled_from([[manifest], "zz", 7, None])), "top level"
+    elif kind in ("drop", "retype"):
+        where, key = data.draw(st.sampled_from(list(_manifest_paths(manifest))))
+        parent = functools.reduce(operator.getitem, where[:-1], manifest)
+        if kind == "drop":
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = data.draw(st.sampled_from(
+                [v for v in (7, 0.5, "zz", [], {}, None, True)
+                 if type(v) is not type(parent[where[-1]])]))
+    elif kind == "duplicate":
+        manifest["entries"].append(copy.deepcopy(manifest["entries"][data.draw(st.integers(0, 1))]))
+        key = "entries[2].layer"
+    else:
+        i, member = data.draw(st.integers(0, 1)), data.draw(st.sampled_from(["W", "b"]))
+        if name == "ABSOLUTE":
+            name = str(directory / f"fc{i + 1}.{member}.dft")
+        manifest["entries"][i]["tensors"][member] = name
+        key = f"entries[{i}].tensors.{member}"
+    path.write_text(json.dumps(manifest))
+    try:
+        _, tensors = load_checkpoint(str(directory))
+    except ValueError as e:
+        assert str(e).startswith(str(path)) and key in str(e), (key, str(e))
+        return
+    # a clean load keeps every entry's tensors; none replaces another's
+    assert len(tensors) == len(manifest["entries"])
+    for entry in manifest["entries"]:
+        assert set(tensors[entry["layer"]]) == set(entry["tensors"])
