@@ -204,9 +204,15 @@ def default_blocking(spec: ConvSpec, policy: Optional[OverflowPolicy] = None,
     Empirical: the smallest multiple of 16 that divides the padded channel
     count and whose chain icblk*KH*KW reaches the policy's chain_block
     target (default 208); the whole padded channel count if no block
-    reaches it.  Divisibility keeps every chain full-length, so the
-    measured convert/FMA ratio equals the analytic one exactly.  Strict:
-    the largest multiple of 8 whose chain stays within max_chain.  Under
+    reaches it.  A chain that would pass twice the target instead takes
+    the largest such divisor whose chain stays within the target, if one
+    does: 784 fc inputs (divisors 16, 112, 784) chain 112 products, not
+    784, and 48 channels of a 3x3 conv 144, not 432.  At the default
+    target this reblocks no call of the parity network and only the
+    forward fc of resnet_shadow; parity's conv3 keeps its 288-product
+    chains.  Divisibility keeps every chain full-length, so the measured
+    convert/FMA ratio equals the analytic one exactly.  Strict: the
+    largest multiple of 8 whose chain stays within max_chain.  Under
     Strict, a chain that exceeds max_chain, even one madd per tap or an
     explicit icblk, is an error.
     """
@@ -216,11 +222,11 @@ def default_blocking(spec: ConvSpec, policy: Optional[OverflowPolicy] = None,
         icblk = min(max(8, policy.max_chain // per // 8 * 8), cpad)
     elif icblk is None:
         target = policy.chain_block if isinstance(policy, Empirical) else 208
-        icblk = cpad
-        for cand in range(16, cpad + 1, 16):
-            if cpad % cand == 0 and cand * per >= target:
-                icblk = cand
-                break
+        blocks = [c for c in range(16, cpad + 1, 16) if cpad % c == 0]
+        icblk = next((c for c in blocks if c * per >= target), cpad)
+        within = [c for c in blocks if c * per <= target]
+        if icblk * per > 2 * target and within:
+            icblk = within[-1]
     blk = BlockingParams(icblk=icblk, rb_size=rb_size)
     chain_length(spec, blk, policy)
     return blk

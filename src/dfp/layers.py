@@ -531,10 +531,13 @@ class Model:
     """A layer pipeline with the quantization boundaries compiled in.
 
     An activation is re-quantized after the producing stage (post-ReLU, in
-    FP32) whenever the next compute layer downstream runs in DFP; pooling
-    between the two then operates on integer elements.  Layers also
-    self-quantize FP32 inputs as a fallback, so every FP32 -> DFP boundary
-    quantizes exactly once.
+    FP32) only when the next layer to read it consumes integers: a DFP
+    compute layer, or max pooling, ReLU or flatten on the way to one, which
+    then operate on integer elements.  Where an FP32 op such as average
+    pooling reads it first, no boundary is placed: that op would dequantize
+    at once, and the DFP layer after it quantizes the op's output itself.
+    Layers self-quantize FP32 inputs as that fallback, so every FP32 -> DFP
+    boundary quantizes exactly once.
     """
 
     def __init__(self, layers: List[Layer], ctx: RunContext):
@@ -544,18 +547,19 @@ class Model:
         self.refresh_quantized()
 
     def _compile_boundaries(self) -> List[bool]:
-        def first_compute(j: int) -> Optional[str]:
-            while j < len(self.layers):
-                if self.layers[j].precision is not None:
-                    return self.layers[j].precision
-                j += 1
-            return None
+        def reads_integers(j: int) -> bool:
+            for l in self.layers[j:]:
+                if l.precision is not None:
+                    return l.precision == "dfp"
+                if not isinstance(l, (ReLU, MaxPool, Flatten)):
+                    return False
+            return False
 
         plan = []
         for i in range(len(self.layers)):
             nxt = self.layers[i + 1] if i + 1 < len(self.layers) else None
             defer = isinstance(nxt, ReLU)  # post-ops ride FP32 until after ReLU
-            plan.append(not defer and nxt is not None and first_compute(i + 1) == "dfp")
+            plan.append(not defer and reads_integers(i + 1))
         return plan
 
     def iter_layers(self):

@@ -13,14 +13,16 @@ widest element occupies the top magnitude bit of the signed P-bit range
 without overflowing it.
 
 Three rounding modes are provided for the FP32 -> DFP conversion: nearest
-(ties away from zero), stochastic (unbiased, counter-based RNG), and biased
-(truncation toward zero, the cheapest since it is a plain shift).
+(ties away from zero), stochastic (unbiased to within 2**-32 of a step,
+from 32-bit counter-based draws), and biased (truncation toward zero, the
+cheapest since it is a plain shift).
 
 Both conversions stay in float32 where that is exact.  Scaling by a power
 of two with ldexp loses nothing unless the result is subnormal, and such a
 value rounds to 0 anyway; dequantized values are exact 16-bit multiples of
-2**E_s.  Stochastic rounding alone widens to float64, because its fraction
-is compared with float64 uniform draws whose stream is fixed.
+2**E_s.  Stochastic rounding alone widens to float64, where its fraction
+x - floor(x) is exact, and compares it with draws u = r * 2**-32 of 32-bit
+integers r, exact in float64 too.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ ZERO_EXPONENT = -(1 << 31)
 
 _F32_MAX = float(np.finfo(np.float32).max)
 _MASK64 = (1 << 64) - 1
+_FIXED_SEEDS = np.random.SeedSequence(0)
 # Elements per quantize block: its four float64 buffers (1 MiB) fit in a
-# core's L2 cache.
+# core's L2 cache.  Even, so that a block's stochastic draws use whole
+# 64-bit Philox words.
 _BLOCK = 1 << 15
 
 
@@ -55,11 +59,16 @@ class Nearest:
 
 @dataclasses.dataclass(frozen=True)
 class Stochastic:
-    """Round down, then up with probability equal to the fractional part.
+    """Round x down, then up when the draw u of its element is below the
+    fraction x - floor(x).
 
-    Draws come from a counter-based generator keyed by (seed, tensor_id,
-    element_index), so quantization results are reproducible and independent
-    of thread count or iteration order.
+    Element k of tensor tensor_id draws u = r * 2**-32, where r is the low
+    (k even) or high (k odd) 32 bits of raw word k // 2 of a Philox
+    generator keyed by (seed, tensor_id); quantization results are thus
+    reproducible and independent of thread count or iteration order.  x is
+    rounded up with probability ceil(frac * 2**32) / 2**32: exactly frac,
+    so the rounding is unbiased, when frac has no bit below 2**-32, and
+    above frac by less than 2**-32 otherwise.
     """
 
     seed: int = 0
@@ -203,16 +212,32 @@ def shared_exponent(values, bit_width: int) -> int:
 # === rounding primitives ===
 
 
-def _philox(seed: int, tensor_id: int) -> np.random.Generator:
-    """The tensor's uniform stream: its k-th float64 draw belongs to
-    element_index k."""
-    key = np.array([seed & _MASK64, tensor_id & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _philox_stream(seed: int, tensor_id: int):
+    """The tensor's uniform stream, as a function n, out -> its next n
+    draws, in order; its k-th draw belongs to element_index k.
+
+    Draw k is r * 2**-32 for r the low (k even) or high (k odd) 32 bits of
+    raw Philox word k // 2, so every read but the stream's last must take
+    an even n.
+    """
+    # Philox(key=...) first draws OS entropy for a seed that the key then
+    # replaces, about 0.16 ms a call; seeding from a fixed sequence and then
+    # setting the key gives the same generator for about 0.01 ms.
+    bits = np.random.Philox(_FIXED_SEEDS)
+    state = bits.state
+    state["state"]["key"] = np.array([seed & _MASK64, tensor_id & _MASK64], np.uint64)
+    bits.state = state
+
+    def draws(n: int, out=None) -> np.ndarray:
+        # little-endian words, whose uint32 view reads each low half first
+        words = bits.random_raw(-(-n // 2)).astype("<u8", copy=False)
+        return np.multiply(words.view("<u4")[:n], 2.0 ** -32, out=out)
+    return draws
 
 
 def _philox_uniforms(seed: int, tensor_id: int, n: int) -> np.ndarray:
     """The first n uniform [0,1) draws of the tensor's stream."""
-    return _philox(seed, tensor_id).random(n, dtype=np.float64)
+    return _philox_stream(seed, tensor_id)(n)
 
 
 def round_value(x, mode: RoundingMode, rng_coords=(0, 0)) -> int:
@@ -253,7 +278,7 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
     flat blocks of _BLOCK, each through the same few block-sized float
     buffers and straight into the int16 output, so no temporary grows with
     the tensor.  Every element is rounded independently, and stochastic
-    draws come from one generator read in order, so the blocks change no
+    draws come from one stream read in order, so the blocks change no
     result.
     """
     f, fmax = finite_float_max(values)
@@ -272,12 +297,15 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
         raise TypeError(f"unknown rounding mode {mode!r}")
 
     lim = (1 << (p - 1 - cfg.pre_shift)) - 1
+    # Every |x| is at most fmax / 2**E_s, so no rounding leaves [-lim, lim]
+    # unless that bound passes lim: only then does a block need clipping.
+    saturates = math.ldexp(fmax, -es) > lim
     src = f.reshape(-1)
     out = np.empty(f.shape, np.int16)
     dst = out.reshape(-1)
     size = min(src.size, _BLOCK)
-    # Stochastic rounding compares its fraction x - floor(x) with float64
-    # Philox draws, and in float32 that fraction is inexact for small
+    # Stochastic rounding compares its fraction x - floor(x) with 32-bit
+    # draws r * 2**-32, and in float32 that fraction is inexact for small
     # negative x, so this mode works in float64 (f / 2**E_s is exact there).
     # Nearest and biased rounding scale in float32: ldexp by 2**-E_s is exact
     # unless the result is subnormal, and |x| < 2**-126 rounds to 0 in both
@@ -287,7 +315,7 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
     ftype = np.float64 if stochastic else np.float32
     bufs = [np.empty(size, ftype) for _ in range(4)] + [np.empty(size, bool)]
     if stochastic:
-        gen = _philox(mode.seed, tensor_id)
+        draws = _philox_stream(mode.seed, tensor_id)
     for s in range(0, src.size, size):
         fs = src[s: s + size]
         x, i, t, u, m = (b[: fs.size] for b in bufs)
@@ -314,11 +342,15 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
             np.multiply(fs, 2.0 ** -es, out=x, dtype=np.float64)
             np.floor(x, out=i)
             x -= i
-            gen.random(out=u)
-            np.less(u, x, out=m)
-            i += m
-        np.clip(i, -lim, lim, out=i)
-        dst[s: s + fs.size] = i
+            np.less(draws(fs.size, out=u), x, out=m)
+            if saturates:
+                i += m
+        if saturates:
+            np.clip(i, -lim, lim, out=i)
+        d = dst[s: s + fs.size]
+        d[...] = i
+        if stochastic and not saturates:
+            d += m      # round up in int16, where every result then fits
     return DfpTensor(out, es, p)
 
 

@@ -146,22 +146,29 @@ def test_quantization_bound_suite(capsys):
 
 
 def test_stochastic_rounding_unbiased(capsys):
-    # sigma uses the uniform-distribution variance convention 1/12; the
-    # frozen seed is verified against it (worst scalar ~3.1 sigma).
+    # Each copy of a value whose scaled fraction is frac rounds up with
+    # probability frac, so its error has the Bernoulli sigma
+    # step * sqrt(frac * (1 - frac)).  Each scalar's mean error over its
+    # draws must lie within 4 sigma of 0, and the mean z over the 100
+    # scalars, where a bias common to them adds up, within 4 / sqrt(100).
     rng = np.random.default_rng(114)
     cfg = QuantConfig(16, Stochastic(seed=114), 0)
     draws = 10**5
-    worst = 0.0
+    z = []
     for i in range(100):
-        v = float(rng.uniform(0.1, 8.0) * rng.choice([-1.0, 1.0]))
+        v = float(np.float32(rng.uniform(0.1, 8.0) * rng.choice([-1.0, 1.0])))
         x = np.full(draws, v, np.float32)
         q = quantize(x, cfg, tensor_id=i)
-        mean = float(dequantize(q).astype(np.float64).mean())
-        sigma = 2.0 ** q.shared_exponent / math.sqrt(12.0 * draws)
-        worst = max(worst, abs(mean - float(np.float32(v))) / sigma)
-    ok = worst <= 4.0
+        step = 2.0 ** q.shared_exponent
+        frac = v / step - math.floor(v / step)
+        err = float(dequantize(q).astype(np.float64).mean()) - v
+        sigma = step * math.sqrt(frac * (1.0 - frac) / draws)
+        z.append(err / sigma if sigma else (0.0 if err == 0.0 else math.inf))
+    worst, pooled = max(map(abs, z)), sum(z) / len(z)
+    ok = worst <= 4.0 and abs(pooled) <= 4.0 / math.sqrt(len(z))
     emit(capsys, "stochastic-unbiased", ok,
-         f"100 scalars x {draws} draws; worst |mean - value| = {worst:.2f} sigma (<= 4)")
+         f"100 scalars x {draws} draws; worst |mean - value| = {worst:.2f} sigma (<= 4), "
+         f"mean z {pooled:+.3f} (|.| <= 0.4)")
 
 
 # === 3. arithmetic exactness ===

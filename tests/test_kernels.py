@@ -181,14 +181,17 @@ def test_overhead_ratio_independent_of_rb():
 
 
 def test_default_blocking_divides_and_hits_target():
-    # smallest multiple of 16 dividing padded C with chain >= 208
+    # smallest multiple of 16 dividing padded C with chain >= 208, unless
+    # that chain passes 416: then the largest whose chain stays within 208
     cases = [
         (ConvSpec(256, 16, 4, 4, 1, 1, 1, 0), 256),
         (ConvSpec(64, 64, 8, 8, 3, 3, 1, 1), 32),
         (ConvSpec(512, 64, 8, 8, 3, 3, 1, 1), 32),
-        (ConvSpec(48, 16, 8, 8, 3, 3, 1, 1), 48),
+        (ConvSpec(48, 16, 8, 8, 3, 3, 1, 1), 16),       # 432 products capped to 144
+        (ConvSpec(784, 10, 1, 1, 1, 1, 1, 0), 112),     # resnet_shadow's fc1
         (ConvSpec(208, 16, 4, 4, 1, 1, 1, 0), 208),
         (ConvSpec(16, 16, 6, 6, 3, 3, 1, 1), 16),
+        (ConvSpec(16, 16, 8, 8, 7, 7, 1, 3), 16),       # no block within 208
     ]
     for spec, want in cases:
         blk = default_blocking(spec)

@@ -943,11 +943,44 @@ _RESNET_SHADOW_CFG = {
 
 
 def test_training_run_with_int32_overflow():
-    # Seed 24 is a deterministic run whose shadow check counts INT32
-    # excursions: none in iterations 1-2, then some from iteration 3 on.
-    res = run_training(_RESNET_SHADOW_CFG, "glyphs:train=576,test=256", "dfp16", seed=24)
+    # Asked for chains of 784 products, seed 24 is a deterministic run whose
+    # shadow check counts INT32 excursions: none in iterations 1-2, then
+    # some from iteration 3 on.  The default 208-product target caps fc1's
+    # forward chain at 112, and the same seed then counts none.
+    long_chains = dict(_RESNET_SHADOW_CFG, chain_block=784)
+    res = run_training(long_chains, "glyphs:train=576,test=256", "dfp16", seed=24)
     counts = [row["overflow_count"] for row in res["rows"]]   # cumulative
     assert len(counts) == 18
     assert counts[:2] == [0, 0]
     assert counts[2] > 0
     assert counts[-1] == res["overflow_count"]
+    res = run_training(_RESNET_SHADOW_CFG, "glyphs:train=576,test=256", "dfp16", seed=24)
+    assert res["overflow_count"] == 0
+
+
+# The parity benchmark network's layers (tests/test_acceptance.py).
+_PARITY_LAYERS = [
+    {"type": "conv", "out_ch": 16, "kernel": 5, "pad": 2, "precision": "fp32", "bias": True},
+    {"type": "relu"}, {"type": "maxpool", "kernel": 2},
+    {"type": "conv", "out_ch": 32, "kernel": 3, "pad": 1}, {"type": "batchnorm"},
+    {"type": "relu"}, {"type": "maxpool", "kernel": 2},
+    {"type": "conv", "out_ch": 32, "kernel": 3, "pad": 1}, {"type": "batchnorm"},
+    {"type": "relu"}, {"type": "flatten"},
+    {"type": "fc", "out_features": 10, "precision": "fp32", "bias": True}]
+
+
+@pytest.mark.parametrize("layers, want", [
+    (_PARITY_LAYERS, ["relu1.out", "conv2.out", "relu2.out", "conv3.out"]),
+    # relu4 feeds avgpool, which reads FP32: no boundary there, and fc1's
+    # input is rounded once, after pool1
+    (_RESNET_SHADOW_CFG["layers"],
+     ["relu1.out", "relu2.out", "bn1", "conv4", "bn2", "pool1.out"]),
+], ids=["parity", "resnet_shadow"])
+def test_boundaries_only_where_integers_are_read(monkeypatch, layers, want):
+    cfg = parse_config({"layers": layers, "loss": "softmax_xent", "rounding": "stochastic"})
+    ctx = RunContext(q=make_quantizers(cfg, seed=3), policy=make_policy(cfg))
+    rng = np.random.default_rng(3)
+    model = build_model(cfg, (1, 28, 28), ctx, rng)
+    events = record_quantize_events(monkeypatch)
+    model.forward(rng.standard_normal((4, 1, 28, 28)).astype(np.float32))
+    assert [name for kind, name, _ in events if kind == "q_a"] == want

@@ -426,6 +426,21 @@ def test_quantize_blocks_match_float64_formula(monkeypatch, size, mode):
     assert t.elements.tobytes() == _quantize_f64(f, t.shared_exponent, cfg, 9).tobytes()
 
 
+@pytest.mark.parametrize("pre_shift", [0, 1])
+@pytest.mark.parametrize("mode", [Nearest(), Biased(), Stochastic(seed=7)], ids=repr)
+def test_quantize_saturates_in_the_top_sliver(mode, pre_shift):
+    # A largest magnitude just below a power of two scales past lim, the
+    # only case in which quantize clips; at P = 16 and pre_shift 0, lim + 1
+    # would not fit in int16.  Fractions cover [0, 1) for the stochastic draws.
+    top = 1 - 2.0 ** -24
+    f = np.concatenate([_f32(top, -top), np.linspace(-top, top, 4001, dtype=np.float32)])
+    cfg = QuantConfig(16, mode, pre_shift)
+    t = quantize(f, cfg, tensor_id=11)
+    lim = (1 << (15 - pre_shift)) - 1
+    assert np.abs(t.elements).max() == lim
+    assert t.elements.tobytes() == _quantize_f64(f, t.shared_exponent, cfg, 11).tobytes()
+
+
 @pytest.mark.parametrize("es", [-128, -127, -1, 0, 1, 126, 127])
 def test_dequantize_matches_float64_path(es):
     # every int16 element value

@@ -255,3 +255,17 @@ def test_stochastic_quantize_matches_scalar_stream():
                           rng_coords=(42, i))
               for i, v in enumerate(f)]
     npt.assert_array_equal(t.elements, expect)
+
+
+def test_stochastic_draws_are_halves_of_raw_philox_words():
+    # Element k draws u = r * 2**-32, r the low (k even) or high (k odd) 32
+    # bits of raw word k // 2 of Philox keyed by (seed, tensor_id), and
+    # rounds up when u < frac: x = 1 + r * 2**-32 stays at 1, and the next
+    # float64 fraction, (r + 1) * 2**-32, rounds up to 2.
+    seed, tid = 11, 2**40 + 3
+    words = np.random.Philox(key=np.array([seed, tid], np.uint64)).random_raw(4)
+    draws = [int(w) >> shift & 0xFFFFFFFF for w in words for shift in (0, 32)]
+    mode = Stochastic(seed=seed)
+    for k, r in enumerate(draws[:7]):
+        assert round_value(1 + r * 2.0 ** -32, mode, rng_coords=(tid, k)) == 1
+        assert round_value(1 + (r + 1) * 2.0 ** -32, mode, rng_coords=(tid, k)) == 2
