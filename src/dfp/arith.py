@@ -7,6 +7,14 @@ packs a 32-bit accumulator back into a P-bit tensor using a leading-zero
 count to pick the shift, and spilling converts a partial accumulator into
 an FP32 running sum so that long reductions never overflow 32 bits.
 
+AccumTensor, dfp_multiply, dfp_add, lzc and down_convert are the paper's
+DFP primitives, written out as its specification; no training path calls
+them.  The kernels compute the same products and int32 chain sums in
+bulk, and a test checks a kernel chain against dfp_multiply.  The spill
+is different: spill_add is the one spill rule, called by both kernel
+engines and by spill_to_fp32, so the rule the tests check is the one
+that runs.
+
 Overflow policy values describe how kernels size their accumulation
 chains: Strict chains are provably safe for worst-case magnitudes, while
 Empirical chains follow the observed behavior of real data and rely on
@@ -221,18 +229,31 @@ def fp32_scale(es: int) -> np.float32:
     return np.float32(np.ldexp(1.0, es))
 
 
+def spill_add(dst: np.ndarray, chain: np.ndarray, scale: np.float32,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The spill rule: dst += float32(chain) * scale, elementwise, for an
+    int32 chain sum, an FP32 running sum dst and the FP32 scale 2**E_s.
+
+    Both the INT32 -> FP32 conversion and the scaled add round to nearest
+    in FP32, matching a hardware convert + FMA sequence.  `out`, if given,
+    is a float32 array of chain's shape that receives the scaled chain, so
+    a caller spilling chain after chain allocates nothing per spill.
+    Returns dst.
+    """
+    dst += np.multiply(chain, scale, out=out, dtype=np.float32)
+    return dst
+
+
 def spill_to_fp32(acc: AccumTensor, dst: np.ndarray) -> np.ndarray:
     """Add the scaled accumulator into an FP32 running sum and reset it.
 
-    dst += float32(acc.elements) * 2**E_s, elementwise, then acc is zeroed
-    for the next partial chain.  Both the INT32 -> FP32 conversion and the
-    scaled add round to nearest in FP32, matching a hardware convert + FMA
-    sequence.
+    dst += float32(acc.elements) * 2**E_s by spill_add, then acc is zeroed
+    for the next partial chain.
     """
     if dst.dtype != np.float32:
         raise TypeError(f"spill destination must be float32, got {dst.dtype}")
     if dst.shape != acc.elements.shape:
         raise ValueError(f"shape mismatch: {acc.elements.shape} vs {dst.shape}")
-    dst += acc.elements.astype(np.float32) * fp32_scale(acc.shared_exponent)
+    spill_add(dst, acc.elements, fp32_scale(acc.shared_exponent))
     acc.elements[...] = 0
     return dst

@@ -9,6 +9,7 @@ alongside the metrics CSV; feeding that file back through `dfp train
 from __future__ import annotations
 
 import json
+import math
 import time
 from typing import List, Optional, Tuple
 
@@ -226,11 +227,18 @@ def compare_metrics(rows_a: List[dict], rows_b: List[dict], tol_acc: float,
                     tol_loss: float) -> Tuple[bool, List[str]]:
     """Compare two runs: A is the reference curve, B the candidate.
 
-    Checks that iteration grids match, that final validation accuracy
-    differs by at most tol_acc, and that per-epoch mean training loss
-    after the first epoch stays within a tol_loss relative envelope of
-    the reference.  Returns (passed, report lines).
+    Checks that every loss and accuracy is finite, that iteration grids
+    match, that final validation accuracy differs by at most tol_acc, and
+    that per-epoch mean training loss after the first epoch stays within a
+    tol_loss relative envelope of the reference.  Returns (passed, report
+    lines).
     """
+    for run, rows in (("reference", rows_a), ("candidate", rows_b)):
+        for r in rows:
+            for key in ("train_loss", "val_acc"):
+                if r[key] != "" and not math.isfinite(r[key]):
+                    return False, [f"{run} run: {key} {r[key]} at epoch {r['epoch']}, "
+                                   f"iteration {r['iteration']}", "FAIL"]
     lines = []
     grid_a = [(r["iteration"], r["epoch"]) for r in rows_a]
     grid_b = [(r["iteration"], r["epoch"]) for r in rows_b]

@@ -276,6 +276,7 @@ def restore_model(model, tensors: Dict[str, Dict[str, np.ndarray]]) -> None:
 
 METRICS_HEADER = ("iteration", "epoch", "train_loss", "val_acc",
                   "overflow_count", "wall_ms")
+_METRICS_TYPES = (int, int, float, float, int, float)
 
 
 def write_metrics(path: str, rows) -> None:
@@ -290,19 +291,39 @@ def write_metrics(path: str, rows) -> None:
 
 
 def read_metrics(path: str):
+    """Rows of a metrics CSV as write_metrics writes them.  A defect (a
+    foreign header, bytes that are not UTF-8, a wrong field count, an
+    unparsable field, a non-finite loss or an iteration that does not
+    increase) is a ValueError naming the path and the line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    if not lines:
+        raise ValueError(f"{path}: no metrics header")
     rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != METRICS_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header {header}")
-        for line in fh:
-            it, ep, loss, val, ovf, wall = line.rstrip("\n").split(",")
-            rows.append({
-                "iteration": int(it),
-                "epoch": int(ep),
-                "train_loss": float(loss),
-                "val_acc": "" if val == "" else float(val),
-                "overflow_count": int(ovf),
-                "wall_ms": float(wall),
-            })
+    for no, raw in enumerate(lines, 1):
+        where = f"{path}: line {no}"
+        try:
+            fields = raw.decode("utf-8").rstrip("\r").split(",")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where}: byte {exc.start} of the line is not UTF-8") from None
+        if no == 1:
+            if tuple(fields) != METRICS_HEADER:
+                raise ValueError(f"{where}: unexpected metrics header {fields}")
+            continue
+        if len(fields) != len(METRICS_HEADER):
+            raise ValueError(f"{where}: {len(fields)} fields, expected {len(METRICS_HEADER)}")
+        row = {}
+        for name, text, kind in zip(METRICS_HEADER, fields, _METRICS_TYPES):
+            try:
+                row[name] = "" if name == "val_acc" and text == "" else kind(text)
+            except ValueError:
+                raise ValueError(f"{where}: {name} {text!r} is not {kind.__name__}") from None
+        if not math.isfinite(row["train_loss"]):
+            raise ValueError(f"{where}: train_loss {row['train_loss']} is not finite")
+        if rows and row["iteration"] <= rows[-1]["iteration"]:
+            raise ValueError(f"{where}: iteration {row['iteration']} does not increase "
+                             f"(previous {rows[-1]['iteration']})")
+        rows.append(row)
     return rows

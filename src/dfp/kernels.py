@@ -20,8 +20,9 @@ pack_weights builds that matrix once per weight update: input channel c at
 tap (kh, kw) is row ((c//16 * KH + kh) * KW + kw) * 16 + c%16, output
 channel k is column k, and both channel counts are zero-padded to
 multiples of 16.  Each 8-row half of a 16-row group is the vinp2 operand
-of one madd, consecutive rows pairing in its lanes.  A GEMM's A and B
-operands are the pair itself, zero-padded to whole 16-lane groups.
+of one madd, consecutive rows pairing in its lanes.  A GEMM is a 1x1
+convolution over M single-pixel images and runs as one: its patch matrix
+is A and its weight matrix B, each zero-padded to whole 16-lane groups.
 
 The same im2col/col2im pair lowers every FP32 pass (group=1) and every
 DFP one (group=16, per tile).  im2col is one gather that writes the patch
@@ -29,11 +30,14 @@ matrix once, contiguously; col2im adds the taps back in (kh, kw) order
 into a channels-last buffer and transposes once.  Neither changes a bit:
 the column order is fixed, so the patch matrix, and with it every sgemm
 and chain, is the same, and each input element sums its taps in the same
-order from +0.0 as a per-tap scatter-add would.  For an fc (1x1 images)
-both are reshapes.
+order from +0.0 as a per-tap scatter-add would.  For an fc or a GEMM
+(1x1 images over whole channel groups) both are reshapes.
 
-Two engines, chosen by name, read the same pair and produce bit-identical
-outputs and statistics:
+conv_fprop and gemm_dfp run one kernel body: it plans the call, makes the
+NCHW FP32 output and hands it, the NCHW int16 input and the weight matrix
+to one of two engines, chosen by name.  Each lowers the input by im2col
+and stores through the plan, and both give bit-identical outputs and
+statistics:
 
 * "instructions": a Python loop nest issuing one vnni_madd per emulated
   instruction, with mem read from patch-matrix columns 8i..8i+7 and vinp2
@@ -43,8 +47,8 @@ outputs and statistics:
   spill.  Per-chain integer sums are computed exactly (float64 matmul; all
   partial sums stay far below 2**53) and then wrapped to int32.  Because
   two's-complement addition is associative, the wrapped totals equal the
-  instruction sequence's, and spilling in the same chain order reproduces
-  the FP32 accumulation bit for bit.
+  instruction sequence's, and spilling in the same chain order by the
+  same rule, arith.spill_add, reproduces the FP32 accumulation bit for bit.
 
 The fast engine walks the output rows in tiles of whole images, about
 _TILE_ROWS rows each (a GEMM row is a single-pixel image; an image larger
@@ -79,12 +83,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .arith import (INT32_MAX, INT32_MIN, Empirical, OverflowPolicy, Strict,
-                    check_strict_chain, fp32_scale, shadow_enabled)
+                    check_strict_chain, fp32_scale, shadow_enabled, spill_add)
 from .tensor import DfpTensor, max_abs
 
 # Output rows per fast-engine tile, rounded down to whole images (at least
@@ -300,7 +304,9 @@ def pack_weights(weights: DfpTensor) -> PackedWeights:
 
 
 # Gather indices kept, one per (ConvSpec, group): enough for every pass of
-# a model's layers in training and eval, each a few hundred KB at most.
+# a model's layers in training and eval, the 1x1 specs of weight-gradient
+# GEMMs included (9 entries on the parity benchmark network, 12 on
+# resnet_shadow), each a few hundred KB at most.
 _GATHER_CACHE = 32
 
 
@@ -388,20 +394,12 @@ def col2im(cols: np.ndarray, spec: ConvSpec, group: int = 1) -> np.ndarray:
     return np.ascontiguousarray(xp.transpose(0, 3, 1, 2))
 
 
-def _zero_pad(x: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
-    # x in the top-left corner of a zero matrix of the given shape.
-    if x.shape == shape:
-        return x
-    out = np.zeros(shape, x.dtype)
-    out[: x.shape[0], : x.shape[1]] = x
-    return out
-
-
 # === shared kernel planning ===
 
 
 @dataclasses.dataclass
 class _Plan:
+    spec: ConvSpec
     blk: BlockingParams
     images: int                  # n; a GEMM row is one single-pixel image
     pixels: int                  # output rows per image, oh * ow
@@ -419,16 +417,22 @@ class _Plan:
         """Output rows, n * oh * ow."""
         return self.images * self.pixels
 
+    def store(self, out: np.ndarray, i0: int, i1: int, rows: np.ndarray) -> None:
+        """Write images i0..i1-1's (rows, Kpad) FP32 output into NCHW out."""
+        s = self.spec
+        out[i0:i1] = rows[:, : s.out_ch].reshape(
+            i1 - i0, s.oh, s.ow, s.out_ch).transpose(0, 3, 1, 2)
+
 
 def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPolicy,
-               engine: str, images: int, a: np.ndarray, b: np.ndarray, es: int) -> _Plan:
-    # Output rows of `images` images from input elements `a` and weight
-    # elements `b` (any layout), spilled at scale 2**es.
+               engine: str, x: np.ndarray, wmat: np.ndarray, es: int) -> _Plan:
+    # Output rows of the images in `x` (NCHW int16 elements) times the
+    # weight matrix `wmat`, spilled at scale 2**es.
     if blk is None:
         blk = default_blocking(spec, policy)
     chain = chain_length(spec, blk, policy)
     if isinstance(policy, Strict):
-        check_strict_chain(chain, max_abs(a) if a.size else 0, max_abs(b) if b.size else 0)
+        check_strict_chain(chain, max_abs(x) if x.size else 0, max_abs(wmat))
     scale = fp32_scale(es)
 
     k16 = _ceil_to(spec.out_ch, 16) // 16
@@ -439,24 +443,19 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; use one of {sorted(ENGINES)}")
     pixels = spec.oh * spec.ow
-    return _Plan(blk, images, pixels, max(1, _TILE_ROWS // pixels), k16,
+    return _Plan(spec, blk, x.shape[0], pixels, max(1, _TILE_ROWS // pixels), k16,
                  k16 * 16, madds, bounds, scale, shadow_enabled(policy), engine)
 
 
 # === engines ===
 
-# lower(i0, i1): the int16 patch matrix of images i0..i1-1, pixel-major.
-Lowering = Callable[[int, int], np.ndarray]
-# store(i0, i1, rows): write the (rows, Kpad) FP32 output of those images.
-Store = Callable[[int, int, np.ndarray], None]
 
-
-def _run_instr(plan: _Plan, lower: Lowering, wmat: np.ndarray, store: Store,
+def _run_instr(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
                debug_partials: Optional[list]) -> KernelStats:
-    cols = lower(0, plan.images)
+    cols = im2col(x, plan.spec, 16)
     rb = plan.blk.rb_size
     stats = KernelStats()
-    out = np.zeros((plan.m, plan.kpad), np.float32)
+    acc = np.zeros((plan.m, plan.kpad), np.float32)
     if debug_partials is not None:
         partials = [np.zeros((plan.m, plan.kpad), np.int32) for _ in plan.chunk_bounds]
 
@@ -484,19 +483,19 @@ def _run_instr(plan: _Plan, lower: Lowering, wmat: np.ndarray, store: Store,
                                           | (mirror[j] < INT32_MIN), out=flags[j])
                 if debug_partials is not None:
                     partials[ci][t0: t0 + tsz, kb * 16: kb * 16 + 16] = vout
-                vtemp += vout.astype(np.float32) * plan.scale
+                spill_add(vtemp, vout, plan.scale)
                 stats.convert_count += tsz
                 stats.spill_count += 1
                 if plan.shadow:
                     stats.overflow_count += int(flags.sum())
-            out[t0: t0 + tsz, kb * 16: kb * 16 + 16] = vtemp
+            acc[t0: t0 + tsz, kb * 16: kb * 16 + 16] = vtemp
     if debug_partials is not None:
         debug_partials.extend(partials)
-    store(0, plan.images, out)
+    plan.store(out, 0, plan.images, acc)
     return stats
 
 
-def _run_fast(plan: _Plan, lower: Lowering, wmat: np.ndarray, store: Store,
+def _run_fast(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
               debug_partials: Optional[list]) -> KernelStats:
     if debug_partials is not None:
         partials = [np.empty((plan.m, plan.kpad), np.int32) for _ in plan.chunk_bounds]
@@ -505,7 +504,7 @@ def _run_fast(plan: _Plan, lower: Lowering, wmat: np.ndarray, store: Store,
     exact_buf = np.empty((rows, plan.kpad), np.float64)
     wide_buf = np.empty((rows, plan.kpad), np.int64)
     wrapped_buf = np.empty((rows, plan.kpad), np.int32)
-    spill_buf = np.empty((rows, plan.kpad), np.float32)
+    term_buf = np.empty((rows, plan.kpad), np.float32)
     acc_buf = np.empty((rows, plan.kpad), np.float32)
     a_buf = np.empty(rows * 8 * (plan.chunk_bounds[0][1] - plan.chunk_bounds[0][0]))
     # A chain's weight operand is built when the first tile needs it and
@@ -514,10 +513,10 @@ def _run_fast(plan: _Plan, lower: Lowering, wmat: np.ndarray, store: Store,
     overflow = 0
     for i0 in range(0, plan.images, plan.tile_images):
         i1 = min(i0 + plan.tile_images, plan.images)
-        cols = lower(i0, i1)
+        cols = im2col(x[i0:i1], plan.spec, 16)
         t0, t1 = i0 * plan.pixels, i1 * plan.pixels
-        exact, wide, wrapped, spill, acc = (
-            buf[: t1 - t0] for buf in (exact_buf, wide_buf, wrapped_buf, spill_buf, acc_buf))
+        exact, wide, wrapped, term, acc = (
+            buf[: t1 - t0] for buf in (exact_buf, wide_buf, wrapped_buf, term_buf, acc_buf))
         acc[...] = 0
         for ci, bounds in enumerate(plan.chunk_bounds):
             op = ops[ci] or _ChainOperand(wmat, bounds, plan.shadow)
@@ -532,10 +531,10 @@ def _run_fast(plan: _Plan, lower: Lowering, wmat: np.ndarray, store: Store,
             np.copyto(wrapped, wide, casting="unsafe")
             if debug_partials is not None:
                 partials[ci][t0:t1] = wrapped
-            acc += np.multiply(wrapped, plan.scale, out=spill, dtype=np.float32)
+            spill_add(acc, wrapped, plan.scale, out=term)
             if plan.shadow:
                 overflow += _shadow_excursions(a_chunk, a, op, exact)
-        store(i0, i1, acc)
+        plan.store(out, i0, i1, acc)
     if debug_partials is not None:
         debug_partials.extend(partials)
 
@@ -597,7 +596,17 @@ def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, op: _ChainOperand,
 ENGINES = {"instructions": _run_instr, "fast": _run_fast}
 
 
-# === public kernel entry points ===
+# === kernel entry points ===
+
+
+def _convolve(x: np.ndarray, wmat: np.ndarray, es: int, spec: ConvSpec,
+              blk: Optional[BlockingParams], policy: OverflowPolicy, engine: str,
+              debug_partials: Optional[list]) -> Tuple[np.ndarray, KernelStats]:
+    # The one kernel body: NCHW int16 elements x times the (L, Kpad) int16
+    # weight matrix, spilled at scale 2**es into a new NCHW FP32 output.
+    plan = _make_plan(spec, blk, policy, engine, x, wmat, es)
+    out = np.empty((plan.images, spec.out_ch, spec.oh, spec.ow), np.float32)
+    return out, ENGINES[plan.engine](plan, x, wmat, out, debug_partials)
 
 
 def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
@@ -624,18 +633,8 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
         raise ValueError(
             f"weights shape {weights.shape} does not match spec "
             f"({spec.out_ch}, {spec.in_ch}, {spec.kh}, {spec.kw})")
-    n = x.shape[0]
-    plan = _make_plan(spec, blk, policy, engine, n, x, weights.data,
-                      inp.shared_exponent + weights.shared_exponent)
-    out = np.empty((n, spec.out_ch, spec.oh, spec.ow), np.float32)
-
-    def store(i0: int, i1: int, rows: np.ndarray) -> None:
-        out[i0:i1] = rows[:, : spec.out_ch].reshape(
-            i1 - i0, spec.oh, spec.ow, spec.out_ch).transpose(0, 3, 1, 2)
-
-    stats = ENGINES[plan.engine](plan, lambda i0, i1: im2col(x[i0:i1], spec, 16),
-                                 weights.data, store, debug_partials)
-    return out, stats
+    return _convolve(x, weights.data, inp.shared_exponent + weights.shared_exponent,
+                     spec, blk, policy, engine, debug_partials)
 
 
 def gemm_dfp(a: DfpTensor, b: DfpTensor,
@@ -647,10 +646,10 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
     """C = A (M x KK) times B (KK x N) through the blocked integer kernels.
 
     A GEMM is a 1x1 convolution over M single-pixel images with KK input
-    channels, so the reduction is chunked along KK in icblk-sized chains
-    with the same spill discipline as conv_fprop.  Its patch matrix is A
-    and its weight matrix is B, each zero-padded to whole 16-lane groups.
-    `debug_partials` acts as in conv_fprop.
+    channels and runs as one, in conv_fprop's kernel body: A's rows are the
+    images (a reshape, not a copy) and B, zero-padded to whole 16-lane
+    groups where needed, the weight matrix.  The (M, N) result is a view
+    of the kernel's output.  `debug_partials` acts as in conv_fprop.
     """
     if a.elements.ndim != 2 or b.elements.ndim != 2:
         raise ValueError("gemm operands must be rank-2")
@@ -659,15 +658,9 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
     if kk != kk2:
         raise ValueError(f"inner dimensions disagree: {kk} vs {kk2}")
     spec = ConvSpec(in_ch=kk, out_ch=n, h=1, w=1, kh=1, kw=1)
-    plan = _make_plan(spec, blk, policy, engine, m, a.elements, b.elements,
-                      a.shared_exponent + b.shared_exponent)
-    cpad = _ceil_to(kk, 16)
-    out = np.empty((m, n), np.float32)
-
-    def store(i0: int, i1: int, rows: np.ndarray) -> None:
-        out[i0:i1] = rows[:, :n]
-
-    stats = ENGINES[plan.engine](
-        plan, lambda i0, i1: _zero_pad(a.elements[i0:i1], (i1 - i0, cpad)),
-        _zero_pad(b.elements, (cpad, plan.kpad)), store, debug_partials)
-    return out, stats
+    wmat = (np.pad(b.elements, ((0, -kk % 16), (0, -n % 16)))
+            if kk % 16 or n % 16 else b.elements)
+    out, stats = _convolve(a.elements.reshape(m, kk, 1, 1), wmat,
+                           a.shared_exponent + b.shared_exponent,
+                           spec, blk, policy, engine, debug_partials)
+    return out.reshape(m, n), stats

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dfp import cli
+from dfp import cli, experiments
 from dfp.datasets import export_idx, make_dataset
 from dfp.fileio import (METRICS_HEADER, load_checkpoint, read_dft,
                         read_idx_images, read_idx_labels, read_metrics,
@@ -327,6 +327,33 @@ def test_metrics_rejects_foreign_header(tmp_path):
         fh.write("iteration,epoch,loss\n1,0,0.5\n")
     with pytest.raises(ValueError, match="header"):
         read_metrics(path)
+
+
+_METRICS_OK = (b"iteration,epoch,train_loss,val_acc,overflow_count,wall_ms\n"
+               b"1,0,0.5,,0,1.000\n2,0,0.25,0.9,0,1.000\n")
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"3,0,0.5\n", "3 fields, expected 6"),
+    (b"3,0,0.5,,0,1.000,7\n", "7 fields, expected 6"),
+    (b"x,0,0.5,,0,1.000\n", "iteration 'x' is not int"),
+    (b"3,0,0.5,high,0,1.000\n", "val_acc 'high' is not float"),
+    (b"3,0,0.5,,1.5,1.000\n", "overflow_count '1.5' is not int"),
+    (b"3,0,nan,,0,1.000\n", "train_loss nan is not finite"),
+    (b"3,0,-inf,,0,1.000\n", "train_loss -inf is not finite"),
+    (b"2,0,0.5,,0,1.000\n", "iteration 2 does not increase (previous 2)"),
+    (b"1,0,0.5,,0,1.000\n", "iteration 1 does not increase (previous 2)"),
+    (b"3,0,0.5,\xff,0,1.000\n", "byte 8 of the line is not UTF-8"),
+], ids=["short", "long", "bad-int", "bad-float", "float-count", "nan-loss", "inf-loss",
+        "repeated-iteration", "earlier-iteration", "not-utf8"])
+def test_read_metrics_names_path_and_line(tmp_path, row, message):
+    path = tmp_path / "m.csv"
+    path.write_bytes(_METRICS_OK + b"4,1,0.5,,0,1.000\n")
+    assert [r["iteration"] for r in read_metrics(str(path))] == [1, 2, 4]
+    path.write_bytes(_METRICS_OK + row + b"4,1,0.5,,0,1.000\n")
+    with pytest.raises(ValueError) as err:
+        read_metrics(str(path))
+    assert str(err.value) == f"{path}: line 4: {message}"
 
 
 # === datasets ===
@@ -669,6 +696,29 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     write_metrics(b, drift)
     assert cli.main(["compare", "--a", a, "--b", b]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _three_epoch_rows():
+    return [{"iteration": i + 1, "epoch": i // 4, "train_loss": 1.0 / (i + 1),
+             "val_acc": "" if (i + 1) % 4 else 0.9, "overflow_count": 0, "wall_ms": 1.0}
+            for i in range(12)]
+
+
+@pytest.mark.parametrize("index", [3, 7], ids=["epoch0", "epoch1"])
+@pytest.mark.parametrize("key, value", [("train_loss", float("nan")), ("train_loss", float("inf")),
+                                        ("val_acc", float("nan")), ("val_acc", float("-inf"))],
+                         ids=["nan-loss", "inf-loss", "nan-acc", "inf-acc"])
+@pytest.mark.parametrize("run", ["reference", "candidate"])
+def test_compare_fails_on_non_finite_values(run, key, value, index):
+    # A NaN gap compares false against any bound, so without its own check
+    # a candidate whose loss is NaN in one epoch of three would pass.
+    rows = {"reference": _three_epoch_rows(), "candidate": _three_epoch_rows()}
+    assert experiments.compare_metrics(rows["reference"], rows["candidate"], 0.01, 0.1)[0]
+    rows[run][index][key] = value
+    ok, lines = experiments.compare_metrics(rows["reference"], rows["candidate"], 0.01, 0.1)
+    assert not ok
+    assert lines == [f"{run} run: {key} {value} at epoch {index // 4}, "
+                     f"iteration {index + 1}", "FAIL"]
 
 
 def test_cli_requires_subcommand():

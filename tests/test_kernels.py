@@ -5,10 +5,11 @@ import numpy.testing as npt
 import pytest
 
 from dfp import kernels
-from dfp.arith import INT32_MAX, INT32_MIN, safe_chain_length
+from dfp.arith import (INT32_MAX, INT32_MIN, AccumTensor, dfp_multiply,
+                       safe_chain_length, spill_to_fp32)
 from dfp.kernels import (BlockingParams, ConvSpec, Empirical, Fraction,
                          KernelStats, Strict, chain_length, conv_fprop,
-                         default_blocking, gemm_dfp, overhead_ratio,
+                         default_blocking, gemm_dfp, im2col, overhead_ratio,
                          pack_weights, vnni_madd)
 from dfp.tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
 
@@ -496,6 +497,48 @@ def test_debug_partials_match_int64_mod_2_32():
             wrapped = (exact & 0xFFFFFFFF).astype(np.uint32).view(np.int32)
             npt.assert_array_equal(part.reshape(25, 16),
                                    wrapped[0].transpose(1, 2, 0).reshape(25, 16))
+
+
+@pytest.mark.parametrize("engine", ["instructions", "fast"])
+@pytest.mark.parametrize("kind", ["gemm", "conv"])
+def test_kernel_chains_follow_the_arith_primitives(kind, engine):
+    # The paper's primitives are the kernels' specification: each chain sum
+    # is dfp_multiply's products summed in wrapping int32, and spill_to_fp32
+    # over the chains, in chain order, gives the kernel's FP32 output bits.
+    rng = np.random.default_rng(3600)
+    ea, eb = -9, -11
+    blk = BlockingParams(icblk=16, rb_size=7)
+    dbg = []
+    if kind == "gemm":          # chains of 16, 16 and 8 products, one sign per row
+        a = (rng.integers(12000, 16384, (13, 40)) * rng.choice([-1, 1], (13, 1))).astype(np.int16)
+        b = rng.integers(12000, 16384, (40, 20)).astype(np.int16)
+        out, _ = gemm_dfp(DfpTensor(a, ea), DfpTensor(b, eb), blk, engine=engine,
+                          debug_partials=dbg)
+        cols, wmat = np.pad(a, ((0, 0), (0, 8))), np.pad(b, ((0, 8), (0, 12)))
+        chain = 16
+    else:                       # three chains of 16 channels x 9 taps
+        spec = ConvSpec(40, 20, 4, 4, 3, 3, 1, 1)
+        x = rng.integers(-16383, 16384, (2, 40, 4, 4)).astype(np.int16)
+        w = pack_weights(DfpTensor(rng.integers(-16383, 16384, (20, 40, 3, 3))
+                                   .astype(np.int16), eb))
+        out, _ = conv_fprop(DfpTensor(x, ea), w, spec, blk, engine=engine,
+                            debug_partials=dbg)
+        out = out.transpose(0, 2, 3, 1).reshape(-1, 20)
+        cols, wmat = im2col(x, spec, 16), w.data
+        chain = 16 * 9
+    assert len(dbg) == cols.shape[1] // chain
+    acc = np.zeros(dbg[0].shape, np.float32)
+    wrapped = False
+    for ci, part in enumerate(dbg):
+        c0, c1 = ci * chain, (ci + 1) * chain
+        prod = dfp_multiply(DfpTensor(cols[:, c0:c1, None], ea),
+                            DfpTensor(wmat[None, c0:c1, :], eb))
+        sums = prod.elements.sum(axis=1, dtype=np.int32)
+        npt.assert_array_equal(part, sums)
+        wrapped |= bool((prod.elements.sum(axis=1, dtype=np.int64) != sums).any())
+        spill_to_fp32(AccumTensor(part.copy(), prod.shared_exponent), acc)
+    assert wrapped                              # some chain left int32
+    npt.assert_array_equal(acc[:, :20].view(np.uint32), out.view(np.uint32))
 
 
 def test_conv_impulse_identity():

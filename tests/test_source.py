@@ -90,6 +90,17 @@ def test_no_unused_private_names():
     assert unused == []
 
 
+def test_one_kernel_body():
+    # conv_fprop and gemm_dfp run one kernel body: kernels.py plans a call
+    # and dispatches an engine in exactly one place each.
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    plans = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_make_plan"]
+    dispatches = [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Name) and node.value.id == "ENGINES"]
+    assert (len(plans), len(dispatches)) == (1, 1)
+
+
 def test_bench_files_report_the_end_to_end_metrics():
     # Each BENCH_<workload>.json entry is one side of a before/after
     # comparison: a commit, the run length and seeds, the provenance line,
