@@ -22,8 +22,8 @@ from .kernels import (ConvSpec, chain_length, conv_fprop, default_blocking, gemm
                       overhead_ratio, pack_weights)
 from .layers import RunContext
 from .tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
-from .training import (build_model, make_policy, make_quantizers, parse_config,
-                       train_loop)
+from .training import (TrainingDivergence, build_model, make_policy, make_quantizers,
+                       parse_config, train_loop)
 
 # === training runs ===
 
@@ -40,8 +40,15 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
                      engine=engine, icblk=cfg.icblk, rb_size=cfg.rb_size)
     model = build_model(cfg, data.in_shape, ctx, init_rng, precision=precision)
     t0 = time.perf_counter()
-    rows = train_loop(model, cfg, data.train_x, data.train_y,
-                      data.val_x, data.val_y, seed)
+    rows: List[dict] = []
+    try:
+        train_loop(model, cfg, data.train_x, data.train_y,
+                   data.val_x, data.val_y, seed, rows)
+    except (TrainingDivergence, ValueError, OverflowError):
+        # a failed run keeps the rows of the iterations it completed
+        if out_csv:
+            write_metrics(out_csv, rows)
+        raise
     elapsed = time.perf_counter() - t0
     final_val = next((r["val_acc"] for r in reversed(rows) if r["val_acc"] != ""), "")
     resolved = {

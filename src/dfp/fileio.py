@@ -300,7 +300,7 @@ def read_metrics(path: str):
     if lines[-1] == b"":
         lines.pop()
     if not lines:
-        raise ValueError(f"{path}: no metrics header")
+        raise ValueError(f"{path}: line 1: no metrics header")
     rows = []
     for no, raw in enumerate(lines, 1):
         where = f"{path}: line {no}"

@@ -24,14 +24,16 @@ of one madd, consecutive rows pairing in its lanes.  A GEMM is a 1x1
 convolution over M single-pixel images and runs as one: its patch matrix
 is A and its weight matrix B, each zero-padded to whole 16-lane groups.
 
-The same im2col/col2im pair lowers every FP32 pass (group=1) and every
-DFP one (group=16, per tile).  im2col is one gather that writes the patch
-matrix once, contiguously; col2im adds the taps back in (kh, kw) order
-into a channels-last buffer and transposes once.  Neither changes a bit:
-the column order is fixed, so the patch matrix, and with it every sgemm
-and chain, is the same, and each input element sums its taps in the same
-order from +0.0 as a per-tap scatter-add would.  For an fc or a GEMM
-(1x1 images over whole channel groups) both are reshapes.
+One im2col lowers every pass: FP32 ones in the (c, kh, kw) column order
+of a flattened weight (group=1), kernel calls in madd order (group=16,
+per tile), and the DFP weight gradient's activations in gcd(C, 16)-channel
+chunks, which keep the GEMM's shape (no channel is padded) while moving
+runs of channels; the layer puts the GEMM's columns back in (c, kh, kw)
+order.  It is one gather that writes the patch matrix once, and a reshape
+for an fc or a GEMM.  Its adjoint is part of fp32_input_grad.  None of
+this changes a bit: the FP32 sgemm calls are the same, each input element
+sums its taps in (kh, kw) order from +0.0, and an integer chain sum does
+not depend on its column.
 
 conv_fprop and gemm_dfp run one kernel body: it plans the call, makes the
 NCHW FP32 output and hands it, the NCHW int16 input and the weight matrix
@@ -96,6 +98,11 @@ from .tensor import DfpTensor, max_abs
 # replay are built and used while they are cache-sized.  Picked by a sweep
 # of 256-2048 rows on both benchmark workloads.
 _TILE_ROWS = 512
+
+# Tap values per tile of fp32_input_grad's adds, rounded down to whole
+# images (at least one): a tile's rows stay in cache across its KH*KW taps.
+# Picked by a sweep of 2**16-2**19 over both benchmark workloads' convs.
+_SCATTER_FLOATS = 1 << 18
 
 
 # === geometry and blocking ===
@@ -369,29 +376,31 @@ def im2col(x: np.ndarray, spec: ConvSpec, group: int = 1) -> np.ndarray:
     return cols.reshape(n * spec.oh * spec.ow, -1)
 
 
-def col2im(cols: np.ndarray, spec: ConvSpec, group: int = 1) -> np.ndarray:
-    """Adjoint of im2col: add each patch column back onto the NCHW input it
-    was read from; padding is dropped.
+def fp32_input_grad(g_mat: np.ndarray, wmat: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """FP32 input gradient of a convolution: (N*OH*OW, K) output gradients,
+    pixel-major, and (K, C*KH*KW) flattened weights give the NCHW gradient.
 
-    Taps are added in (kh, kw) order into a channels-last zero buffer,
-    which is transposed once to NCHW.  Each input element therefore sums
-    its taps in the same order, from +0.0, as a per-tap NCHW scatter-add,
-    and FP32 bits do not depend on the layout.  Where im2col is a reshape,
-    col2im is one too, plus 0: the zero start turns a -0.0 tap into +0.0.
+    One sgemm, g_mat @ wmat, gives every tap's value.  The taps are added
+    back onto the input pixels they were read from, in (kh, kw) order from
+    +0.0, into a channels-last zero buffer transposed once to NCHW, a tile
+    of about _SCATTER_FLOATS tap values at a time, so that the tile stays
+    in cache across its taps.  The sgemm stays whole: OpenBLAS's summation
+    order depends on the call's shape, and per-tap products would change
+    the last bit where K > 32 or C = 1.
     """
-    c, cg = spec.in_ch, -(-spec.in_ch // group)
+    c, kh, kw = spec.in_ch, spec.kh, spec.kw
     oh, ow, s, p = spec.oh, spec.ow, spec.stride, spec.pad
+    cols = g_mat @ wmat
     n = cols.shape[0] // (oh * ow)
-    if _gather_index(spec, group) is None:
-        return cols.reshape(n, c, 1, 1) + 0
-    d = cols.reshape(n, oh, ow, cg, spec.kh, spec.kw, group)
-    hp, wp = spec.h + 2 * p, spec.w + 2 * p
-    xp = np.zeros((n, hp, wp, cg, group), cols.dtype)
-    for r in range(spec.kh):
-        for t in range(spec.kw):
-            xp[:, r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s] += d[:, :, :, :, r, t]
-    xp = xp.reshape(n, hp, wp, cg * group)[:, p: p + spec.h, p: p + spec.w, :c]
-    return np.ascontiguousarray(xp.transpose(0, 3, 1, 2))
+    taps = cols.reshape(n, oh, ow, c, kh, kw)
+    xp = np.zeros((n, spec.h + 2 * p, spec.w + 2 * p, c), cols.dtype)
+    step = max(1, _SCATTER_FLOATS // (oh * ow * c * kh * kw))
+    for i0 in range(0, n, step):
+        for r in range(kh):
+            for t in range(kw):
+                xp[i0: i0 + step, r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s] += \
+                    taps[i0: i0 + step, :, :, :, r, t]
+    return np.ascontiguousarray(xp[:, p: p + spec.h, p: p + spec.w].transpose(0, 3, 1, 2))
 
 
 # === shared kernel planning ===

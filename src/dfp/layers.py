@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .arith import Empirical, OverflowPolicy
-from .kernels import (BlockingParams, ConvSpec, KernelStats, PackedWeights, col2im,
-                      conv_fprop, default_blocking, gemm_dfp, im2col, pack_weights)
+from .kernels import (BlockingParams, ConvSpec, KernelStats, PackedWeights, conv_fprop,
+                      default_blocking, fp32_input_grad, gemm_dfp, im2col, pack_weights)
 from .tensor import DfpTensor, QuantConfig, dequantize, quantize
 
 Activation = Union[np.ndarray, DfpTensor]
@@ -282,12 +282,21 @@ class Conv(Layer):
             e_q = self.ctx.q.q_e(self.name, g)
             # Weight gradient: GEMM over the minibatch x spatial reduction,
             # chunked like any other chain; output stays FP32 (never quantized).
+            # The activations are lowered in chunks of grp channels, which
+            # divides C, so the GEMM's shape is that of the (c, kh, kw)
+            # lowering; its columns, in (c//grp, kh, kw, c%grp) order, are put
+            # back in place in the GEMM's own output, which gW stays a view of.
             e_mat = DfpTensor(
                 np.ascontiguousarray(e_q.elements.transpose(1, 0, 2, 3)).reshape(self.out_ch, -1),
                 e_q.shared_exponent, e_q.bit_width)
-            a_cols = DfpTensor(im2col(self._a_q.elements, spec),
+            grp = math.gcd(self.in_ch, 16)
+            a_cols = DfpTensor(im2col(self._a_q.elements, spec, grp),
                                self._a_q.shared_exponent, self._a_q.bit_width)
-            self.gW = self.ctx.gemm(e_mat, a_cols).reshape(self.W.shape)
+            gw = self.ctx.gemm(e_mat, a_cols)
+            if grp > 1 and self.kh * self.kw > 1:
+                gw[...] = gw.reshape(self.out_ch, -1, self.kh, self.kw, grp).transpose(
+                    0, 1, 4, 2, 3).reshape(self.out_ch, -1)
+            self.gW = gw.reshape(self.W.shape)
             if not self.first:
                 # Input gradient: convolve dilated errors with the flipped,
                 # channel-transposed quantized weights.
@@ -297,7 +306,7 @@ class Conv(Layer):
             g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, self.out_ch)
             self.gW = (g_mat.T @ self._cols).reshape(self.W.shape)
             if not self.first:
-                gx = col2im(g_mat @ self.W.reshape(self.out_ch, -1), spec)
+                gx = fp32_input_grad(g_mat, self.W.reshape(self.out_ch, -1), spec)
         if gx is None:
             gx = np.zeros((n, self.in_ch, spec.h, spec.w), np.float32)
         return gx.reshape(n, -1) if self.flat else gx
@@ -458,7 +467,12 @@ class MaxPool(Layer):
 
 
 class AvgPool(Layer):
-    """Non-overlapping average pooling; always up-converts to FP32."""
+    """Non-overlapping average pooling; always up-converts to FP32.
+
+    The forward pass sums strided views in the order numpy's mean takes:
+    each window row over its columns from +0.0, the row sums in row order,
+    then a division by k*k.  For a one-column output or k >= 8 numpy
+    reorders its reduction, and the last bits may differ from its mean."""
 
     def __init__(self, ctx, name, kernel):
         super().__init__(ctx, name)
@@ -469,7 +483,17 @@ class AvgPool(Layer):
         n, c, h, w = xf.shape
         k = self.k
         self._in_shape = xf.shape
-        return xf.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+        win = xf.reshape(n, c, h // k, k, w // k, k)
+        for i in range(k):
+            row = win[:, :, :, i, :, 0] + np.float32(0)
+            for j in range(1, k):
+                row += win[:, :, :, i, :, j]
+            if i == 0:
+                total = row
+            else:
+                total += row
+        total /= np.float32(k * k)
+        return total
 
     def backward(self, g):
         g = np.asarray(g, np.float32)

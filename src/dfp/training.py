@@ -397,8 +397,10 @@ def evaluate(model: Model, x: np.ndarray, y: np.ndarray, loss_name: str,
 
 def train_loop(model: Model, cfg: TrainConfig, train_x: np.ndarray,
                train_y: np.ndarray, val_x: np.ndarray, val_y: np.ndarray,
-               seed: int) -> List[dict]:
-    """Run SGD for cfg.epochs; returns one metrics row per iteration.
+               seed: int, rows: Optional[List[dict]] = None) -> List[dict]:
+    """Run SGD for cfg.epochs; returns one metrics row per iteration,
+    appended to `rows` (a new list if None) as each iteration completes, so
+    a run that raises leaves there the rows of the iterations it finished.
 
     Row keys: iteration, epoch, train_loss, val_acc (empty except on each
     epoch's final iteration), overflow_count (cumulative), wall_ms (the
@@ -409,7 +411,7 @@ def train_loop(model: Model, cfg: TrainConfig, train_x: np.ndarray,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     loss_fn = _LOSSES[cfg.loss]
     q = model.ctx.q
-    rows: List[dict] = []
+    rows = [] if rows is None else rows
     n = train_x.shape[0]
     bs = cfg.batch_size
     if n < bs:

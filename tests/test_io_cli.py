@@ -1,7 +1,9 @@
 """Tensor files, IDX data, checkpoints, metrics CSV, and the CLI."""
 
+import dataclasses
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -564,6 +566,45 @@ def test_cli_train_checkpoint(tmp_path):
     manifest, tensors = load_checkpoint(ckpt)
     assert manifest["format"] == "dfp-checkpoint-v1"
     assert "fc1" in tensors and "W" in tensors["fc1"]
+
+
+def _without_wall_ms(rows):
+    return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_cli_train_that_diverges_keeps_its_rows(tmp_path, capsys):
+    # the loss goes non-finite at iteration 7: exit 2, and the metrics file
+    # holds the 7 rows completed before it
+    cfg_path = str(tmp_path / "mlp.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(dict(MLP_JSON, base_lr=1000.0), fh)
+    out = str(tmp_path / "m.csv")
+    rc = cli.main(["train", "--config", cfg_path, "--data", "gauss2:n=256",
+                   "--precision", "dfp16", "--seed", "5", "--out", out])
+    assert rc == 2
+    assert "non-finite loss nan at iteration 7" in capsys.readouterr().err
+    assert [r["iteration"] for r in read_metrics(out)] == list(range(1, 8))
+
+
+def test_training_stopped_by_quantize_keeps_its_rows(tmp_path):
+    # a NaN training image stops the run at Q_a of the batch that holds it;
+    # the rows written before are those of the same run on clean data
+    clean = make_dataset("gauss2:n=256", 5)
+    x = clean.train_x.copy()
+    x[100] = np.nan
+    bad = dataclasses.replace(clean, train_x=x)
+    config = dict(MLP_JSON, layers=[dict(MLP_JSON["layers"][0], precision="dfp")]
+                  + MLP_JSON["layers"][1:])
+    ok_csv, bad_csv = str(tmp_path / "ok.csv"), str(tmp_path / "bad.csv")
+    experiments.run_training(config, "gauss2:n=256", "dfp16", 5, out_csv=ok_csv, data=clean)
+    with pytest.raises(ValueError, match=r"fc1 q_a, train phase, iteration (\d+): "
+                                         r"tensor contains NaN or Inf") as info:
+        experiments.run_training(config, "gauss2:n=256", "dfp16", 5, out_csv=bad_csv,
+                                 data=bad)
+    kept = read_metrics(bad_csv)
+    assert len(kept) == int(re.search(r"iteration (\d+)", str(info.value)).group(1)) > 0
+    assert _without_wall_ms(kept) == _without_wall_ms(read_metrics(ok_csv))[: len(kept)]
 
 
 def test_cli_train_bad_config(tmp_path, capsys):

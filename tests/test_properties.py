@@ -1,10 +1,13 @@
 """Property tests: lowering and engine bit identity over random geometry,
-an fc layer against its GEMM formulation, the range, exponent and error
-bounds of the format conversions, their exactness against float64
-formulas, max pooling against argmax, the file readers on truncated
-and corrupted files, and checkpoint loading on mutated manifests."""
+the FP32 input gradient and the DFP weight gradient against their plain
+formulations, an fc layer against its GEMM formulation, the range,
+exponent and error bounds of the format conversions, their exactness
+against float64 formulas, average pooling's summation order, max pooling
+against argmax, the file readers on truncated and corrupted files, and
+checkpoint loading on mutated manifests."""
 
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -21,11 +24,13 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import dfp.tensor
 from dfp.arith import AccumTensor, Empirical, down_convert
-from dfp.fileio import (load_checkpoint, read_dft, read_idx_images, read_idx_labels,
-                        save_checkpoint, write_dft, write_idx_images, write_idx_labels)
-from dfp.kernels import (BlockingParams, ConvSpec, KernelStats, col2im, conv_fprop,
+from dfp.fileio import (METRICS_HEADER, load_checkpoint, read_dft, read_idx_images,
+                        read_idx_labels, read_metrics, save_checkpoint, write_dft,
+                        write_idx_images, write_idx_labels, write_metrics)
+import dfp.kernels
+from dfp.kernels import (BlockingParams, ConvSpec, KernelStats, conv_fprop, fp32_input_grad,
                          gemm_dfp, im2col, pack_weights)
-from dfp.layers import Dense, MaxPool, Model, Quantizers, RunContext
+from dfp.layers import AvgPool, Conv, Dense, MaxPool, Model, Quantizers, RunContext
 from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
                         _philox_uniforms, dequantize, extract_exponent, max_abs,
                         quantize)
@@ -35,10 +40,10 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def conv_specs(draw, max_ch=40, max_out=3):
+def conv_specs(draw, max_ch=40, max_out=3, max_k=4):
     """A valid ConvSpec: the input size is derived from a drawn output size,
     so every stride/pad combination (pad beyond kernel-1 included) occurs."""
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, max_k))
     stride = draw(st.integers(1, 3))
     pad = draw(st.integers(0, k + 1))
     oh, ow = draw(st.integers(1, max_out)), draw(st.integers(1, max_out))
@@ -78,34 +83,42 @@ def test_im2col_matches_direct_gather(spec, n, group, dtype, seed):
     npt.assert_array_equal(cols, _gather(x, spec, group))
 
 
+def _input_grad_tiles(g_mat, wmat, spec):
+    # fp32_input_grad as it runs, and with one image per tile of its adds
+    whole = fp32_input_grad(g_mat, wmat, spec)
+    saved, dfp.kernels._SCATTER_FLOATS = dfp.kernels._SCATTER_FLOATS, 1
+    try:
+        return whole, fp32_input_grad(g_mat, wmat, spec)
+    finally:
+        dfp.kernels._SCATTER_FLOATS = saved
+
+
 @SETTINGS
-@given(spec=conv_specs(), n=st.integers(1, 2), group=st.sampled_from([1, 16]),
-       seed=st.integers(0, 2**32 - 1))
-def test_col2im_is_adjoint_of_im2col(spec, n, group, seed):
-    # <im2col(x), y> == <x, col2im(y)>, exact on integer-valued arrays
+@given(spec=conv_specs(max_k=5), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_fp32_input_grad_is_adjoint_of_the_forward_conv(spec, n, seed):
+    # <im2col(x) @ wmat.T, g> == <x, fp32_input_grad(g, wmat)>, exact on
+    # integer arrays
     rng = np.random.default_rng(seed)
     x = rng.integers(-100, 100, (n, spec.in_ch, spec.h, spec.w))
-    cols = im2col(x, spec, group)
-    y = rng.integers(-100, 100, cols.shape)
-    back = col2im(y, spec, group)
-    assert back.shape == x.shape
-    assert int((cols * y).sum()) == int((x * back).sum())
+    wmat = rng.integers(-100, 100, (spec.out_ch, spec.in_ch * spec.kh * spec.kw))
+    g = rng.integers(-100, 100, (n * spec.oh * spec.ow, spec.out_ch))
+    for back in _input_grad_tiles(g, wmat, spec):
+        assert back.shape == x.shape
+        assert int(((im2col(x, spec) @ wmat.T) * g).sum()) == int((x * back).sum())
 
 
-def _tap_scatter(cols, spec, group):
-    # col2im as a per-tap scatter-add onto a padded NCHW zero array, taps in
-    # (kh, kw) order: the summation order every col2im must keep
-    cg = -(-spec.in_ch // group)
+def _tap_scatter(cols, spec):
+    # col2im, the adjoint of im2col, as a per-tap scatter-add onto a padded
+    # NCHW zero array, taps in (kh, kw) order
     oh, ow, s, p = spec.oh, spec.ow, spec.stride, spec.pad
     n = cols.shape[0] // (oh * ow)
-    d = cols.reshape(n, oh, ow, cg, spec.kh, spec.kw, group)
-    xp = np.zeros((n, cg, group, spec.h + 2 * p, spec.w + 2 * p), cols.dtype)
+    d = cols.reshape(n, oh, ow, spec.in_ch, spec.kh, spec.kw)
+    xp = np.zeros((n, spec.in_ch, spec.h + 2 * p, spec.w + 2 * p), cols.dtype)
     for r in range(spec.kh):
         for t in range(spec.kw):
             xp[..., r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s] += \
-                d[:, :, :, :, r, t].transpose(0, 3, 4, 1, 2)
-    xp = xp.reshape(n, cg * group, spec.h + 2 * p, spec.w + 2 * p)
-    return xp[:, : spec.in_ch, p: p + spec.h, p: p + spec.w]
+                d[..., r, t].transpose(0, 3, 1, 2)
+    return xp[..., p: p + spec.h, p: p + spec.w]
 
 
 def _signed_f32(rng, shape):
@@ -116,17 +129,21 @@ def _signed_f32(rng, shape):
     return f
 
 
-@settings(SETTINGS, max_examples=40)
-@given(spec=conv_specs(), n=st.integers(1, 2), group=st.sampled_from([1, 16]),
-       seed=st.integers(0, 2**32 - 1))
-def test_col2im_keeps_tap_order_bits(spec, n, group, seed):
-    # overlapping taps sum in (kh, kw) order from +0.0: any other order or
-    # start value changes float32 bits, which the adjoint test cannot see
-    cols = _signed_f32(np.random.default_rng(seed),
-                       (n * spec.oh * spec.ow, -(-spec.in_ch // group) * group * spec.kh * spec.kw))
-    back = col2im(cols, spec, group)
-    assert back.shape == (n, spec.in_ch, spec.h, spec.w) and back.dtype == np.float32
-    npt.assert_array_equal(back.view(np.uint32), _tap_scatter(cols, spec, group).view(np.uint32))
+@settings(SETTINGS, max_examples=80)
+@given(spec=conv_specs(max_k=5), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+# K > 32 and C = 1, where one per-tap sgemm gives other bits than the whole
+@example(spec=ConvSpec(9, 40, 7, 7, 3, 3, 2, 0), n=2, seed=1)
+@example(spec=ConvSpec(1, 7, 3, 2, 5, 5, 1, 2), n=1, seed=2)
+def test_fp32_input_grad_keeps_the_sgemm_and_tap_order_bits(spec, n, seed):
+    # the bits of col2im(g_mat @ wmat): one sgemm over all taps, then the
+    # taps summed in (kh, kw) order from +0.0, whatever the tiling of the adds
+    rng = np.random.default_rng(seed)
+    g = _signed_f32(rng, (n * spec.oh * spec.ow, spec.out_ch))
+    wmat = _signed_f32(rng, (spec.out_ch, spec.in_ch * spec.kh * spec.kw))
+    want = _tap_scatter(g @ wmat, spec)
+    for back in _input_grad_tiles(g, wmat, spec):
+        assert back.shape == (n, spec.in_ch, spec.h, spec.w) and back.dtype == np.float32
+        npt.assert_array_equal(back.view(np.uint32), want.view(np.uint32))
 
 
 @settings(SETTINGS, max_examples=30)
@@ -145,17 +162,17 @@ def test_im2col_of_a_strided_view_matches_direct_gather(spec, n, group, dtype, s
        seed=st.integers(0, 2**32 - 1))
 def test_lowering_of_1x1_images(n, c, group, dtype, seed):
     # an fc's lowering: the patch matrix is the input itself when no channel
-    # padding is needed, and col2im keeps the scatter's bits (-0.0 included)
+    # padding is needed, and its input gradient is the sgemm, plus +0.0
     rng = np.random.default_rng(seed)
     spec = ConvSpec(c, 3, 1, 1, 1, 1)
     x = rng.integers(-30000, 30000, (n, c, 1, 1)).astype(dtype)
     cols = im2col(x, spec, group)
     npt.assert_array_equal(cols, _gather(x, spec, group))
     assert np.shares_memory(cols, x) == (c % group == 0)
-    g = _signed_f32(rng, cols.shape)
-    back = col2im(g, spec, group)
+    g, wmat = _signed_f32(rng, (n, 3)), _signed_f32(rng, (3, c))
+    back = fp32_input_grad(g, wmat, spec)
     assert back.shape == x.shape
-    npt.assert_array_equal(back.view(np.uint32), _tap_scatter(g, spec, group).view(np.uint32))
+    npt.assert_array_equal(back.view(np.uint32), ((g @ wmat) + 0).reshape(x.shape).view(np.uint32))
 
 
 @SETTINGS
@@ -303,6 +320,42 @@ def test_fp32_dense_equals_matmul_formulation(n, c, k, bias, seed):
     npt.assert_array_equal(gx, g @ fc.W)
     if bias:
         npt.assert_array_equal(fc.gb, g.sum(axis=0))
+
+
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data(), spec=conv_specs(), n=st.integers(1, 2),
+       c=st.one_of(st.sampled_from([1, 3, 8, 24, 40]), st.integers(1, 40)),
+       engine=st.sampled_from(["instructions", "fast"]))
+@example(data=None, spec=ConvSpec(1, 5, 4, 4, 3, 3, 1, 1), n=2, c=24, engine="fast")
+@example(data=None, spec=ConvSpec(1, 3, 3, 3, 2, 2, 1, 0), n=1, c=40, engine="instructions")
+def test_dfp_weight_gradient_equals_the_channel_order_lowering(data, spec, n, c, engine):
+    # a DFP conv lowers its weight-gradient activations in gcd(C, 16)-channel
+    # chunks and puts gW's columns back in (c, kh, kw) order: gW's bits and
+    # counters, shadow overflow counts included, equal those of the GEMM of
+    # the plain (c, kh, kw) lowering, im2col's group 1
+    spec = dataclasses.replace(spec, in_ch=c)
+    rng = np.random.default_rng(spec.h * 1000 + c)
+    if data is None:     # saturated activations: chains leave int32
+        a = DfpTensor(np.full((n, c, spec.h, spec.w), 32767, np.int16), -14, 16)
+    else:
+        a = data.draw(dfp_values((n, c, spec.h, spec.w)))
+    g = rng.uniform(3, 4, (n, spec.out_ch, spec.oh, spec.ow)).astype(np.float32)
+    cfg = QuantConfig()
+    ctx = RunContext(q=Quantizers(cfg, cfg, cfg), policy=Empirical(shadow_check=True))
+    conv = Conv(ctx, "conv", c, spec.out_ch, spec.kh, spec.stride, spec.pad, first=True,
+                rng=rng)
+    conv.forward(a, train=True)
+    ctx.stats, ctx.engine = KernelStats(), engine
+    conv.backward(g)
+
+    ref = RunContext(q=Quantizers(cfg, cfg, cfg), policy=ctx.policy, engine=engine)
+    e_q = ref.q.q_e("conv", g)
+    e_mat = DfpTensor(np.ascontiguousarray(e_q.elements.transpose(1, 0, 2, 3)).reshape(
+        spec.out_ch, -1), e_q.shared_exponent, e_q.bit_width)
+    want = ref.gemm(e_mat, DfpTensor(im2col(a.elements, spec), a.shared_exponent, a.bit_width))
+    _same_bits(conv.gW, want.reshape(conv.W.shape))
+    assert ctx.stats == ref.stats
+    event(f"int32 excursions: {ref.stats.overflow_count > 0}")
 
 
 # === format conversion bounds ===
@@ -504,6 +557,39 @@ def test_down_convert_fits_and_bounds_error(acc, shift, p, es):
     assert np.all(np.abs(err) < 1 << r_s)
 
 
+# === average pooling ===
+
+
+@SETTINGS
+@given(n=st.integers(1, 3), c=st.integers(1, 4), oh=st.integers(1, 4), ow=st.integers(1, 4),
+       k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_avgpool_sums_window_rows_in_order(n, c, oh, ow, k, seed):
+    # each window row summed over its columns in order from +0.0, the row
+    # sums in row order, then divided by k*k; where the output is more than
+    # one column wide and k <= 7, those are the bits of numpy's mean
+    rng = np.random.default_rng(seed)
+    x = _signed_f32(rng, (n, c, oh * k, ow * k))
+    x[rng.random(x.shape) < 0.4] = -0.0      # ReLU's zeros, whole windows of them
+    want = np.empty((n, c, oh, ow), np.float32)
+    for idx in np.ndindex(*want.shape):
+        b, ch, y, xx = idx
+        win = x[b, ch, y * k: y * k + k, xx * k: xx * k + k]
+        rows = []
+        for i in range(k):
+            row = np.float32(0)
+            for j in range(k):
+                row = np.float32(row + win[i, j])
+            rows.append(row)
+        total = rows[0]
+        for row in rows[1:]:
+            total = np.float32(total + row)
+        want[idx] = total / np.float32(k * k)
+    got = AvgPool(None, "pool", k).forward(x, train=True)
+    assert got.tobytes() == want.tobytes()
+    if ow > 1 and k <= 7:
+        assert got.tobytes() == x.reshape(n, c, oh, k, ow, k).mean(axis=(3, 5)).tobytes()
+
+
 # === max pooling ===
 
 
@@ -692,6 +778,69 @@ def test_checkpoint_members_reject_prefixes_and_header_flips(tmp_path_factory, m
 
     npt.assert_array_equal(read(path), stored)  # the round trip
     _check_prefixes_and_flips(path, blob, len(blob) - stored.nbytes, masks, read, check)
+
+
+@st.composite
+def metrics_rows(draw):
+    """1-6 metrics rows as train_loop makes them: increasing iterations, an
+    accuracy on some rows and a cumulative overflow count."""
+    rows, iteration, overflow = [], 0, 0
+    for i in range(draw(st.integers(1, 6))):
+        iteration += draw(st.integers(1, 20))
+        overflow += draw(st.integers(0, 50))
+        rows.append({"iteration": iteration, "epoch": i // 2,
+                     "train_loss": draw(st.floats(0, 10)),
+                     "val_acc": draw(st.one_of(st.just(""), st.floats(0, 1))),
+                     "overflow_count": overflow, "wall_ms": draw(st.floats(0, 1e4))})
+    return rows
+
+
+def _check_metrics(rows, blob):
+    # rows read from blob hold what read_metrics promises: one row per data
+    # line, typed fields, a finite loss and increasing iterations
+    lines = blob.split(b"\n")
+    assert len(rows) == len(lines) - 1 - (lines[-1] == b"")
+    for prev, row in zip([None] + rows, rows):
+        assert tuple(row) == METRICS_HEADER
+        assert all(type(row[k]) is int for k in ("iteration", "epoch", "overflow_count"))
+        assert type(row["train_loss"]) is float and math.isfinite(row["train_loss"])
+        assert row["val_acc"] == "" or type(row["val_acc"]) is float
+        assert type(row["wall_ms"]) is float
+        assert prev is None or row["iteration"] > prev["iteration"]
+
+
+@READER_SETTINGS
+@given(rows=metrics_rows(), masks=flip_masks, data=st.data())
+def test_metrics_reader_rejects_prefixes_and_byte_flips(tmp_path_factory, rows, masks, data):
+    # every strict prefix, each single-byte flip and some two-byte flips of a
+    # metrics file raise a ValueError naming the file and line, or read as
+    # a well-formed file
+    path = tmp_path_factory.mktemp("metrics") / "m.csv"
+    write_metrics(str(path), rows)
+    blob = path.read_bytes()
+    back = read_metrics(str(path))                  # the round trip
+    _check_metrics(back, blob)
+    assert [r["iteration"] for r in back] == [r["iteration"] for r in rows]
+
+    def probe(bad):
+        path.write_bytes(bad)
+        try:
+            value = read_metrics(str(path))
+        except ValueError as e:
+            assert str(e).startswith(f"{path}: line ") and re.search(r"line \d+", str(e)), e
+            return
+        _check_metrics(value, bad)
+
+    for cut in range(len(blob)):
+        probe(blob[:cut])
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                         st.integers(0, len(blob) - 1)), max_size=20))
+    for spots in [(pos,) for pos in range(len(blob))] + pairs:
+        for mask in masks:
+            bad = bytearray(blob)
+            for pos in set(spots):
+                bad[pos] ^= mask
+            probe(bytes(bad))
 
 
 def _manifest_paths(node, path=(), name=""):
