@@ -6,8 +6,13 @@ Sources accepted by make_dataset:
     train-labels-idx1-ubyte, t10k-... for the validation split; dotted
     variants of the names are also accepted),
   * "glyphs:train=N,test=M"  procedural 28x28 digit images, 10 classes,
+    each a jittered stroke skeleton blurred by its distance field plus
+    pixel noise,
   * "gauss2:n=N"             two 2D Gaussian blobs, 2 classes,
   * "linreg:n=N,slope=A,intercept=B,noise=S"  scalar regression pairs.
+
+Sample counts N and M must be positive integers, and neither IDX split may
+be empty; a ValueError names the source and the parameter or file.
 
 Images are scaled to [0, 1] and then standardized with the training
 split's scalar mean/std; the same normalization constants are applied to
@@ -79,6 +84,14 @@ def _parse_kv(body: str, defaults: Dict[str, float]) -> Dict[str, float]:
     return out
 
 
+def _count(source: str, params: Dict[str, float], key: str) -> int:
+    """params[key] as a sample count: a positive integer or a ValueError."""
+    value = float(params[key])
+    if not (value.is_integer() and value >= 1):
+        raise ValueError(f"{source}: {key} must be a positive integer, have {value:g}")
+    return int(value)
+
+
 # === procedural glyph images ===
 
 # Stroke skeletons for the ten digit classes, unit square coordinates
@@ -108,9 +121,14 @@ _GLYPH_STROKES = {
 
 _GLYPH_SIZE = 28
 
+# Pixel centres in raster order, x = column and y = row.
+_PIX_Y, _PIX_X = (v.ravel().astype(np.float64)
+                  for v in np.mgrid[0:_GLYPH_SIZE, 0:_GLYPH_SIZE])
 
-def _render_glyph(label: int, rng: np.random.Generator) -> np.ndarray:
-    """Rasterize one jittered digit as a float32 image in [0, 1]."""
+
+def _glyph_segments(label: int, rng: np.random.Generator):
+    """One jittered copy of a digit's strokes as (s, 2) segment starts and
+    ends in pixel coordinates; draws 6 uniforms."""
     theta = rng.uniform(-0.21, 0.21)
     sx, sy = rng.uniform(0.85, 1.15, size=2)
     shear = rng.uniform(-0.12, 0.12)
@@ -118,24 +136,48 @@ def _render_glyph(label: int, rng: np.random.Generator) -> np.ndarray:
     rot = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
     aff = rot @ np.array([[sx, shear * sx], [0.0, sy]])
-    size = _GLYPH_SIZE
     segs_a, segs_b = [], []
     for stroke in _GLYPH_STROKES[label]:
         pts = np.asarray(stroke, np.float64) - 0.5
-        pts = pts @ aff.T * 20.0 + (size - 1) / 2.0 + np.array([tx, ty])
+        pts = pts @ aff.T * 20.0 + (_GLYPH_SIZE - 1) / 2.0 + np.array([tx, ty])
         segs_a.append(pts[:-1])
         segs_b.append(pts[1:])
-    a = np.concatenate(segs_a)          # (s, 2) segment starts
-    b = np.concatenate(segs_b)          # (s, 2) segment ends
-    yy, xx = np.mgrid[0:size, 0:size]
-    pix = np.stack([xx.ravel(), yy.ravel()], axis=1).astype(np.float64)
-    ab = b - a                          # point-to-segment distances
-    denom = np.maximum((ab * ab).sum(axis=1), 1e-12)
-    ap = pix[:, None, :] - a[None, :, :]
-    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
-    closest = a[None, :, :] + t[..., None] * ab[None, :, :]
-    d2 = ((pix[:, None, :] - closest) ** 2).sum(axis=2).min(axis=1)
-    img = np.exp(-d2 / (0.9 ** 2)).reshape(size, size)
+    return np.concatenate(segs_a), np.concatenate(segs_b)
+
+
+def _distance2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance from each pixel centre, in raster order, to the
+    nearest of the segments a[i] -> b[i].
+
+    Segment-major: x and y live in separate (segments, 784) arrays, so each
+    dot product and squared distance is a two-term sum, the same IEEE
+    operations as a sum over a length-2 coordinate axis."""
+    ax, ay = a[:, :1], a[:, 1:]         # (s, 1) columns
+    abx, aby = b[:, :1] - ax, b[:, 1:] - ay
+    denom = np.maximum(abx * abx + aby * aby, 1e-12)
+    dx = _PIX_X - ax                    # (s, 784): pixel minus segment start
+    dy = _PIX_Y - ay
+    t = dx * abx
+    t += dy * aby
+    t /= denom
+    np.clip(t, 0.0, 1.0, out=t)         # closest point is t*ab + a
+    np.multiply(t, abx, out=dx)
+    dx += ax
+    np.subtract(_PIX_X, dx, out=dx)
+    np.multiply(t, aby, out=dy)
+    dy += ay
+    np.subtract(_PIX_Y, dy, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx.min(axis=0)
+
+
+def _render_glyph(label: int, rng: np.random.Generator) -> np.ndarray:
+    """Rasterize one jittered digit as a float32 image in [0, 1]; draws 6
+    uniforms (the jitter), then 784 normals (pixel noise)."""
+    d2 = _distance2(*_glyph_segments(label, rng))
+    img = np.exp(-d2 / (0.9 ** 2)).reshape(_GLYPH_SIZE, _GLYPH_SIZE)
     img += rng.normal(0.0, 0.03, img.shape)
     return np.clip(img, 0.0, 1.0).astype(np.float32)
 
@@ -143,8 +185,10 @@ def _render_glyph(label: int, rng: np.random.Generator) -> np.ndarray:
 def make_glyphs(n: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """n procedural digit images, balanced labels in shuffled order."""
     labels = rng.permutation(np.arange(n) % 10).astype(np.int64)
-    images = np.stack([_render_glyph(int(l), rng) for l in labels])
-    return images[:, None, :, :], labels
+    images = np.empty((n, 1, _GLYPH_SIZE, _GLYPH_SIZE), np.float32)
+    for i, label in enumerate(labels):
+        images[i, 0] = _render_glyph(int(label), rng)
+    return images, labels
 
 
 # === synthetic numeric datasets ===
@@ -185,15 +229,18 @@ def _find_idx(directory: str, stem: str) -> str:
 
 
 def _load_idx_dir(directory: str):
-    tx = read_idx_images(_find_idx(directory, "train-images-idx3-ubyte"))
-    ty = read_idx_labels(_find_idx(directory, "train-labels-idx1-ubyte"))
-    vx = read_idx_images(_find_idx(directory, "t10k-images-idx3-ubyte"))
-    vy = read_idx_labels(_find_idx(directory, "t10k-labels-idx1-ubyte"))
-    if tx.shape[0] != ty.shape[0] or vx.shape[0] != vy.shape[0]:
-        raise ValueError(f"{directory}: image/label counts disagree")
-    scale = np.float32(1.0 / 255.0)
-    return (tx[:, None].astype(np.float32) * scale, ty.astype(np.int64),
-            vx[:, None].astype(np.float32) * scale, vy.astype(np.int64))
+    splits = []
+    for prefix in ("train", "t10k"):
+        images_path = _find_idx(directory, f"{prefix}-images-idx3-ubyte")
+        x = read_idx_images(images_path)
+        y = read_idx_labels(_find_idx(directory, f"{prefix}-labels-idx1-ubyte"))
+        if x.shape[0] != y.shape[0]:
+            raise ValueError(f"{directory}: image/label counts disagree")
+        if x.shape[0] == 0:
+            raise ValueError(f"{images_path}: no images; a split must not be empty")
+        splits += [x[:, None].astype(np.float32) * np.float32(1.0 / 255.0),
+                   y.astype(np.int64)]
+    return tuple(splits)
 
 
 # === dispatch ===
@@ -209,19 +256,20 @@ def make_dataset(source: str, seed: int) -> DatasetHandle:
         p = _parse_kv(body, {"train": 4096, "test": 1024})
         rng_t = np.random.default_rng(np.random.SeedSequence([seed, 101]))
         rng_v = np.random.default_rng(np.random.SeedSequence([seed, 102]))
-        tx, ty = make_glyphs(int(p["train"]), rng_t)
-        vx, vy = make_glyphs(int(p["test"]), rng_v)
+        n_train, n_test = _count(source, p, "train"), _count(source, p, "test")
+        tx, ty = make_glyphs(n_train, rng_t)
+        vx, vy = make_glyphs(n_test, rng_v)
         return _finish(source, tx, ty, vx, vy, n_classes=10)
     if kind == "gauss2":
-        p = _parse_kv(body, {"n": 1024})
+        n = _count(source, _parse_kv(body, {"n": 1024}), "n")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 103]))
-        tx, ty, vx, vy = _make_gauss2(int(p["n"]), max(64, int(p["n"]) // 4), rng)
+        tx, ty, vx, vy = _make_gauss2(n, max(64, n // 4), rng)
         return _finish(source, tx, ty, vx, vy, n_classes=2, normalize=False)
     if kind == "linreg":
         p = _parse_kv(body, {"n": 256, "slope": 3.0, "intercept": 1.0, "noise": 0.0})
         rng = np.random.default_rng(np.random.SeedSequence([seed, 104]))
-        tx, ty, vx, vy = _make_linreg(int(p["n"]), p["slope"], p["intercept"],
-                                      p["noise"], rng)
+        tx, ty, vx, vy = _make_linreg(_count(source, p, "n"), p["slope"],
+                                      p["intercept"], p["noise"], rng)
         return _finish(source, tx, ty, vx, vy, n_classes=0, normalize=False)
     raise ValueError(f"unknown dataset source {source!r}")
 

@@ -496,12 +496,12 @@ class AvgPool(Layer):
         return total
 
     def backward(self, g):
-        g = np.asarray(g, np.float32)
-        n, c, h, w = self._in_shape
         k = self.k
-        scale = np.float32(1.0 / (k * k))
-        g = (g * scale)[:, :, :, None, :, None]
-        return np.broadcast_to(g, (n, c, h // k, k, w // k, k)).reshape(n, c, h, w)
+        g = np.asarray(g, np.float32) * np.float32(1.0 / (k * k))
+        z = np.empty(self._in_shape, np.float32)
+        for m in range(k * k):
+            z[:, :, m // k::k, m % k::k] = g
+        return z
 
 
 class Flatten(Layer):

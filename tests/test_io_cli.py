@@ -11,7 +11,8 @@ import numpy.testing as npt
 import pytest
 
 from dfp import cli, experiments
-from dfp.datasets import export_idx, make_dataset
+from dfp.datasets import (_GLYPH_STROKES, _distance2, _glyph_segments, _render_glyph,
+                          export_idx, make_dataset)
 from dfp.fileio import (METRICS_HEADER, load_checkpoint, read_dft,
                         read_idx_images, read_idx_labels, read_metrics,
                         restore_model, save_checkpoint, write_dft,
@@ -385,9 +386,103 @@ def test_glyphs_are_deterministic_and_balanced():
     assert counts.min() == 4 and counts.max() == 4
     again = make_dataset("glyphs:train=40,test=20", seed=3)
     npt.assert_array_equal(h.train_x, again.train_x)
+    assert h.checksum == "0991266af86e00fba50790bc65e7656e4c6f516f9cc64b2c98c31c5cce6bf892"
     # normalized to zero mean, unit variance over the train split
     assert abs(float(h.train_x.mean())) < 1e-5
     npt.assert_allclose(float(h.train_x.std()), 1.0, atol=1e-4)
+
+
+def _pixel_major_distance2(a, b):
+    """The distance field's reference form: (784, segments, 2) arrays
+    reduced over the coordinate axis."""
+    yy, xx = np.mgrid[0:28, 0:28]
+    pix = np.stack([xx.ravel(), yy.ravel()], axis=1).astype(np.float64)
+    ab = b - a
+    denom = np.maximum((ab * ab).sum(axis=1), 1e-12)
+    ap = pix[:, None, :] - a[None, :, :]
+    t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
+    closest = a[None, :, :] + t[..., None] * ab[None, :, :]
+    return ((pix[:, None, :] - closest) ** 2).sum(axis=2).min(axis=1)
+
+
+def _render_glyph_pixel_major(label, rng):
+    """The renderer's reference form; _render_glyph must give its bits and
+    take the same draws."""
+    theta = rng.uniform(-0.21, 0.21)
+    sx, sy = rng.uniform(0.85, 1.15, size=2)
+    shear = rng.uniform(-0.12, 0.12)
+    tx, ty = rng.uniform(-1.8, 1.8, size=2)
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    aff = rot @ np.array([[sx, shear * sx], [0.0, sy]])
+    segs_a, segs_b = [], []
+    for stroke in _GLYPH_STROKES[label]:
+        pts = np.asarray(stroke, np.float64) - 0.5
+        pts = pts @ aff.T * 20.0 + (28 - 1) / 2.0 + np.array([tx, ty])
+        segs_a.append(pts[:-1])
+        segs_b.append(pts[1:])
+    d2 = _pixel_major_distance2(np.concatenate(segs_a), np.concatenate(segs_b))
+    img = np.exp(-d2 / (0.9 ** 2)).reshape(28, 28)
+    img += rng.normal(0.0, 0.03, img.shape)
+    return np.clip(img, 0.0, 1.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_render_glyph_matches_pixel_major_reference(seed):
+    got_rng = np.random.default_rng(seed)
+    want_rng = np.random.default_rng(seed)
+    for _ in range(3):
+        for label in range(10):
+            got = _render_glyph(label, got_rng)
+            want = _render_glyph_pixel_major(label, want_rng)
+            assert got.dtype == np.float32 and got.shape == (28, 28)
+            assert got.tobytes() == want.tobytes(), f"label {label}"
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_distance_field_matches_pixel_major_reference(seed):
+    # float64 bits: an error in the closest point's t moves the float32
+    # image only to second order, the distances themselves at the last bit
+    rng = np.random.default_rng(seed)
+    for label in range(10):
+        a, b = _glyph_segments(label, rng)
+        assert _distance2(a, b).tobytes() == _pixel_major_distance2(a, b).tobytes()
+    a = rng.uniform(-3.0, 30.0, (12, 2))
+    b = rng.uniform(-3.0, 30.0, (12, 2))
+    b[:3] = a[:3]                           # points
+    a[3:6] = np.round(a[3:6])               # on pixel centres
+    b[6] = a[6] + [0.0, 5.0]                # axis-aligned
+    assert _distance2(a, b).tobytes() == _pixel_major_distance2(a, b).tobytes()
+
+
+@pytest.mark.parametrize("source, key, value", [
+    ("glyphs:train=40.5,test=20", "train", "40.5"),
+    ("glyphs:train=-5,test=20", "train", "-5"),
+    ("glyphs:train=40,test=0", "test", "0"),
+    ("glyphs:train=nan", "train", "nan"),
+    ("gauss2:n=0", "n", "0"),
+    ("gauss2:n=inf", "n", "inf"),
+    ("linreg:n=2.5,slope=1", "n", "2.5"),
+])
+def test_make_dataset_rejects_bad_counts(source, key, value):
+    with pytest.raises(ValueError) as err:
+        make_dataset(source, seed=0)
+    assert str(err.value) == f"{source}: {key} must be a positive integer, have {value}"
+
+
+@pytest.mark.parametrize("prefix", ["train", "t10k"])
+def test_make_dataset_rejects_an_empty_idx_split(tmp_path, prefix):
+    d = str(tmp_path / "idx")
+    export_idx("glyphs:train=20,test=10", d, seed=3)
+    write_idx_images(os.path.join(d, f"{prefix}-images-idx3-ubyte"),
+                     np.zeros((0, 28, 28), np.uint8))
+    write_idx_labels(os.path.join(d, f"{prefix}-labels-idx1-ubyte"),
+                     np.zeros(0, np.uint8))
+    with pytest.raises(ValueError) as err:
+        make_dataset(d, seed=0)
+    assert str(err.value) == (f"{os.path.join(d, f'{prefix}-images-idx3-ubyte')}: "
+                              "no images; a split must not be empty")
 
 
 def test_export_idx_reload(tmp_path):
@@ -661,6 +756,19 @@ def test_cli_train_rejects_malformed_config(tmp_path, capsys, patch, message):
                    "--precision", "dfp16", "--out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_train_rejects_a_fractional_glyph_count(tmp_path, capsys):
+    cfg_path = str(tmp_path / "net.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({**MLP_JSON, "layers": _CONV_NET}, fh)
+    out = tmp_path / "m.csv"
+    rc = cli.main(["train", "--config", cfg_path, "--data", "glyphs:train=40.5,test=20",
+                   "--out", str(out)])
+    assert rc == 2
+    assert ("glyphs:train=40.5,test=20: train must be a positive integer, have 40.5"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # One FP32 conv, one DFP 3x3 conv and a DFP fc on 28x28 glyphs.

@@ -2,9 +2,10 @@
 the FP32 input gradient and the DFP weight gradient against their plain
 formulations, an fc layer against its GEMM formulation, the range,
 exponent and error bounds of the format conversions, their exactness
-against float64 formulas, average pooling's summation order, max pooling
-against argmax, the file readers on truncated and corrupted files, and
-checkpoint loading on mutated manifests."""
+against float64 formulas, average pooling's summation order and its
+gradient against the broadcast form, max pooling against argmax, the file
+readers on truncated and corrupted files, and checkpoint loading on mutated
+manifests."""
 
 import copy
 import dataclasses
@@ -588,6 +589,22 @@ def test_avgpool_sums_window_rows_in_order(n, c, oh, ow, k, seed):
     assert got.tobytes() == want.tobytes()
     if ow > 1 and k <= 7:
         assert got.tobytes() == x.reshape(n, c, oh, k, ow, k).mean(axis=(3, 5)).tobytes()
+
+
+@SETTINGS
+@given(n=st.integers(1, 3), c=st.integers(1, 4), oh=st.integers(1, 5), ow=st.integers(1, 5),
+       k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_avgpool_backward_equals_broadcast_formulation(n, c, oh, ow, k, seed):
+    # each input pixel gets its window's gradient times 1/(k*k), signed zeros kept
+    rng = np.random.default_rng(seed)
+    g = _signed_f32(rng, (n, c, oh, ow))
+    pool = AvgPool(None, "pool", k)
+    pool.forward(np.zeros((n, c, oh * k, ow * k), np.float32), train=True)
+    got = pool.backward(g)
+    scaled = (g * np.float32(1.0 / (k * k)))[:, :, :, None, :, None]
+    want = np.broadcast_to(scaled, (n, c, oh, k, ow, k)).reshape(n, c, oh * k, ow * k)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
 
 
 # === max pooling ===
