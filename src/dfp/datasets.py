@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -71,25 +72,38 @@ def _finish(source: str, train_x, train_y, val_x, val_y, n_classes,
                          digest.hexdigest(), n_classes)
 
 
-def _parse_kv(body: str, defaults: Dict[str, float]) -> Dict[str, float]:
+def _parse_kv(source: str, body: str, defaults: Dict[str, Union[int, float]]) -> Dict:
+    """The comma-separated key=value parameters of source, over defaults.
+
+    Each key may be given once and must be a key of defaults.  A key whose
+    default is an int is a sample count and takes a positive integer;
+    every other key takes a finite number.  A ValueError names the source
+    and the key.
+    """
     out = dict(defaults)
-    if body:
-        for item in body.split(","):
-            if "=" not in item:
-                raise ValueError(f"bad dataset parameter {item!r}")
-            k, v = item.split("=", 1)
-            if k not in defaults:
-                raise ValueError(f"unknown dataset parameter {k!r}")
-            out[k] = float(v)
+    seen = set()
+    for item in body.split(",") if body else ():
+        k, eq, v = item.partition("=")
+        if not eq:
+            raise ValueError(f"{source}: bad dataset parameter {item!r}; expected key=value")
+        if k not in defaults:
+            raise ValueError(f"{source}: unknown dataset parameter {k!r}; "
+                             f"expected one of {', '.join(defaults)}")
+        if k in seen:
+            raise ValueError(f"{source}: {k} given more than once")
+        seen.add(k)
+        try:
+            value = float(v)
+        except ValueError:
+            raise ValueError(f"{source}: {k} must be a number, have {v!r}") from None
+        if isinstance(defaults[k], int):
+            if not (value.is_integer() and value >= 1):
+                raise ValueError(f"{source}: {k} must be a positive integer, have {value:g}")
+            value = int(value)
+        elif not math.isfinite(value):
+            raise ValueError(f"{source}: {k} must be finite, have {value:g}")
+        out[k] = value
     return out
-
-
-def _count(source: str, params: Dict[str, float], key: str) -> int:
-    """params[key] as a sample count: a positive integer or a ValueError."""
-    value = float(params[key])
-    if not (value.is_integer() and value >= 1):
-        raise ValueError(f"{source}: {key} must be a positive integer, have {value:g}")
-    return int(value)
 
 
 # === procedural glyph images ===
@@ -253,22 +267,21 @@ def make_dataset(source: str, seed: int) -> DatasetHandle:
 
     kind, _, body = source.partition(":")
     if kind == "glyphs":
-        p = _parse_kv(body, {"train": 4096, "test": 1024})
+        p = _parse_kv(source, body, {"train": 4096, "test": 1024})
         rng_t = np.random.default_rng(np.random.SeedSequence([seed, 101]))
         rng_v = np.random.default_rng(np.random.SeedSequence([seed, 102]))
-        n_train, n_test = _count(source, p, "train"), _count(source, p, "test")
-        tx, ty = make_glyphs(n_train, rng_t)
-        vx, vy = make_glyphs(n_test, rng_v)
+        tx, ty = make_glyphs(p["train"], rng_t)
+        vx, vy = make_glyphs(p["test"], rng_v)
         return _finish(source, tx, ty, vx, vy, n_classes=10)
     if kind == "gauss2":
-        n = _count(source, _parse_kv(body, {"n": 1024}), "n")
+        n = _parse_kv(source, body, {"n": 1024})["n"]
         rng = np.random.default_rng(np.random.SeedSequence([seed, 103]))
         tx, ty, vx, vy = _make_gauss2(n, max(64, n // 4), rng)
         return _finish(source, tx, ty, vx, vy, n_classes=2, normalize=False)
     if kind == "linreg":
-        p = _parse_kv(body, {"n": 256, "slope": 3.0, "intercept": 1.0, "noise": 0.0})
+        p = _parse_kv(source, body, {"n": 256, "slope": 3.0, "intercept": 1.0, "noise": 0.0})
         rng = np.random.default_rng(np.random.SeedSequence([seed, 104]))
-        tx, ty, vx, vy = _make_linreg(_count(source, p, "n"), p["slope"],
+        tx, ty, vx, vy = _make_linreg(p["n"], p["slope"],
                                       p["intercept"], p["noise"], rng)
         return _finish(source, tx, ty, vx, vy, n_classes=0, normalize=False)
     raise ValueError(f"unknown dataset source {source!r}")

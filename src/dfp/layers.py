@@ -15,9 +15,12 @@ quantizes and lowers its weights once per update (refresh_quantized).
 Layers marked fp32 never quantize anything, so a model whose layers are all
 fp32 is a plain FP32 trainer.  Max pooling operates directly on the integer
 elements when its input is quantized (under one shared exponent the integers
-order as their values do) and keeps the first maximum of each window with a
-strictly-greater scan over strided views; average pooling and batch-norm
-statistics are FP32.
+order as their values do): np.maximum over strided views, plus, in training
+only, the index of each window's first maximum for the backward pass.
+Average pooling and batch-norm statistics are FP32; batch norm forms x - mean
+once, takes the variance from it in np.var's own order and runs its scale,
+shift and backward chain in place, with the bits of the np.mean / np.var
+formulation.
 """
 
 from __future__ import annotations
@@ -332,6 +335,12 @@ class BatchNorm(Layer):
     Quantized inputs are up-converted before the mean/variance reduction;
     gamma and beta live with the FP32 master weights and are never
     quantized.  Running statistics use the biased batch variance.
+
+    Each pass makes the operations of the plain formulation (x.mean,
+    x.var, (x - mean) * inv, gamma * x-hat + beta) in the same order, so
+    every bit is the same, but with fewer full-size temporaries: x - mean is
+    formed once, in a dequantized input's own buffer, and serves both the
+    variance and x-hat; the rest runs in place.
     """
 
     def __init__(self, ctx, name, channels, precision="dfp", eps=1e-5, momentum=0.1):
@@ -372,32 +381,45 @@ class BatchNorm(Layer):
             x = self.ctx.q.q_a(self.name, to_fp32(x))
         xf = to_fp32(x)
         axes, bshape = self._shape(xf)
+        m = xf.size // xf.shape[1]
         if train:
             if xf.shape[0] < 2:
                 raise ValueError(f"{self.name}: training batch must have >= 2 samples")
             mu = xf.mean(axis=axes)
-            var = xf.var(axis=axes)
+        else:
+            mu, var = self.running_mean, self.running_var
+        # a dequantized input is this layer's own copy, so x - mean may overwrite it
+        xhat = np.subtract(xf, mu.reshape(bshape), out=xf if isinstance(x, DfpTensor) else None)
+        out = np.empty_like(xhat)
+        if train:
+            # np.var's own steps on x - mean: square, sum, then divide in the
+            # dtype that float32 / intp promotes to, stored back as float32
+            var = np.add.reduce(np.square(xhat, out=out), axis=axes)
+            np.true_divide(var, np.intp(m), out=var, casting="unsafe")
             one = np.float32(1.0)
             self.running_mean[...] = (one - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var[...] = (one - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mu, var = self.running_mean, self.running_var
         inv = np.float32(1.0) / np.sqrt(var + self.eps)
-        xhat = (xf - mu.reshape(bshape)) * inv.reshape(bshape)
-        out = self.gamma.reshape(bshape) * xhat + self.beta.reshape(bshape)
-        self._xhat, self._inv, self._axes, self._bshape = xhat, inv, axes, bshape
-        self._m = xf.size // xf.shape[1] if xf.ndim == 4 else xf.shape[0]
+        xhat *= inv.reshape(bshape)
+        np.multiply(self.gamma.reshape(bshape), xhat, out=out)
+        out += self.beta.reshape(bshape)
+        self._xhat, self._inv, self._axes, self._bshape, self._m = xhat, inv, axes, bshape, m
         return out
 
     def backward(self, g):
         g = np.asarray(g, np.float32)
-        axes, bshape = self._axes, self._bshape
+        axes, bshape, xhat = self._axes, self._bshape, self._xhat
         self.gbeta = g.sum(axis=axes)
-        self.ggamma = (g * self._xhat).sum(axis=axes)
+        t = g * xhat
+        self.ggamma = t.sum(axis=axes)
         m = np.float32(self._m)
         coef = (self.gamma * self._inv / m).reshape(bshape)
-        return coef * (m * g - self.gbeta.reshape(bshape)
-                       - self._xhat * self.ggamma.reshape(bshape))
+        np.multiply(xhat, self.ggamma.reshape(bshape), out=t)
+        gx = m * g
+        gx -= self.gbeta.reshape(bshape)
+        gx -= t
+        gx *= coef
+        return gx
 
 
 class ReLU(Layer):
@@ -420,43 +442,66 @@ class MaxPool(Layer):
     quantized inputs, where a shared exponent orders the integers as it
     orders the values they stand for.
 
-    The forward pass scans the k*k strided views of the input in row-major
-    window order and takes a value only where it is strictly greater.  It so
-    keeps the first maximum of each window, as argmax does on finite input,
-    ties and mixed -0.0/+0.0 included.  The window index m = i*k + j of that
-    maximum is kept, in one byte for k <= 16, for the backward pass, which
-    routes each output gradient to it and writes +0.0 everywhere else.
+    Each output is the first maximum of its window in row-major window
+    order, as argmax gives on finite input, ties and mixed -0.0/+0.0
+    included.  A training forward pass keeps the window index m = i*k + j
+    of that maximum, in one byte for k <= 16, for the backward pass, which
+    routes each output gradient to it and writes +0.0 everywhere else; an
+    eval pass keeps no index, and backward after it is an error.
 
-    Both passes select by bit masks on unsigned views: np.where branches per
-    element and costs several times more on the random masks pooling makes,
-    and np.maximum may return either zero when -0.0 meets +0.0."""
+    Integers: the output is np.maximum over the k*k strided views, and the
+    index m that of the first view equal to it, found as the largest weight
+    k*k-1-m among the views that are.  Equal integers have equal bits, so
+    value and index are those of a strictly-greater scan.  Floats keep that
+    scan, since np.maximum may return either zero when -0.0 meets +0.0: it
+    takes a view's value only where it is strictly greater.
+
+    The float scan and the backward pass select by bit masks on unsigned
+    views: np.where branches per element and costs several times more on
+    the random masks pooling makes."""
 
     def __init__(self, ctx, name, kernel):
         super().__init__(ctx, name)
         self.k = kernel
+        self._idx = None
 
     def forward(self, x, train):
         arr = x.elements if isinstance(x, DfpTensor) else to_fp32(x)
         k = self.k
         self._in_shape = arr.shape
-        bits = np.dtype(f"u{arr.itemsize}")
-        out = arr[:, :, ::k, ::k].copy()
-        out_bits = out.view(bits)
-        idx = np.zeros(out.shape, np.min_scalar_type(k * k - 1))
-        for m in range(1, k * k):
-            v = arr[:, :, m // k::k, m % k::k]
-            gt = v > out
-            flip = np.bitwise_xor(out_bits, v.view(bits))
-            flip *= gt
-            out_bits ^= flip                   # out = where(gt, v, out)
-            # m grows, so the last view found strictly greater wins
-            np.maximum(idx, gt * idx.dtype.type(m), out=idx)
+        last = k * k - 1
+        views = [arr[:, :, m // k::k, m % k::k] for m in range(last + 1)]
+        idx = np.zeros(views[0].shape, np.min_scalar_type(last)) if train else None
+        out = views[0].copy()
+        if isinstance(x, DfpTensor):
+            for v in views[1:]:
+                np.maximum(out, v, out=out)
+            if train:   # idx = last - max over m of (last - m) * (view m == out)
+                eq = np.empty(out.shape, bool)
+                w = np.empty(out.shape, idx.dtype)
+                for m in range(last):
+                    np.multiply(np.equal(views[m], out, out=eq), idx.dtype.type(last - m), out=w)
+                    np.maximum(idx, w, out=idx)
+                np.subtract(idx.dtype.type(last), idx, out=idx)
+        else:
+            bits = np.dtype(f"u{arr.itemsize}")
+            out_bits = out.view(bits)
+            for m in range(1, last + 1):
+                v = views[m]
+                gt = v > out
+                flip = np.bitwise_xor(out_bits, v.view(bits))
+                flip *= gt
+                out_bits ^= flip                   # out = where(gt, v, out)
+                if train:   # m grows, so the last view strictly greater wins
+                    np.maximum(idx, gt * idx.dtype.type(m), out=idx)
         self._idx = idx
         if isinstance(x, DfpTensor):
             return DfpTensor(out, x.shared_exponent, x.bit_width)
         return out
 
     def backward(self, g):
+        if self._idx is None:
+            raise RuntimeError(f"{self.name}: backward without a training forward pass")
         g_bits = np.asarray(g, np.float32).view(np.uint32)
         k = self.k
         z = np.empty(self._in_shape, np.float32)

@@ -17,12 +17,15 @@ Three rounding modes are provided for the FP32 -> DFP conversion: nearest
 from 32-bit counter-based draws), and biased (truncation toward zero, the
 cheapest since it is a plain shift).
 
-Both conversions stay in float32 where that is exact.  Scaling by a power
-of two with ldexp loses nothing unless the result is subnormal, and such a
-value rounds to 0 anyway; dequantized values are exact 16-bit multiples of
-2**E_s.  Stochastic rounding alone widens to float64, where its fraction
-x - floor(x) is exact, and compares it with draws u = r * 2**-32 of 32-bit
-integers r, exact in float64 too.
+Both conversions stay in float32 where that is exact, and take few passes
+over the data.  Scaling by a power of two with ldexp loses nothing unless
+the result is subnormal, and such a value rounds to 0 anyway.  Nearest
+rounding is then one float32 add of +-(1/2 - 2**-25) and the int16 store,
+which truncates toward zero; biased rounding is the store alone.
+Dequantization is one float32 multiply by 2**E_s, exact because every
+product is a 15-bit multiple of 2**-128.  Stochastic rounding alone widens
+to float64, where its fraction x - floor(x) is exact, and compares it with
+draws u = r * 2**-32 of 32-bit integers r, exact in float64 too.
 """
 
 from __future__ import annotations
@@ -43,10 +46,15 @@ ZERO_EXPONENT = -(1 << 31)
 _F32_MAX = float(np.finfo(np.float32).max)
 _MASK64 = (1 << 64) - 1
 _FIXED_SEEDS = np.random.SeedSequence(0)
-# Elements per quantize block: its four float64 buffers (1 MiB) fit in a
+# Elements per quantize block: its three float64 buffers (768 KiB) fit in a
 # core's L2 cache.  Even, so that a block's stochastic draws use whole
 # 64-bit Philox words.
 _BLOCK = 1 << 15
+# The largest float32 below 1/2, as bits, and the float32 sign bit: nearest
+# rounding adds copysign(_HALF_DOWN, x) and truncates.
+_HALF_DOWN = 0.5 - 2.0 ** -25
+_HALF_DOWN_BITS = np.float32(_HALF_DOWN).view(np.uint32)
+_SIGN_BIT = np.uint32(1 << 31)
 
 
 # === rounding modes ===
@@ -280,6 +288,19 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
     the tensor.  Every element is rounded independently, and stochastic
     draws come from one stream read in order, so the blocks change no
     result.
+
+    A nearest-rounded block takes five passes: ldexp, an AND that takes the
+    sign bits of x, an OR of those onto the bits of 1/2 - 2**-25 (the
+    largest float32 below 1/2), one float32 add and the truncating int16
+    store.  For float32 |x| < 2**15, the largest that any shared exponent
+    leaves, trunc(|x| + (1/2 - 2**-25)) with a float32 add equals
+    floor(|x| + 1/2), ties included.  Below 1/2 both are 0.  Above, |x| and
+    1/2 are multiples of ulp(|x|) >= 2**-24: where |x| + 1/2 reaches an
+    integer n, the sum falls short of n by 2**-25, at most half an ulp, and
+    rounds up to n (at n = 1 it is a tie, which goes to the even 1.0); where
+    |x| + 1/2 falls short of n, it does so by a whole ulp, and the sum stays
+    below n.  IEEE addition is symmetric in sign.  Saturating tensors clip
+    before the store.
     """
     f, fmax = finite_float_max(values)
     p = cfg.bit_width
@@ -313,42 +334,37 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
     # E_s = -128.)
     stochastic = isinstance(mode, Stochastic)
     ftype = np.float64 if stochastic else np.float32
-    bufs = [np.empty(size, ftype) for _ in range(4)] + [np.empty(size, bool)]
+    bufs = [np.empty(size, ftype) for _ in range(3)] + [np.empty(size, bool)]
     if stochastic:
         draws = _philox_stream(mode.seed, tensor_id)
     for s in range(0, src.size, size):
         fs = src[s: s + size]
-        x, i, t, u, m = (b[: fs.size] for b in bufs)
+        x, i, u, m = (b[: fs.size] for b in bufs)
+        # Each branch leaves in x a float that the int16 store below, which
+        # truncates toward zero, turns into the rounded element.
         if isinstance(mode, Biased):
-            np.ldexp(fs, -es, out=i)
-            np.trunc(i, out=i)
+            np.ldexp(fs, -es, out=x)
         elif isinstance(mode, Nearest):
             np.ldexp(fs, -es, out=x)
-            a = np.abs(x, out=t)
-            np.add(a, 0.5, out=i)
-            np.floor(i, out=i)
-            # The sum |x| + 0.5 may round, but its floor is exact except at
-            # |x| = 0.5 - 2**-25, where the sum is a tie that rounds up to
-            # 1.0.  i - 0.5 is exact for integer i < 2**16, so the test
-            # i - 0.5 > |x| is exact and catches just that case.
-            np.greater(np.subtract(i, 0.5, out=u), a, out=m)
-            i -= m
-            # copysign(i, x) as an OR of x's sign bit into i >= 0; np.copysign
-            # is not vectorised and costs as much as the rest of this branch
-            sign = x.view(np.uint32)
-            sign &= np.uint32(1 << 31)
-            i.view(np.uint32)[...] |= sign
+            # x + copysign(_HALF_DOWN, x), truncated, is sign(x) *
+            # floor(|x| + 0.5) (see above); the sign is ORed in as a bit,
+            # as np.copysign is not vectorised.
+            half = i.view(np.uint32)
+            np.bitwise_and(x.view(np.uint32), _SIGN_BIT, out=half)
+            half |= _HALF_DOWN_BITS     # i = copysign(_HALF_DOWN, x)
+            x += i
         else:
             np.multiply(fs, 2.0 ** -es, out=x, dtype=np.float64)
             np.floor(x, out=i)
             x -= i
             np.less(draws(fs.size, out=u), x, out=m)
+            x = i
             if saturates:
-                i += m
+                x += m
         if saturates:
-            np.clip(i, -lim, lim, out=i)
+            np.clip(x, -lim, lim, out=x)
         d = dst[s: s + fs.size]
-        d[...] = i
+        d[...] = x
         if stochastic and not saturates:
             d += m      # round up in int16, where every result then fits
     return DfpTensor(out, es, p)
@@ -357,11 +373,13 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
 def dequantize(t: DfpTensor) -> np.ndarray:
     """Exact FP32 reconstruction f_n = i_n * 2**E_s.
 
-    Every product of a 16-bit integer and an in-range shared exponent is
-    exactly representable in FP32 unless it overflows, which is an error, so
-    float32 ldexp computes it without rounding, subnormal results included.
+    One float32 multiply by the factor 2**E_s, which float32 holds exactly
+    for every int8 exponent (2**-128 as a subnormal).  Each product is a
+    multiple of 2**-128 with at most 15 significant bits, so float32 holds
+    it exactly, subnormal results included, unless it overflows, which is
+    an error.
     """
     es = int(t.shared_exponent)
     if not t.fits_fp32():
         raise OverflowError(f"dequantized value exceeds FP32 range (E_s={es})")
-    return np.ldexp(t.elements.astype(np.float32), es)
+    return np.multiply(t.elements, np.float32(2.0 ** es), dtype=np.float32)

@@ -471,6 +471,25 @@ def test_make_dataset_rejects_bad_counts(source, key, value):
     assert str(err.value) == f"{source}: {key} must be a positive integer, have {value}"
 
 
+@pytest.mark.parametrize("source, message", [
+    ("glyphs:train=20,train=30,test=10", "train given more than once"),
+    ("linreg:slope=2,n=8,slope=2", "slope given more than once"),
+    ("linreg:n=32,slope=nan", "slope must be finite, have nan"),
+    ("linreg:n=32,intercept=inf", "intercept must be finite, have inf"),
+    ("linreg:n=32,noise=-inf", "noise must be finite, have -inf"),
+    ("linreg:n=32,slope=two", "slope must be a number, have 'two'"),
+    ("linreg:n=,slope=1", "n must be a number, have ''"),
+    ("gauss2:n=1e3x", "n must be a number, have '1e3x'"),
+    ("gauss2:n", "bad dataset parameter 'n'; expected key=value"),
+    ("gauss2:n=8,m=3", "unknown dataset parameter 'm'; expected one of n"),
+])
+def test_make_dataset_rejects_bad_parameters(source, message):
+    # each defect is named with the source and the key
+    with pytest.raises(ValueError) as err:
+        make_dataset(source, seed=0)
+    assert str(err.value) == f"{source}: {message}"
+
+
 @pytest.mark.parametrize("prefix", ["train", "t10k"])
 def test_make_dataset_rejects_an_empty_idx_split(tmp_path, prefix):
     d = str(tmp_path / "idx")
@@ -768,6 +787,22 @@ def test_cli_train_rejects_a_fractional_glyph_count(tmp_path, capsys):
     assert rc == 2
     assert ("glyphs:train=40.5,test=20: train must be a positive integer, have 40.5"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_train_blames_a_non_finite_data_parameter(tmp_path, capsys):
+    # the data source is rejected before training, not as a diverged run
+    cfg_path = str(tmp_path / "lin.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"layers": [{"type": "fc", "out_features": 1, "precision": "fp32"}],
+                   "loss": "mse", "epochs": 1, "batch_size": 8}, fh)
+    out = tmp_path / "m.csv"
+    rc = cli.main(["train", "--config", cfg_path, "--data", "linreg:n=32,slope=nan",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "linreg:n=32,slope=nan: slope must be finite, have nan" in err
+    assert "loss" not in err
     assert not out.exists()
 
 

@@ -275,6 +275,67 @@ def test_batchnorm_backward_finite_differences():
         npt.assert_allclose(bn.grads()[name][idx], fd, rtol=2e-2, atol=1e-3)
 
 
+def _batchnorm_oracle(x, g, gamma, beta, rm, rv, eps, momentum, train):
+    """BatchNorm in its np.mean / np.var formulation: output, running
+    mean and variance, input gradient, gamma and beta gradients."""
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    bshape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    one = np.float32(1.0)
+    if train:
+        mu, var = x.mean(axis=axes), x.var(axis=axes)
+        rm = (one - momentum) * rm + momentum * mu
+        rv = (one - momentum) * rv + momentum * var
+    else:
+        mu, var = rm, rv
+    inv = one / np.sqrt(var + eps)
+    xhat = (x - mu.reshape(bshape)) * inv.reshape(bshape)
+    out = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
+    m = np.float32(x.size // x.shape[1])
+    gbeta = g.sum(axis=axes)
+    ggamma = (g * xhat).sum(axis=axes)
+    coef = (gamma * inv / m).reshape(bshape)
+    gx = coef * (m * g - gbeta.reshape(bshape) - xhat * ggamma.reshape(bshape))
+    return out, rm, rv, gx, ggamma, gbeta
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_batchnorm_matches_mean_var_formulation_bit_for_bit(seed):
+    # x - mean is formed once and the variance summed from its squares in
+    # np.var's order; x-hat, gamma * x-hat + beta and the backward chain
+    # run in place: every byte is the oracle's, in training and in eval
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 6))
+    shape = ((int(rng.integers(2, 40)), c) if seed % 2 else
+             (int(rng.integers(2, 6)), c, int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, c).reshape(
+        (1, -1) + (1,) * (len(shape) - 2)) + rng.uniform(-8, 8)
+    x = x.astype(np.float32)
+    x[rng.random(shape) < 0.2] = 0.0                  # ReLU's zeros
+    g = rng.standard_normal(shape).astype(np.float32)
+    inp = x
+    if seed % 3 == 0:                                 # a quantized input, as DFP16 gives it
+        inp = quantize(x, QuantConfig(16, Nearest(), 1))
+        x = dequantize(inp)
+    bn = BatchNorm(make_ctx(), "bn1", c, precision="dfp" if inp is not x else "fp32",
+                   momentum=0.1)
+    bn.gamma[...] = rng.standard_normal(c)
+    bn.beta[...] = rng.standard_normal(c)
+    bn.running_mean[...] = rng.standard_normal(c)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, c)
+    for train in (True, False):
+        want = _batchnorm_oracle(x, g, bn.gamma, bn.beta, bn.running_mean.copy(),
+                                 bn.running_var.copy(), bn.eps, bn.momentum, train)
+        x_before = x.tobytes()
+        out = bn.forward(inp, train=train)
+        gx = bn.backward(g)
+        got = (out, bn.running_mean, bn.running_var, gx, bn.ggamma, bn.gbeta)
+        for name, a, b in zip(("out", "running_mean", "running_var", "gx", "ggamma", "gbeta"),
+                              got, want):
+            assert a.dtype == np.float32 and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), f"{name}, train={train}"
+        assert x.tobytes() == x_before                # the input is not written
+
+
 # === relu / pooling ===
 
 

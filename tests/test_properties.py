@@ -460,6 +460,72 @@ def test_quantize_matches_float64_formula(f, p, pre_shift, mode):
     assert t.elements.tobytes() == _quantize_f64(f, t.shared_exponent, cfg, 3).tobytes()
 
 
+def _binade(lo_bits, hi_bits):
+    """Every float32 from bit pattern lo_bits up to, not including, hi_bits."""
+    return np.arange(lo_bits, hi_bits, dtype=np.uint32).view(np.float32)
+
+
+def _nearest_case(name):
+    """(f, P, pre_shift) of one exhaustive or edge case of nearest rounding."""
+    top = np.float32(2.0 ** 14)        # at P = 16, pre_shift 0: E_s = 0, x = f
+    if name == "binade":
+        # every float32 in [1/2, 1), which holds the one tie that the add
+        # rounds to even (x = 1/2), with alternating signs
+        f = _binade(0x3F000000, 0x3F800000)
+        f[1::2] *= -1
+        return np.concatenate([f, [top]]), 16, 0
+    ties = np.arange(1 << 15, dtype=np.float32) + np.float32(0.5)
+    if name == "ties":                 # n + 1/2 for n < 2**15 - 1, both signs
+        return np.concatenate([ties[:-1], -ties[:-1]]), 16, 0
+    if name == "ties-saturating":      # and 2**15 - 1/2, which clips to lim
+        return np.concatenate([ties, -ties]), 16, 0
+    if name == "half-down":            # 1/2 - 2**-25 and both its neighbours
+        h = np.float32(_TIE_UP)
+        near = [np.nextafter(h, np.float32(0)), h, np.nextafter(h, np.float32(1))]
+        return np.array(near + [-v for v in near] + [top], np.float32), 16, 0
+    if name == "zeros-subnormals":
+        sub = _binade(1, 1 << 12)      # the smallest subnormals
+        return np.concatenate([[0.0, -0.0, 2.0 ** -149, -(2.0 ** -126)], sub, -sub,
+                               [1.0]]).astype(np.float32), 16, 0
+    if name == "clamp":
+        # the largest magnitude sets E_s far below -128; at the clamp x is
+        # f * 2**128, a multiple of 2**-21, with ties at every n + 1/2
+        f = _binade(1, 1 << 22)
+        f[1::2] *= -1
+        return f, 16, 0
+    p, pre_shift = (int(v) for v in name.split("-")[1:])
+    lim = (1 << (p - 1 - pre_shift)) - 1
+    # Every magnitude is below 2, the largest at least 1, so E_s is
+    # -(P - 2) + pre_shift, and x = f / 2**E_s: every n + 1/2 and n +- 1/4
+    # up to lim + 3/4, and the top sliver just below 2**(P - 1 - pre_shift)
+    step = 2.0 ** (-(p - 2) + pre_shift)
+    grid = (np.arange(-lim - 1, lim + 1) + 0.5) * step
+    sliver = 2 * _binade(0x3F7FF000, 0x3F800000)
+    return np.concatenate([grid, grid - step / 4, grid + step / 4, sliver, -sliver]
+                          ).astype(np.float32), p, pre_shift
+
+
+@pytest.mark.parametrize("name", ["binade", "ties", "ties-saturating", "half-down",
+                                  "zeros-subnormals", "clamp", "P-2-0", "P-8-0", "P-8-1",
+                                  "P-16-0", "P-16-1"])
+def test_nearest_quantize_add_and_truncate_matches_float64(name):
+    # the float32 add of copysign(1/2 - 2**-25, x) and the truncating int16
+    # store against sign(x) * floor(|x| + 1/2) in float64, chunk by chunk
+    f, p, pre_shift = _nearest_case(name)
+    cfg = QuantConfig(p, Nearest(), pre_shift)
+    t = quantize(f, cfg)
+    if name == "clamp":
+        assert t.shared_exponent == -128
+    if name.startswith("P-"):
+        assert t.shared_exponent == -(p - 2) + pre_shift
+    if name.startswith("P-") or name == "ties-saturating":
+        assert np.abs(t.elements).max() == (1 << (p - 1 - pre_shift)) - 1
+    for s in range(0, f.size, 1 << 20):
+        chunk = slice(s, s + (1 << 20))
+        want = _quantize_f64(f[chunk], t.shared_exponent, cfg, 0)
+        assert t.elements[chunk].tobytes() == want.tobytes(), (name, s)
+
+
 _SMALL_BLOCK = 64
 
 
@@ -635,10 +701,12 @@ tie_i16 = st.one_of(st.sampled_from([0, 1, -1, 32767, -32767]), st.integers(-327
 
 
 @SETTINGS
-@given(data=st.data(), k=st.sampled_from([2, 3]), n=st.integers(1, 2), c=st.integers(1, 3),
+@given(data=st.data(), k=st.sampled_from([2, 3, 4]), n=st.integers(1, 2), c=st.integers(1, 3),
        oh=st.integers(1, 4), ow=st.integers(1, 4), quantized=st.booleans(),
        relu=st.booleans())
 def test_maxpool_matches_argmax(data, k, n, c, oh, ow, quantized, relu):
+    # the integer path (maximum, then the first equal view) and the float
+    # scan, in training and in eval, where no index is kept
     shape = (n, c, oh * k, ow * k)
     arr = data.draw(arrays(np.int16 if quantized else np.float32, shape,
                            elements=tie_i16 if quantized else tie_f32))
@@ -647,13 +715,31 @@ def test_maxpool_matches_argmax(data, k, n, c, oh, ow, quantized, relu):
     g = data.draw(arrays(np.float32, (n, c, oh, ow), elements=tie_f32))
     want_out, want_gx = _argmax_pool(arr, g, k)
     pool = _max_pool(k)
-    out = pool.forward(DfpTensor(arr, -3, 16) if quantized else arr, train=True)
-    if quantized:
-        assert out.shared_exponent == -3
-        out = out.elements
-    assert out.dtype == arr.dtype and out.tobytes() == want_out.tobytes()
+    for train in (False, True):
+        out = pool.forward(DfpTensor(arr, -3, 16) if quantized else arr, train=train)
+        if quantized:
+            assert out.shared_exponent == -3
+            out = out.elements
+        assert out.dtype == arr.dtype and out.tobytes() == want_out.tobytes()
     gx = pool.backward(g)
     assert gx.dtype == np.float32 and gx.tobytes() == want_gx.tobytes()
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_maxpool_backward_needs_a_training_forward(quantized):
+    # an eval forward drops the index, so a stale one can route no gradient
+    arr = np.arange(32, dtype=np.int16).reshape(1, 2, 4, 4)
+    x = DfpTensor(arr, 0, 16) if quantized else arr.astype(np.float32)
+    pool = _max_pool(2)
+    g = np.ones((1, 2, 2, 2), np.float32)
+    with pytest.raises(RuntimeError, match="^pool: backward without a training forward"):
+        pool.backward(g)
+    pool.forward(x, train=True)
+    pool.forward(x, train=False)
+    with pytest.raises(RuntimeError, match="^pool: backward without a training forward"):
+        pool.backward(g)
+    pool.forward(x, train=True)
+    assert pool.backward(g).sum() == 8
 
 
 @pytest.mark.parametrize("k", [1, 12, 17])    # window indices past int8 and uint8
@@ -665,6 +751,10 @@ def test_maxpool_wide_windows_match_argmax(k):
     want_out, want_gx = _argmax_pool(arr, g, k)
     pool = _max_pool(k)
     assert pool.forward(arr, train=True).tobytes() == want_out.tobytes()
+    assert pool.backward(g).tobytes() == want_gx.tobytes()
+    ints = arr.astype(np.int16)        # the integer path's window weights too
+    out = pool.forward(DfpTensor(ints, 0, 16), train=True).elements
+    assert out.tobytes() == want_out.astype(np.int16).tobytes()
     assert pool.backward(g).tobytes() == want_gx.tobytes()
 
 
