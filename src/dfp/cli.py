@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--precision", default="dfp16", choices=("fp32", "dfp16"))
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, metavar="CSV")
-    t.add_argument("--checkpoint", default=None, metavar="DIR")
     t.add_argument("--engine", default="fast", choices=tuple(ENGINES))
 
     c = sub.add_parser("compare", help="compare two metrics files")
@@ -131,9 +130,8 @@ def _cmd_train(args) -> int:
     else:
         config, data, precision = request["config"], args.data, args.precision
         seed, engine = args.seed, args.engine
-    summary = experiments.run_training(
-        config, data, precision, seed, out_csv=args.out,
-        checkpoint_dir=args.checkpoint, engine=engine)
+    summary = experiments.run_training(config, data, precision, seed,
+                                       out_csv=args.out, engine=engine)
     final = summary["final_val_acc"]
     final_txt = f"{final:.4f}" if final != "" else "n/a"
     print(f"trained {len(summary['rows'])} iterations "

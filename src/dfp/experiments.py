@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import policy_from_name
 from .datasets import DatasetHandle, make_dataset
-from .fileio import save_checkpoint, write_metrics
+from .fileio import write_metrics
 from .kernels import (ConvSpec, chain_length, conv_fprop, default_blocking, gemm_dfp,
                       overhead_ratio, pack_weights)
 from .layers import RunContext
@@ -29,8 +29,8 @@ from .training import (TrainingDivergence, build_model, make_policy, make_quanti
 
 
 def run_training(config: dict, data_source: str, precision: str, seed: int,
-                 out_csv: Optional[str] = None, checkpoint_dir: Optional[str] = None,
-                 engine: str = "fast", data: Optional[DatasetHandle] = None) -> dict:
+                 out_csv: Optional[str] = None, engine: str = "fast",
+                 data: Optional[DatasetHandle] = None) -> dict:
     """Train once; returns a summary with the per-iteration metrics rows."""
     cfg = parse_config(config)
     if data is None:
@@ -65,11 +65,6 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
         with open(out_csv + ".resolved.json", "w") as fh:
             json.dump(resolved, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if checkpoint_dir:
-        save_checkpoint(checkpoint_dir, model,
-                        {"resolved": resolved,
-                         "final_val_acc": final_val,
-                         "overflow_count": ctx.stats.overflow_count})
     return {
         "rows": rows,
         "final_val_acc": final_val,

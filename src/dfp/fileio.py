@@ -1,4 +1,4 @@
-"""On-disk formats: DFT tensor container, IDX image/label files, checkpoints.
+"""On-disk formats: DFT tensor container, IDX image/label files, metrics CSV.
 
 DFT layout (header fields little-endian):
 
@@ -18,11 +18,9 @@ big-endian u32 dims and raw bytes.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import struct
-from typing import Dict, Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -170,106 +168,6 @@ def read_idx_images(path: str) -> np.ndarray:
 
 def read_idx_labels(path: str) -> np.ndarray:
     return _read_idx(path, _IDX_LABELS, 1)
-
-
-# === checkpoints ===
-
-
-def save_checkpoint(directory: str, model, manifest_extra: dict) -> None:
-    """Write every parameter and buffer as a tensor file plus manifest.json."""
-    os.makedirs(directory, exist_ok=True)
-    entries = []
-    for layer in model.iter_layers():
-        arrays: Dict[str, np.ndarray] = {}
-        arrays.update(layer.params())
-        arrays.update(layer.buffers())
-        if not arrays:
-            continue
-        files = {}
-        for pname, arr in arrays.items():
-            fname = f"{layer.name}.{pname}.dft"
-            write_dft(os.path.join(directory, fname), np.asarray(arr, np.float32))
-            files[pname] = fname
-        entries.append({"layer": layer.name, "type": type(layer).__name__,
-                        "tensors": files})
-    manifest = {"format": "dfp-checkpoint-v1", "entries": entries}
-    manifest.update(manifest_extra)
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_checkpoint(directory: str) -> Tuple[dict, Dict[str, Dict[str, np.ndarray]]]:
-    """Returns (manifest, {layer_name: {tensor_name: array}}).
-
-    A manifest that is not a JSON object of save_checkpoint's shape is a
-    ValueError naming the offending key, and so is a layer named by two
-    entries and a tensor file name that does not name a regular file
-    directly in the checkpoint directory, or names a quantized one."""
-    path = os.path.join(directory, "manifest.json")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: top level must be a JSON object, "
-                         f"got {type(manifest).__name__}")
-    if manifest.get("format") != "dfp-checkpoint-v1":
-        raise ValueError(f"{path}: format: unknown checkpoint format "
-                         f"{manifest.get('format')!r}")
-    root = os.path.realpath(directory)
-    tensors: Dict[str, Dict[str, np.ndarray]] = {}
-    for i, entry in enumerate(_manifest_value(path, manifest, "entries", list)):
-        where = f"entries[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: {where} must be dict, got {type(entry).__name__}")
-        layer = _manifest_value(path, entry, "layer", str, where)
-        if layer in tensors:
-            raise ValueError(f"{path}: {where}.layer: layer {layer!r} has an "
-                             f"earlier entry")
-        files = _manifest_value(path, entry, "tensors", dict, where)
-        loaded = tensors[layer] = {}
-        for pname in files:
-            fname = _manifest_value(path, files, pname, str, f"{where}.tensors")
-            # realpath itself fails on a NUL byte, naming no key
-            full = "" if "\0" in fname else os.path.realpath(os.path.join(root, fname))
-            if os.path.dirname(full) != root or not os.path.isfile(full):
-                raise ValueError(f"{path}: {where}.tensors.{pname}: {fname!r} is not "
-                                 f"a file in the checkpoint directory")
-            loaded[pname] = read_dft(full)
-            if isinstance(loaded[pname], DfpTensor):
-                raise ValueError(f"{path}: {where}.tensors.{pname}: {fname!r} holds a "
-                                 f"quantized tensor; checkpoints hold FP32 masters")
-    return manifest, tensors
-
-
-def _manifest_value(path: str, obj: dict, key: str, kind: type, where: str = ""):
-    # obj[key], which must exist and be of type kind
-    name = f"{where}.{key}" if where else key
-    if key not in obj:
-        raise ValueError(f"{path}: missing key {name!r}")
-    if not isinstance(obj[key], kind):
-        raise ValueError(f"{path}: {name} must be {kind.__name__}, "
-                         f"got {type(obj[key]).__name__}")
-    return obj[key]
-
-
-def restore_model(model, tensors: Dict[str, Dict[str, np.ndarray]]) -> None:
-    """Copy checkpoint arrays into a freshly built model in place."""
-    for layer in model.iter_layers():
-        if layer.name not in tensors:
-            continue
-        stored = tensors[layer.name]
-        arrays = {}
-        arrays.update(layer.params())
-        arrays.update(layer.buffers())
-        for pname, arr in arrays.items():
-            if pname not in stored:
-                raise ValueError(f"checkpoint missing {layer.name}.{pname}")
-            src = stored[pname]
-            if src.shape != arr.shape:
-                raise ValueError(f"checkpoint {layer.name}.{pname} shape "
-                                 f"{src.shape} != model shape {arr.shape}")
-            arr[...] = src
-    model.refresh_quantized()
 
 
 # === metrics CSV ===

@@ -25,6 +25,7 @@ formulation.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from typing import Dict, List, Optional, Tuple, Union
@@ -71,14 +72,23 @@ class Quantizers:
         slot = self._slots.setdefault(layer, len(self._slots))
         return (((self.phase << 40) + self.iteration) << 12 | slot) << 2 | self._ROLES[kind]
 
-    def _apply(self, kind: str, layer: str, values, cfg: QuantConfig) -> DfpTensor:
-        """quantize under this event's tensor id; an error says where it
-        happened: layer, role, phase and iteration."""
+    def where(self, layer: str, what: str) -> str:
+        """Where an error happened: layer, what it did (a role, a pass or a
+        statistic), phase and iteration."""
+        return f"{layer} {what}, {self._PHASES[self.phase]} phase, iteration {self.iteration}"
+
+    @contextlib.contextmanager
+    def located(self, layer: str, what: str):
+        """Re-raise a ValueError or OverflowError with where() in front."""
         try:
-            return quantize(values, cfg, tensor_id=self._tid(layer, kind))
+            yield
         except (ValueError, OverflowError) as exc:
-            raise type(exc)(f"{layer} {kind}, {self._PHASES[self.phase]} phase, "
-                            f"iteration {self.iteration}: {exc}") from exc
+            raise type(exc)(f"{self.where(layer, what)}: {exc}") from exc
+
+    def _apply(self, kind: str, layer: str, values, cfg: QuantConfig) -> DfpTensor:
+        """quantize under this event's tensor id; an error says where it happened."""
+        with self.located(layer, kind):
+            return quantize(values, cfg, tensor_id=self._tid(layer, kind))
 
     def q_a(self, layer: str, values) -> DfpTensor:
         return self._apply("q_a", layer, values, self.cfg_a)
@@ -107,18 +117,23 @@ class RunContext:
     def blocking_for(self, spec: ConvSpec) -> BlockingParams:
         return default_blocking(spec, self.policy, self.rb_size, self.icblk)
 
-    def conv(self, x: DfpTensor, w: PackedWeights, spec: ConvSpec) -> np.ndarray:
+    def conv(self, x: DfpTensor, w: PackedWeights, spec: ConvSpec, layer: str,
+             pass_name: str) -> np.ndarray:
         """conv_fprop of x with lowered weights w under this run's blocking,
-        policy and engine; its counters join the run's."""
-        out, st = conv_fprop(x, w, spec, self.blocking_for(spec), self.policy, self.engine)
+        policy and engine, for layer's pass (fprop or bprop); its counters
+        join the run's, and an error names the layer and pass."""
+        with self.q.located(layer, pass_name):
+            out, st = conv_fprop(x, w, spec, self.blocking_for(spec), self.policy,
+                                 self.engine)
         self.stats.merge(st)
         return out
 
-    def gemm(self, a: DfpTensor, b: DfpTensor) -> np.ndarray:
+    def gemm(self, a: DfpTensor, b: DfpTensor, layer: str, pass_name: str) -> np.ndarray:
         """The weight-gradient GEMM, A (M x KK) times B (KK x N), blocked
-        like the equivalent 1x1 conv."""
+        like the equivalent 1x1 conv; otherwise as conv."""
         spec = ConvSpec(a.shape[1], b.shape[1], 1, 1, 1, 1)
-        out, st = gemm_dfp(a, b, self.blocking_for(spec), self.policy, self.engine)
+        with self.q.located(layer, pass_name):
+            out, st = gemm_dfp(a, b, self.blocking_for(spec), self.policy, self.engine)
         self.stats.merge(st)
         return out
 
@@ -154,9 +169,6 @@ class Layer:
         return {}
 
     def grads(self) -> Dict[str, np.ndarray]:
-        return {}
-
-    def buffers(self) -> Dict[str, np.ndarray]:
         return {}
 
     def velocities(self) -> Dict[str, np.ndarray]:
@@ -258,7 +270,7 @@ class Conv(Layer):
             spec = self._spec(a_q.shape[2], a_q.shape[3])
             if self.w_fwd is None:
                 self.refresh_quantized()
-            out = self.ctx.conv(a_q, self.w_fwd, spec)
+            out = self.ctx.conv(a_q, self.w_fwd, spec, self.name, "fprop")
             self._a_q, self._cols, self._spec_cache = a_q, None, spec
         else:
             xf = to_fp32(x)
@@ -295,7 +307,7 @@ class Conv(Layer):
             grp = math.gcd(self.in_ch, 16)
             a_cols = DfpTensor(im2col(self._a_q.elements, spec, grp),
                                self._a_q.shared_exponent, self._a_q.bit_width)
-            gw = self.ctx.gemm(e_mat, a_cols)
+            gw = self.ctx.gemm(e_mat, a_cols, self.name, "wgrad")
             if grp > 1 and self.kh * self.kw > 1:
                 gw[...] = gw.reshape(self.out_ch, -1, self.kh, self.kw, grp).transpose(
                     0, 1, 4, 2, 3).reshape(self.out_ch, -1)
@@ -304,7 +316,7 @@ class Conv(Layer):
                 # Input gradient: convolve dilated errors with the flipped,
                 # channel-transposed quantized weights.
                 gx = self.ctx.conv(_dilate_errors(e_q, self.stride), self.w_bwd,
-                                   self._bprop_spec(spec))
+                                   self._bprop_spec(spec), self.name, "bprop")
         else:
             g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, self.out_ch)
             self.gW = (g_mat.T @ self._cols).reshape(self.W.shape)
@@ -341,6 +353,10 @@ class BatchNorm(Layer):
     every bit is the same, but with fewer full-size temporaries: x - mean is
     formed once, in a dequantized input's own buffer, and serves both the
     variance and x-hat; the rest runs in place.
+
+    In a training pass, a batch mean or variance or an updated running
+    statistic that is not finite is a ValueError naming the layer, the
+    statistic, the phase and the iteration.
     """
 
     def __init__(self, ctx, name, channels, precision="dfp", eps=1e-5, momentum=0.1):
@@ -362,9 +378,6 @@ class BatchNorm(Layer):
 
     def grads(self):
         return {"gamma": self.ggamma, "beta": self.gbeta}
-
-    def buffers(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def velocities(self):
         return self._vel
@@ -399,6 +412,13 @@ class BatchNorm(Layer):
             one = np.float32(1.0)
             self.running_mean[...] = (one - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var[...] = (one - self.momentum) * self.running_var + self.momentum * var
+            for stat, v in (("batch mean", mu), ("batch variance", var),
+                            ("running mean", self.running_mean),
+                            ("running variance", self.running_var)):
+                if not np.isfinite(v).all():
+                    c = int(np.argmin(np.isfinite(v)))
+                    raise ValueError(f"{self.ctx.q.where(self.name, stat)}: "
+                                     f"{v[c]} in channel {c} is not finite")
         inv = np.float32(1.0) / np.sqrt(var + self.eps)
         xhat *= inv.reshape(bshape)
         np.multiply(self.gamma.reshape(bshape), xhat, out=out)

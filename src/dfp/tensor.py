@@ -46,7 +46,7 @@ ZERO_EXPONENT = -(1 << 31)
 _F32_MAX = float(np.finfo(np.float32).max)
 _MASK64 = (1 << 64) - 1
 _FIXED_SEEDS = np.random.SeedSequence(0)
-# Elements per quantize block: its three float64 buffers (768 KiB) fit in a
+# Elements per quantize block: its three float64 arrays (768 KiB) fit in a
 # core's L2 cache.  Even, so that a block's stochastic draws use whole
 # 64-bit Philox words.
 _BLOCK = 1 << 15
@@ -284,7 +284,7 @@ def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
 
     After one scan for the largest magnitude, the elements are rounded in
     flat blocks of _BLOCK, each through the same few block-sized float
-    buffers and straight into the int16 output, so no temporary grows with
+    arrays and straight into the int16 output, so no temporary grows with
     the tensor.  Every element is rounded independently, and stochastic
     draws come from one stream read in order, so the blocks change no
     result.

@@ -1,4 +1,4 @@
-"""Tensor files, IDX data, checkpoints, metrics CSV, and the CLI."""
+"""Tensor files, IDX data, lowered weights, metrics CSV, and the CLI."""
 
 import dataclasses
 import json
@@ -13,10 +13,9 @@ import pytest
 from dfp import cli, experiments
 from dfp.datasets import (_GLYPH_STROKES, _distance2, _glyph_segments, _render_glyph,
                           export_idx, make_dataset)
-from dfp.fileio import (METRICS_HEADER, load_checkpoint, read_dft,
-                        read_idx_images, read_idx_labels, read_metrics,
-                        restore_model, save_checkpoint, write_dft,
-                        write_idx_images, write_idx_labels, write_metrics)
+from dfp.fileio import (METRICS_HEADER, read_dft, read_idx_images, read_idx_labels,
+                        read_metrics, write_dft, write_idx_images, write_idx_labels,
+                        write_metrics)
 from dfp.kernels import pack_weights
 from dfp.layers import Conv, RunContext
 from dfp.tensor import (DfpTensor, QuantConfig, dequantize, quantize,
@@ -150,119 +149,12 @@ def test_idx_errors(tmp_path):
             read_idx_images(path)
 
 
-# === checkpoints ===
+# === lowered weights ===
 
 
-def _small_model(seed):
-    cfg = parse_config({"layers": [
-        {"type": "conv", "out_ch": 8, "kernel": 3, "pad": 1},
-        {"type": "batchnorm"},
-        {"type": "relu"},
-        {"type": "flatten"},
-        {"type": "fc", "out_features": 3}], "loss": "mse"})
-    q = make_quantizers(cfg, seed=seed)
-    ctx = RunContext(q=q)
-    return build_model(cfg, (4, 6, 6), ctx, np.random.default_rng(seed)), cfg
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    model, _ = _small_model(seed=17)
-    # give the batchnorm buffers non-trivial values first
-    x = np.random.default_rng(18).standard_normal((4, 4, 6, 6)).astype(np.float32)
-    model.forward(x, train=True)
-    ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(ckpt, model, manifest_extra={"note": "unit"})
-    manifest, tensors = load_checkpoint(ckpt)
-    assert manifest["format"] == "dfp-checkpoint-v1"
-    assert manifest["note"] == "unit"
-
-    other, _ = _small_model(seed=99)            # different init
-    restore_model(other, tensors)
-    for src, dst in zip(model.iter_layers(), other.iter_layers()):
-        for key, val in src.params().items():
-            npt.assert_array_equal(dst.params()[key], val)
-        for key, val in src.buffers().items():
-            npt.assert_array_equal(dst.buffers()[key], val)
-
-
-def test_restore_model_shape_mismatch(tmp_path):
-    model, _ = _small_model(seed=17)
-    ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(ckpt, model, manifest_extra={})
-    _, tensors = load_checkpoint(ckpt)
-    cfg = parse_config({"layers": [
-        {"type": "conv", "out_ch": 16, "kernel": 3, "pad": 1}], "loss": "mse"})
-    q = make_quantizers(cfg, seed=1)
-    other = build_model(cfg, (4, 6, 6), RunContext(q=q),
-                        np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        restore_model(other, tensors)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda m: [m], "top level must be a JSON object, got list"),
-    (lambda m: {k: v for k, v in m.items() if k != "entries"}, "missing key 'entries'"),
-    (lambda m: dict(m, entries={}), "entries must be list, got dict"),
-    (lambda m: dict(m, entries=[7]), "entries[0] must be dict, got int"),
-    (lambda m: dict(m, entries=[{"layer": "conv1"}]), "missing key 'entries[0].tensors'"),
-    (lambda m: dict(m, entries=[{"layer": "conv1", "tensors": ["W"]}]),
-     "entries[0].tensors must be dict, got list"),
-    (lambda m: dict(m, entries=[{"layer": "conv1", "tensors": {"W": 3}}]),
-     "entries[0].tensors.W must be str, got int"),
-    (lambda m: dict(m, entries=[{"tensors": {}}]), "missing key 'entries[0].layer'"),
-    (lambda m: dict(m, entries=[{"layer": 1, "tensors": {}}]),
-     "entries[0].layer must be str, got int"),
-    # a readable tensor file outside the checkpoint directory is refused
-    (lambda m: dict(m, entries=[{"layer": "conv1", "tensors": {"W": "../outside.dft"}}]),
-     "entries[0].tensors.W: '../outside.dft' is not a file in the checkpoint directory"),
-    (lambda m: dict(m, entries=[{"layer": "conv1", "tensors": {"W": "OUTSIDE"}}]),
-     "is not a file in the checkpoint directory"),
-    # a later entry for the same layer would silently replace the earlier one
-    (lambda m: dict(m, entries=m["entries"] + m["entries"][:1]),
-     "entries[3].layer: layer 'conv1' has an earlier entry"),
-    (lambda m: dict(m, format=2), "format: unknown checkpoint format 2"),
-])
-def test_load_checkpoint_rejects_malformed_manifest(tmp_path, edit, message):
-    model, _ = _small_model(seed=17)
-    ckpt = tmp_path / "ckpt"
-    save_checkpoint(str(ckpt), model, manifest_extra={})
-    outside = tmp_path / "outside.dft"
-    write_dft(str(outside), np.zeros((8, 4, 3, 3), np.float32))
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    edited = json.dumps(edit(manifest)).replace("OUTSIDE", str(outside))
-    (ckpt / "manifest.json").write_text(edited)
-    with pytest.raises(ValueError) as err:
-        load_checkpoint(str(ckpt))
-    assert message in str(err.value)
-    assert str(err.value).startswith(str(ckpt / "manifest.json"))
-
-
-def test_load_checkpoint_rejects_directory_as_tensor_file(tmp_path):
-    model, _ = _small_model(seed=17)
-    ckpt = tmp_path / "ckpt"
-    save_checkpoint(str(ckpt), model, manifest_extra={})
-    (ckpt / "sub").mkdir()
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["entries"][0]["tensors"]["W"] = "sub"
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"entries\[0\]\.tensors\.W: 'sub' is not a file"):
-        load_checkpoint(str(ckpt))
-
-
-def test_load_checkpoint_rejects_quantized_tensor_file(tmp_path):
-    # restore_model copies FP32 masters; a DFP file would fail there with a TypeError
-    model, _ = _small_model(seed=17)
-    ckpt = tmp_path / "ckpt"
-    save_checkpoint(str(ckpt), model, manifest_extra={})
-    write_dft(str(ckpt / "conv1.W.dft"), DfpTensor(np.ones((8, 4, 3, 3), np.int16), -3, 16))
-    with pytest.raises(ValueError, match=r"entries\[0\]\.tensors\.W: 'conv1\.W\.dft' holds a "
-                       r"quantized tensor"):
-        load_checkpoint(str(ckpt))
-
-
-def test_conv_weight_matrices_follow_every_update(tmp_path):
+def test_conv_weight_matrices_follow_every_update():
     # a DFP conv's lowered weights are pack_weights of its current w_q after
-    # a restore and after an update: forward, and flipped and
+    # the build and after an update: forward, and flipped and
     # channel-transposed for the input gradient
     cfg = parse_config({"layers": [
         {"type": "conv", "out_ch": 8, "kernel": 3, "pad": 1},
@@ -284,20 +176,14 @@ def test_conv_weight_matrices_follow_every_update(tmp_path):
             assert (got.shape, got.shared_exponent) == (want.shape, want.shared_exponent)
 
     model = build(17)
-    ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(ckpt, model, manifest_extra={})
-    other = build(99)
-    conv = [l for l in other.iter_layers() if isinstance(l, Conv)][1]
-    before = conv.w_q.elements.copy()
-    restore_model(other, load_checkpoint(ckpt)[1])
-    assert not np.array_equal(conv.w_q.elements, before)
+    conv = [l for l in model.iter_layers() if isinstance(l, Conv)][1]
     assert_lowered(conv)
 
     x = np.random.default_rng(18).standard_normal((2, 4, 7, 7)).astype(np.float32)
-    out = other.forward(x)
-    other.backward(np.ones_like(out))
+    out = model.forward(x)
+    model.backward(np.ones_like(out))
     before = conv.w_q.elements.copy()
-    sgd_step(other, lr=0.1, momentum=0.0, weight_decay=0.0)
+    sgd_step(model, lr=0.1, momentum=0.0, weight_decay=0.0)
     assert not np.array_equal(conv.w_q.elements, before)
     assert_lowered(conv)
 
@@ -666,20 +552,6 @@ def test_cli_train_and_resolved_replay(tmp_path, capsys):
     rows2 = read_metrics(out2)
     strip = lambda r: {k: v for k, v in r.items() if k != "wall_ms"}
     assert [strip(r) for r in rows1] == [strip(r) for r in rows2]
-
-
-def test_cli_train_checkpoint(tmp_path):
-    cfg_path = str(tmp_path / "mlp.json")
-    with open(cfg_path, "w") as fh:
-        json.dump(dict(MLP_JSON, epochs=1), fh)
-    ckpt = str(tmp_path / "ckpt")
-    rc = cli.main(["train", "--config", cfg_path, "--data", "gauss2:n=64",
-                   "--precision", "fp32", "--seed", "1",
-                   "--out", str(tmp_path / "m.csv"), "--checkpoint", ckpt])
-    assert rc == 0
-    manifest, tensors = load_checkpoint(ckpt)
-    assert manifest["format"] == "dfp-checkpoint-v1"
-    assert "fc1" in tensors and "W" in tensors["fc1"]
 
 
 def _without_wall_ms(rows):

@@ -222,14 +222,33 @@ def test_batchnorm_running_stats_and_eval():
     bn.forward(x, train=True)
     bm = x.mean(axis=(0, 2, 3))
     bv = x.var(axis=(0, 2, 3))                        # biased
-    bufs = bn.buffers()
-    npt.assert_allclose(bufs["running_mean"], 0.1 * bm, rtol=1e-5)
-    npt.assert_allclose(bufs["running_var"], 0.9 * 1.0 + 0.1 * bv, rtol=1e-5)
+    npt.assert_allclose(bn.running_mean, 0.1 * bm, rtol=1e-5)
+    npt.assert_allclose(bn.running_var, 0.9 * 1.0 + 0.1 * bv, rtol=1e-5)
     # eval path uses the running estimates, not the batch
     y = np.zeros((2, 2, 1, 1), np.float32)
     out = bn.forward(y, train=False)
-    want = (0.0 - bufs["running_mean"]) / np.sqrt(bufs["running_var"] + 1e-5)
+    want = (0.0 - bn.running_mean) / np.sqrt(bn.running_var + 1e-5)
     npt.assert_allclose(out[0, :, 0, 0], want, rtol=1e-5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("stat, scale, running", [
+    ("batch mean", np.inf, None),
+    ("batch variance", 1e25, None),              # finite mean, variance overflows
+    ("running mean", 1.0, "running_mean"),
+    ("running variance", 1.0, "running_var"),
+])
+def test_batchnorm_non_finite_statistic_is_a_located_error(stat, scale, running):
+    ctx = make_ctx()
+    ctx.q.iteration = 7
+    bn = BatchNorm(ctx, "bn1", 2, precision="fp32")
+    if running:
+        getattr(bn, running)[1] = np.inf
+    x = np.random.default_rng(4).standard_normal((4, 2, 3, 3)).astype(np.float32)
+    x[:, 1] *= np.float32(scale)
+    with pytest.raises(ValueError, match=rf"^bn1 {stat}, train phase, iteration 7: "
+                                         r"(-?inf|nan) in channel 1 is not finite$"):
+        bn.forward(x, train=True)
 
 
 def test_batchnorm_rejects_single_sample_batch():
@@ -963,6 +982,27 @@ def test_non_finite_batch_names_layer_role_phase_and_iteration():
     with pytest.raises(ValueError, match=r"^fc1 q_a, train phase, iteration 0: "
                                          r"tensor contains NaN or Inf$"):
         train_loop(model, cfg, x, y, x, y, seed=5)
+
+
+@pytest.mark.parametrize("pass_name, w_scale, x_scale, g_scale, es", [
+    ("fprop", 2.0**100, 2.0**60, 1.0, 133),
+    ("wgrad", 1.0, 2.0**60, 2.0**100, 136),
+    ("bprop", 2.0**60, 1.0, 2.0**100, 133),
+])
+def test_kernel_error_names_layer_pass_phase_and_iteration(pass_name, w_scale, x_scale,
+                                                           g_scale, es):
+    # operand exponents whose sum leaves FP32 stop the kernel call of one pass
+    ctx = make_ctx()
+    ctx.q.iteration = 53
+    rng = np.random.default_rng(3)
+    conv = Conv(ctx, "conv2", 16, 16, 3, pad=1, rng=rng)
+    conv.W *= np.float32(w_scale)
+    conv.refresh_quantized()
+    x = (rng.standard_normal((2, 16, 6, 6)) * x_scale).astype(np.float32)
+    with pytest.raises(ValueError, match=rf"^conv2 {pass_name}, train phase, iteration 53: "
+                                         rf"spill scale 2\*\*{es} is outside the FP32 range$"):
+        out = conv.forward(x, train=True)
+        conv.backward((rng.standard_normal(out.shape) * g_scale).astype(np.float32))
 
 
 def test_evaluate_accuracy():

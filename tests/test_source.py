@@ -24,11 +24,18 @@ def unused_imports(tree: ast.Module):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= exported_names(tree)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def exported_names(tree: ast.Module):
+    """The names a module-level __all__ lists."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+            names.update(ast.literal_eval(node.value))
+    return names
 
 
 def test_unused_import_check_sees_each_binding():
@@ -88,6 +95,41 @@ def test_no_unused_private_names():
     unused = [(name, line, private) for name, tree in trees.items()
               for line, private in private_definitions(tree) if private not in used]
     assert unused == []
+
+
+def public_definitions(tree: ast.Module):
+    """(line, name) of each public top-level function or class, and each
+    public method of a top-level class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((item.lineno, item.name) for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return [(line, name) for line, name in found if not name.startswith("_")]
+
+
+def test_public_name_check_sees_each_definition():
+    tree = ast.parse("def f(): pass\ndef _g(): pass\nclass C:\n    def m(self): pass\n"
+                     "    def __init__(self): pass\n    x = 1\n")
+    assert public_definitions(tree) == [(1, "f"), (3, "C"), (4, "m")]
+
+
+def test_no_public_name_only_tests_read():
+    # A public function, class or method that neither the package nor the
+    # benchmark reads, and that dfp.__all__ does not export, has only its
+    # tests for callers: delete it, or give it a caller.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    readers = [tree for name, tree in trees.items() if name != "__init__.py"]
+    readers += [ast.parse(path.read_text(), str(path))
+                for path in sorted((ROOT / "benchmark").glob("*.py"))]
+    used = set().union(exported_names(trees["__init__.py"]),
+                       *(referenced_names(tree) for tree in readers))
+    unread = [(name, line, public) for name, tree in trees.items()
+              for line, public in public_definitions(tree) if public not in used]
+    assert unread == []
 
 
 def test_one_kernel_body():
