@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--precision", default="dfp16", choices=("fp32", "dfp16"))
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, metavar="CSV")
-    t.add_argument("--engine", default="fast", choices=tuple(ENGINES))
 
     c = sub.add_parser("compare", help="compare two metrics files")
     c.add_argument("--a", required=True, metavar="CSV", help="reference run")
@@ -119,19 +118,14 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # a resolved run's fields replace the command line's; a plain config has none
     request = experiments.load_run_request(args.config)
     if request["resolved_run"]:
-        config = request["config"]
-        data = request.get("data", args.data)
-        precision = request.get("precision", args.precision)
-        seed = request.get("seed", args.seed)
-        engine = request.get("engine", args.engine)
         print(f"replaying resolved run from {args.config}")
-    else:
-        config, data, precision = request["config"], args.data, args.precision
-        seed, engine = args.seed, args.engine
-    summary = experiments.run_training(config, data, precision, seed,
-                                       out_csv=args.out, engine=engine)
+    summary = experiments.run_training(
+        request["config"], request.get("data", args.data),
+        request.get("precision", args.precision), request.get("seed", args.seed),
+        out_csv=args.out)
     final = summary["final_val_acc"]
     final_txt = f"{final:.4f}" if final != "" else "n/a"
     print(f"trained {len(summary['rows'])} iterations "

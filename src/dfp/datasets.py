@@ -41,18 +41,16 @@ class DatasetHandle:
     train_y: np.ndarray
     val_x: np.ndarray
     val_y: np.ndarray
-    source: str
     mean: float
     std: float
     checksum: str
-    n_classes: int
 
     @property
     def in_shape(self) -> Tuple[int, ...]:
         return self.train_x.shape[1:]
 
 
-def _finish(source: str, train_x, train_y, val_x, val_y, n_classes,
+def _finish(source: str, train_x, train_y, val_x, val_y,
             normalize: bool = True) -> DatasetHandle:
     train_x = np.asarray(train_x, np.float32)
     val_x = np.asarray(val_x, np.float32)
@@ -68,8 +66,7 @@ def _finish(source: str, train_x, train_y, val_x, val_y, n_classes,
         val_x = ((val_x - np.float32(mean)) / np.float32(std)).astype(np.float32)
     else:
         mean, std = 0.0, 1.0
-    return DatasetHandle(train_x, train_y, val_x, val_y, source, mean, std,
-                         digest.hexdigest(), n_classes)
+    return DatasetHandle(train_x, train_y, val_x, val_y, mean, std, digest.hexdigest())
 
 
 def _parse_kv(source: str, body: str, defaults: Dict[str, Union[int, float]]) -> Dict:
@@ -263,7 +260,7 @@ def _load_idx_dir(directory: str):
 def make_dataset(source: str, seed: int) -> DatasetHandle:
     if os.path.isdir(source):
         tx, ty, vx, vy = _load_idx_dir(source)
-        return _finish(source, tx, ty, vx, vy, n_classes=int(ty.max()) + 1)
+        return _finish(source, tx, ty, vx, vy)
 
     kind, _, body = source.partition(":")
     if kind == "glyphs":
@@ -272,26 +269,25 @@ def make_dataset(source: str, seed: int) -> DatasetHandle:
         rng_v = np.random.default_rng(np.random.SeedSequence([seed, 102]))
         tx, ty = make_glyphs(p["train"], rng_t)
         vx, vy = make_glyphs(p["test"], rng_v)
-        return _finish(source, tx, ty, vx, vy, n_classes=10)
+        return _finish(source, tx, ty, vx, vy)
     if kind == "gauss2":
         n = _parse_kv(source, body, {"n": 1024})["n"]
         rng = np.random.default_rng(np.random.SeedSequence([seed, 103]))
         tx, ty, vx, vy = _make_gauss2(n, max(64, n // 4), rng)
-        return _finish(source, tx, ty, vx, vy, n_classes=2, normalize=False)
+        return _finish(source, tx, ty, vx, vy, normalize=False)
     if kind == "linreg":
         p = _parse_kv(source, body, {"n": 256, "slope": 3.0, "intercept": 1.0, "noise": 0.0})
         rng = np.random.default_rng(np.random.SeedSequence([seed, 104]))
         tx, ty, vx, vy = _make_linreg(p["n"], p["slope"],
                                       p["intercept"], p["noise"], rng)
-        return _finish(source, tx, ty, vx, vy, n_classes=0, normalize=False)
+        return _finish(source, tx, ty, vx, vy, normalize=False)
     raise ValueError(f"unknown dataset source {source!r}")
 
 
-def export_idx(handle_or_source, directory: str, seed: int = 0) -> None:
+def export_idx(source: str, directory: str, seed: int = 0) -> None:
     """Materialize a generated image dataset as IDX files in a directory."""
     from .fileio import write_idx_images, write_idx_labels
-    handle = (handle_or_source if isinstance(handle_or_source, DatasetHandle)
-              else make_dataset(handle_or_source, seed))
+    handle = make_dataset(source, seed)
     if handle.train_x.ndim != 4:
         raise ValueError("only image datasets can be exported as IDX")
     os.makedirs(directory, exist_ok=True)

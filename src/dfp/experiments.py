@@ -22,14 +22,14 @@ from .kernels import (ConvSpec, chain_length, conv_fprop, default_blocking, gemm
                       overhead_ratio, pack_weights)
 from .layers import RunContext
 from .tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
-from .training import (TrainingDivergence, build_model, make_policy, make_quantizers,
-                       parse_config, train_loop)
+from .training import (TrainingDivergence, _check_type, build_model, make_policy,
+                       make_quantizers, parse_config, train_loop)
 
 # === training runs ===
 
 
 def run_training(config: dict, data_source: str, precision: str, seed: int,
-                 out_csv: Optional[str] = None, engine: str = "fast",
+                 out_csv: Optional[str] = None,
                  data: Optional[DatasetHandle] = None) -> dict:
     """Train once; returns a summary with the per-iteration metrics rows."""
     cfg = parse_config(config)
@@ -37,7 +37,7 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
         data = make_dataset(data_source, seed)
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     ctx = RunContext(q=make_quantizers(cfg, seed), policy=make_policy(cfg),
-                     engine=engine, icblk=cfg.icblk, rb_size=cfg.rb_size)
+                     icblk=cfg.icblk, rb_size=cfg.rb_size)
     model = build_model(cfg, data.in_shape, ctx, init_rng, precision=precision)
     t0 = time.perf_counter()
     rows: List[dict] = []
@@ -57,7 +57,6 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
         "data": data_source,
         "precision": precision,
         "seed": seed,
-        "engine": engine,
         "data_checksum": data.checksum,
     }
     if out_csv:
@@ -80,8 +79,7 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
 
 
 # The fields of a resolved run that replace command-line values, by type.
-_RESOLVED_FIELDS = {"config": dict, "data": str, "precision": str, "engine": str,
-                    "seed": int}
+_RESOLVED_FIELDS = {"config": dict, "data": str, "precision": str, "seed": int}
 
 
 def load_run_request(path: str) -> dict:
@@ -100,9 +98,8 @@ def load_run_request(path: str) -> dict:
     if "config" not in raw:
         raise ValueError(f"{path}: resolved run is missing key 'config'")
     for key, kind in _RESOLVED_FIELDS.items():
-        if key in raw and (not isinstance(raw[key], kind) or isinstance(raw[key], bool)):
-            raise ValueError(f"{path}: resolved run key {key!r} must be "
-                             f"{kind.__name__}, got {type(raw[key]).__name__}")
+        if key in raw:
+            _check_type(f"{path}: resolved run key {key!r}", raw[key], kind)
     return raw
 
 

@@ -290,7 +290,6 @@ class PackedWeights:
 
     data: np.ndarray
     shared_exponent: int
-    bit_width: int
     shape: Tuple[int, int, int, int]
 
 
@@ -304,7 +303,7 @@ def pack_weights(weights: DfpTensor) -> PackedWeights:
     wp = np.zeros((kpad, cpad, kh, kw), np.int16)
     wp[:k, :c] = w
     mat = wp.reshape(kpad, cpad // 16, 16, kh, kw).transpose(1, 3, 4, 2, 0).reshape(-1, kpad)
-    return PackedWeights(mat, weights.shared_exponent, weights.bit_width, w.shape)
+    return PackedWeights(mat, weights.shared_exponent, w.shape)
 
 
 # === lowering ===

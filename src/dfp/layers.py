@@ -50,7 +50,7 @@ def to_fp32(x: Activation) -> np.ndarray:
 
 
 class Quantizers:
-    """Q_a / Q_w / Q_e operators with stable tensor ids.
+    """Q_a / Q_w / Q_e operators, one format cfg for all, with stable tensor ids.
 
     Tensor ids are composed from (phase, iteration, layer slot, role) so
     stochastic rounding draws are unique per quantization event and
@@ -60,10 +60,8 @@ class Quantizers:
     _ROLES = {"q_a": 0, "q_w": 1, "q_e": 2}
     _PHASES = ("train", "eval", "weight init")
 
-    def __init__(self, cfg_a: QuantConfig, cfg_w: QuantConfig, cfg_e: QuantConfig):
-        self.cfg_a = cfg_a
-        self.cfg_w = cfg_w
-        self.cfg_e = cfg_e
+    def __init__(self, cfg: QuantConfig):
+        self.cfg = cfg
         self.phase = 0       # 0 train, 1 eval, 2 weight init
         self.iteration = 0
         self._slots: Dict[str, int] = {}
@@ -85,19 +83,19 @@ class Quantizers:
         except (ValueError, OverflowError) as exc:
             raise type(exc)(f"{self.where(layer, what)}: {exc}") from exc
 
-    def _apply(self, kind: str, layer: str, values, cfg: QuantConfig) -> DfpTensor:
+    def _apply(self, kind: str, layer: str, values) -> DfpTensor:
         """quantize under this event's tensor id; an error says where it happened."""
         with self.located(layer, kind):
-            return quantize(values, cfg, tensor_id=self._tid(layer, kind))
+            return quantize(values, self.cfg, tensor_id=self._tid(layer, kind))
 
     def q_a(self, layer: str, values) -> DfpTensor:
-        return self._apply("q_a", layer, values, self.cfg_a)
+        return self._apply("q_a", layer, values)
 
     def q_w(self, layer: str, values) -> DfpTensor:
-        return self._apply("q_w", layer, values, self.cfg_w)
+        return self._apply("q_w", layer, values)
 
     def q_e(self, layer: str, values) -> DfpTensor:
-        return self._apply("q_e", layer, values, self.cfg_e)
+        return self._apply("q_e", layer, values)
 
 
 @dataclasses.dataclass
@@ -183,8 +181,8 @@ class Layer:
 
 class Conv(Layer):
     """2D convolution: FP32 master weight W (K, C, KH, KW), optional FP32
-    bias and SGD state, and optionally a DFP compute path, whose quantized
-    weights w_q are lowered once per update (refresh_quantized) to the
+    bias and SGD state, and optionally a DFP compute path, whose weights are
+    quantized and lowered once per update (refresh_quantized) to the
     forward and input-gradient weight matrices."""
 
     flat = False   # Dense: n feature vectors in and out, as n 1x1 images
@@ -209,7 +207,6 @@ class Conv(Layer):
         self.gW = None
         self.gb = None
         self._spec_cache: Optional[ConvSpec] = None
-        self.w_q: Optional[DfpTensor] = None
         self.w_fwd: Optional[PackedWeights] = None   # forward weight matrix
         self.w_bwd: Optional[PackedWeights] = None   # flipped, for bprop
 
@@ -252,7 +249,7 @@ class Conv(Layer):
     def refresh_quantized(self):
         if self.precision != "dfp":
             return
-        self.w_q = w = self.ctx.q.q_w(
+        w = self.ctx.q.q_w(
             self.name, self.W.reshape(self.out_ch, self.in_ch, self.kh, self.kw))
         self.w_fwd = pack_weights(w)
         if not self.first:   # taps flipped, channels transposed
@@ -362,7 +359,6 @@ class BatchNorm(Layer):
     def __init__(self, ctx, name, channels, precision="dfp", eps=1e-5, momentum=0.1):
         super().__init__(ctx, name)
         self.precision = precision
-        self.channels = channels
         self.eps = np.float32(eps)
         self.momentum = np.float32(momentum)
         self.gamma = np.ones(channels, np.float32)
@@ -395,30 +391,34 @@ class BatchNorm(Layer):
         xf = to_fp32(x)
         axes, bshape = self._shape(xf)
         m = xf.size // xf.shape[1]
-        if train:
-            if xf.shape[0] < 2:
-                raise ValueError(f"{self.name}: training batch must have >= 2 samples")
-            mu = xf.mean(axis=axes)
-        else:
-            mu, var = self.running_mean, self.running_var
-        # a dequantized input is this layer's own copy, so x - mean may overwrite it
-        xhat = np.subtract(xf, mu.reshape(bshape), out=xf if isinstance(x, DfpTensor) else None)
-        out = np.empty_like(xhat)
-        if train:
-            # np.var's own steps on x - mean: square, sum, then divide in the
-            # dtype that float32 / intp promotes to, stored back as float32
-            var = np.add.reduce(np.square(xhat, out=out), axis=axes)
-            np.true_divide(var, np.intp(m), out=var, casting="unsafe")
-            one = np.float32(1.0)
-            self.running_mean[...] = (one - self.momentum) * self.running_mean + self.momentum * mu
-            self.running_var[...] = (one - self.momentum) * self.running_var + self.momentum * var
-            for stat, v in (("batch mean", mu), ("batch variance", var),
-                            ("running mean", self.running_mean),
-                            ("running variance", self.running_var)):
-                if not np.isfinite(v).all():
-                    c = int(np.argmin(np.isfinite(v)))
-                    raise ValueError(f"{self.ctx.q.where(self.name, stat)}: "
-                                     f"{v[c]} in channel {c} is not finite")
+        if train and xf.shape[0] < 2:
+            raise ValueError(f"{self.name}: training batch must have >= 2 samples")
+        # an overflowing training statistic is reported by the check below, not by numpy
+        with np.errstate(over="ignore", invalid="ignore") if train else contextlib.nullcontext():
+            mu = xf.mean(axis=axes) if train else self.running_mean
+            # a dequantized input is this layer's own copy, so x - mean may overwrite it
+            xhat = np.subtract(xf, mu.reshape(bshape),
+                               out=xf if isinstance(x, DfpTensor) else None)
+            out = np.empty_like(xhat)
+            if not train:
+                var = self.running_var
+            else:
+                # np.var's own steps on x - mean: square, sum, then divide in the
+                # dtype that float32 / intp promotes to, stored back as float32
+                var = np.add.reduce(np.square(xhat, out=out), axis=axes)
+                np.true_divide(var, np.intp(m), out=var, casting="unsafe")
+                one = np.float32(1.0)
+                self.running_mean[...] = ((one - self.momentum) * self.running_mean
+                                          + self.momentum * mu)
+                self.running_var[...] = ((one - self.momentum) * self.running_var
+                                         + self.momentum * var)
+                for stat, v in (("batch mean", mu), ("batch variance", var),
+                                ("running mean", self.running_mean),
+                                ("running variance", self.running_var)):
+                    if not np.isfinite(v).all():
+                        c = int(np.argmin(np.isfinite(v)))
+                        raise ValueError(f"{self.ctx.q.where(self.name, stat)}: "
+                                         f"{v[c]} in channel {c} is not finite")
         inv = np.float32(1.0) / np.sqrt(var + self.eps)
         xhat *= inv.reshape(bshape)
         np.multiply(self.gamma.reshape(bshape), xhat, out=out)

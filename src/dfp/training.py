@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .arith import OverflowPolicy, Strict, check_strict_chain, policy_from_name
+from .arith import Empirical, OverflowPolicy, Strict, check_strict_chain, policy_from_name
 from .kernels import BlockingParams, ConvSpec, chain_length
 from .layers import (AvgPool, BatchNorm, Conv, Dense, Flatten, Layer, MaxPool,
                      Model, Quantizers, ReLU, Residual, RunContext, to_fp32)
@@ -87,11 +87,9 @@ class TrainConfig:
     bit_width: int = 16
     pre_shift: int = 1
     rounding: str = "nearest"
-    rounding_w: Optional[str] = None     # per-role overrides
-    rounding_e: Optional[str] = None
     policy: str = "empirical"
-    chain_block: int = 208
-    max_chain: Optional[int] = None
+    chain_block: Optional[int] = None    # empirical only; Empirical's default if None
+    max_chain: Optional[int] = None      # strict only
     shadow_check: bool = False
     icblk: Optional[int] = None
     rb_size: int = 28
@@ -110,6 +108,13 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if not self.layers:
             raise ValueError("config must list at least one layer")
+        # a chain knob the run would not read is an error, not a no-op
+        if self.max_chain is not None and self.policy != "strict":
+            raise ValueError(f"max_chain is read only by policy 'strict', not {self.policy!r}")
+        if self.chain_block is not None and self.policy == "strict":
+            raise ValueError("chain_block is not read by policy 'strict'; set max_chain")
+        if self.chain_block is not None and self.icblk is not None:
+            raise ValueError("chain_block is not read when icblk is set")
         # what a run builds from the other fields checks them; build_model
         # checks the layers
         make_policy(self)
@@ -129,20 +134,14 @@ def parse_config(raw: dict) -> TrainConfig:
 
 
 def make_policy(cfg: TrainConfig) -> OverflowPolicy:
-    return policy_from_name(cfg.policy, cfg.max_chain, cfg.chain_block, cfg.shadow_check)
+    chain_block = Empirical.chain_block if cfg.chain_block is None else cfg.chain_block
+    return policy_from_name(cfg.policy, cfg.max_chain, chain_block, cfg.shadow_check)
 
 
 def make_quantizers(cfg: TrainConfig, seed: int) -> Quantizers:
-    def qc(role: str) -> QuantConfig:
-        try:
-            mode = rounding_from_name(getattr(cfg, role) or cfg.rounding, seed=seed)
-        except ValueError as e:
-            raise ValueError(f"{role}: {e}") from None
-        return QuantConfig(bit_width=cfg.bit_width, rounding=mode,
-                           pre_shift=cfg.pre_shift)
-
-    # All three tensor kinds feed multiplier inputs, so all share pre_shift.
-    return Quantizers(qc("rounding"), qc("rounding_w"), qc("rounding_e"))
+    return Quantizers(QuantConfig(bit_width=cfg.bit_width,
+                                  rounding=rounding_from_name(cfg.rounding, seed=seed),
+                                  pre_shift=cfg.pre_shift))
 
 
 # === model construction ===

@@ -471,8 +471,8 @@ def test_gradient_fidelity(capsys):
     # rounding is value-deterministic, so re-quantizing reproduces them
     a0q = dequantize(conv1._a_q).astype(np.float64)
     a1q = dequantize(fc1._a_q).astype(np.float64).reshape(2, -1)   # 1x1 images
-    e2q = dequantize(quantize(g2, ctx.q.cfg_e)).astype(np.float64)
-    e1q = dequantize(quantize(captured["g1"], ctx.q.cfg_e)).astype(np.float64)
+    e2q = dequantize(quantize(g2, ctx.q.cfg)).astype(np.float64)
+    e1q = dequantize(quantize(captured["g1"], ctx.q.cfg)).astype(np.float64)
 
     # FP64 reference network on the same master weights
     Wc, Wf = conv1.W.astype(np.float64), fc1.W.astype(np.float64)

@@ -153,8 +153,8 @@ def test_idx_errors(tmp_path):
 
 
 def test_conv_weight_matrices_follow_every_update():
-    # a DFP conv's lowered weights are pack_weights of its current w_q after
-    # the build and after an update: forward, and flipped and
+    # a DFP conv's lowered weights are pack_weights of its quantized master
+    # weights after the build and after an update: forward, and flipped and
     # channel-transposed for the input gradient
     cfg = parse_config({"layers": [
         {"type": "conv", "out_ch": 8, "kernel": 3, "pad": 1},
@@ -168,7 +168,7 @@ def test_conv_weight_matrices_follow_every_update():
                            np.random.default_rng(seed))
 
     def assert_lowered(conv):
-        w = conv.w_q
+        w = quantize(conv.W, conv.ctx.q.cfg)     # nearest rounding ignores tensor ids
         flipped = DfpTensor(w.elements[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
                             w.shared_exponent, w.bit_width)
         for got, want in ((conv.w_fwd, pack_weights(w)), (conv.w_bwd, pack_weights(flipped))):
@@ -182,9 +182,9 @@ def test_conv_weight_matrices_follow_every_update():
     x = np.random.default_rng(18).standard_normal((2, 4, 7, 7)).astype(np.float32)
     out = model.forward(x)
     model.backward(np.ones_like(out))
-    before = conv.w_q.elements.copy()
+    before = conv.w_fwd.data.copy()
     sgd_step(model, lr=0.1, momentum=0.0, weight_decay=0.0)
-    assert not np.array_equal(conv.w_q.elements, before)
+    assert not np.array_equal(conv.w_fwd.data, before)
     assert_lowered(conv)
 
 
@@ -251,7 +251,7 @@ def test_read_metrics_names_path_and_line(tmp_path, row, message):
 def test_gauss2_and_linreg_handles():
     h = make_dataset("gauss2:n=64", seed=11)
     assert h.train_x.shape == (64, 2) and h.val_x.shape == (64, 2)
-    assert h.in_shape == (2,) and h.n_classes == 2
+    assert h.in_shape == (2,)
     assert set(np.unique(h.train_y)) <= {0, 1}
     again = make_dataset("gauss2:n=64", seed=11)
     npt.assert_array_equal(h.train_x, again.train_x)
@@ -260,8 +260,7 @@ def test_gauss2_and_linreg_handles():
     assert h.checksum != other.checksum
 
     r = make_dataset("linreg:n=32,slope=2.0,intercept=-1.0,noise=0.0", seed=4)
-    assert r.n_classes == 0                       # regression targets
-    assert r.train_y.shape == (32, 1)
+    assert r.train_y.shape == (32, 1)             # regression targets
 
 
 def test_glyphs_are_deterministic_and_balanced():
@@ -393,7 +392,7 @@ def test_make_dataset_rejects_an_empty_idx_split(tmp_path, prefix):
 def test_export_idx_reload(tmp_path):
     h = make_dataset("glyphs:train=32,test=16", seed=3)
     d = str(tmp_path / "idx")
-    export_idx(h, d)
+    export_idx("glyphs:train=32,test=16", d, seed=3)
     assert sorted(os.listdir(d)) == [
         "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte",
         "train-images-idx3-ubyte", "train-labels-idx1-ubyte"]
@@ -543,6 +542,8 @@ def test_cli_train_and_resolved_replay(tmp_path, capsys):
     meta = json.load(open(resolved))
     assert meta["resolved_run"] and meta["seed"] == 5
     assert meta["precision"] == "fp32"
+    assert sorted(meta) == ["config", "data", "data_checksum", "precision", "resolved_run",
+                            "seed"]
 
     # replaying the resolved file reproduces every column except wall time
     out2 = str(tmp_path / "run2.csv")
@@ -552,6 +553,28 @@ def test_cli_train_and_resolved_replay(tmp_path, capsys):
     rows2 = read_metrics(out2)
     strip = lambda r: {k: v for k, v in r.items() if k != "wall_ms"}
     assert [strip(r) for r in rows1] == [strip(r) for r in rows2]
+
+
+def test_cli_train_has_no_engine_option(tmp_path, capsys):
+    # training always runs the fast engine; --engine is a benchmark option
+    with pytest.raises(SystemExit) as err:
+        cli.main(["train", "--config", "c.json", "--data", "gauss2:n=64",
+                  "--out", str(tmp_path / "m.csv"), "--engine", "fast"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --engine fast" in capsys.readouterr().err
+
+
+def test_cli_replay_ignores_an_engine_key(tmp_path):
+    # a resolved run written with an "engine" field replays on the fast engine
+    resolved = {"resolved_run": True, "config": MLP_JSON, "data": "gauss2:n=64",
+                "precision": "fp32", "seed": 5, "engine": "instructions"}
+    cfg_path = str(tmp_path / "old.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(resolved, fh)
+    out1, out2 = str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv")
+    assert cli.main(["train", "--config", cfg_path, "--data", "x", "--out", out1]) == 0
+    experiments.run_training(MLP_JSON, "gauss2:n=64", "fp32", 5, out_csv=out2)
+    assert _without_wall_ms(read_metrics(out1)) == _without_wall_ms(read_metrics(out2))
 
 
 def _without_wall_ms(rows):
@@ -632,8 +655,9 @@ _CONV_NET = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
      "resolved run key 'data' must be str, got int"),
     ({"resolved_run": True, "config": MLP_JSON, "precision": ["fp32"]},
      "resolved run key 'precision' must be str, got list"),
-    ({"resolved_run": True, "config": MLP_JSON, "engine": 1},
-     "resolved run key 'engine' must be str, got int"),
+    # a resolved run written with per-role rounding overrides no longer parses
+    ({"resolved_run": True, "config": dict(MLP_JSON, rounding_w=None, rounding_e=None)},
+     "unknown config keys: ['rounding_e', 'rounding_w']"),
     ({"resolved_run": True, "config": MLP_JSON, "seed": "x"},
      "resolved run key 'seed' must be int, got str"),
     ({"resolved_run": True, "config": MLP_JSON, "seed": True},

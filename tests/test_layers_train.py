@@ -2,6 +2,7 @@
 
 import re
 import time
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -11,8 +12,7 @@ import dfp.training
 from dfp.experiments import run_training
 from dfp.layers import (BatchNorm, Conv, Dense, MaxPool, AvgPool, Model,
                         Quantizers, ReLU, Residual, RunContext, to_fp32)
-from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
-                        dequantize, quantize)
+from dfp.tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
 from dfp.training import (TrainingDivergence, build_model,
                           evaluate, lr_at, make_policy, make_quantizers, mse,
                           parse_config, sgd_step, softmax_xent, train_loop)
@@ -26,9 +26,9 @@ def record_quantize_events(monkeypatch) -> list:
     events = []
     apply = Quantizers._apply
 
-    def spy(self, kind, layer, values, cfg):
+    def spy(self, kind, layer, values):
         events.append((kind, layer, self._tid(layer, kind)))
-        return apply(self, kind, layer, values, cfg)
+        return apply(self, kind, layer, values)
 
     monkeypatch.setattr(Quantizers, "_apply", spy)
     return events
@@ -36,7 +36,7 @@ def record_quantize_events(monkeypatch) -> list:
 
 def make_ctx(pre_shift=1):
     cfg = QuantConfig(16, Nearest(), pre_shift)
-    return RunContext(q=Quantizers(cfg, cfg, cfg))
+    return RunContext(q=Quantizers(cfg))
 
 
 def _conv64(x, w, stride, pad):
@@ -231,7 +231,6 @@ def test_batchnorm_running_stats_and_eval():
     npt.assert_allclose(out[0, :, 0, 0], want, rtol=1e-5)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("stat, scale, running", [
     ("batch mean", np.inf, None),
     ("batch variance", 1e25, None),              # finite mean, variance overflows
@@ -249,6 +248,18 @@ def test_batchnorm_non_finite_statistic_is_a_located_error(stat, scale, running)
     with pytest.raises(ValueError, match=rf"^bn1 {stat}, train phase, iteration 7: "
                                          r"(-?inf|nan) in channel 1 is not finite$"):
         bn.forward(x, train=True)
+
+
+def test_batchnorm_overflow_is_reported_only_by_the_located_error():
+    # numpy's overflow warnings do not precede the error: under the "error"
+    # filter a warning would raise first
+    bn = BatchNorm(make_ctx(), "bn1", 3, precision="fp32")
+    x = np.random.default_rng(4).standard_normal((4, 3)).astype(np.float32) * np.float32(1e25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^bn1 batch variance, train phase, iteration 0: "
+                                             r"inf in channel \d is not finite$"):
+            bn.forward(x, train=True)
 
 
 def test_batchnorm_rejects_single_sample_batch():
@@ -459,15 +470,15 @@ def test_conv_dfp_matches_quantized_operand_oracle():
     x = rng.standard_normal((2, 8, 6, 6)).astype(np.float32)
     out = conv.forward(x, train=True)
     # independently quantize operands: nearest rounding ignores tensor ids
-    a_q = quantize(x, q.cfg_a, tensor_id=0)
-    w_q = quantize(conv.params()["W"], q.cfg_w, tensor_id=0)
+    a_q = quantize(x, q.cfg, tensor_id=0)
+    w_q = quantize(conv.params()["W"], q.cfg, tensor_id=0)
     want = _conv64(dequantize(a_q), dequantize(w_q).astype(np.float64), 1, 1)
     npt.assert_allclose(out, want, rtol=1e-4,
                         atol=1e-4 * np.abs(want).max())
 
     r = rng.standard_normal(out.shape).astype(np.float32)
     gin = conv.backward(r)
-    e_q = quantize(r, q.cfg_e, tensor_id=0)
+    e_q = quantize(r, q.cfg, tensor_id=0)
     gw_want = _conv64_gw(dequantize(a_q).astype(np.float64), dequantize(e_q),
                          conv.params()["W"].shape, 1, 1)
     npt.assert_allclose(conv.grads()["W"], gw_want, rtol=1e-4,
@@ -487,8 +498,8 @@ def test_conv_dfp_stride_two_backward_oracle():
     out = conv.forward(x, train=True)
     r = rng.standard_normal(out.shape).astype(np.float32)
     gin = conv.backward(r)
-    e_q = quantize(r, ctx.q.cfg_e, tensor_id=0)
-    w_q = quantize(conv.params()["W"], ctx.q.cfg_w, tensor_id=0)
+    e_q = quantize(r, ctx.q.cfg, tensor_id=0)
+    w_q = quantize(conv.params()["W"], ctx.q.cfg, tensor_id=0)
     gx_want = _conv64_gx(dequantize(e_q), dequantize(w_q).astype(np.float64),
                          x.shape, 2, 1)
     npt.assert_allclose(gin, gx_want, rtol=1e-4,
@@ -521,13 +532,13 @@ def test_dense_dfp_matches_quantized_operand_oracle():
     fc = Dense(ctx, "fc", 12, 5, precision="dfp", bias=True, rng=rng)
     x = rng.standard_normal((6, 12)).astype(np.float32)
     out = fc.forward(x, train=True)
-    a_q = dequantize(quantize(x, ctx.q.cfg_a, tensor_id=0)).astype(np.float64)
-    w_q = dequantize(quantize(fc.params()["W"], ctx.q.cfg_w, tensor_id=0))
+    a_q = dequantize(quantize(x, ctx.q.cfg, tensor_id=0)).astype(np.float64)
+    w_q = dequantize(quantize(fc.params()["W"], ctx.q.cfg, tensor_id=0))
     want = a_q @ w_q.T.astype(np.float64) + fc.params()["b"]
     npt.assert_allclose(out, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
     r = rng.standard_normal(out.shape).astype(np.float32)
     gin = fc.backward(r)
-    e_q = dequantize(quantize(r, ctx.q.cfg_e, tensor_id=0)).astype(np.float64)
+    e_q = dequantize(quantize(r, ctx.q.cfg, tensor_id=0)).astype(np.float64)
     npt.assert_allclose(fc.grads()["W"], e_q.T @ a_q, rtol=1e-4,
                         atol=1e-4 * np.abs(e_q.T @ a_q).max())
     npt.assert_allclose(gin, e_q @ w_q, rtol=1e-4,
@@ -692,6 +703,11 @@ _CHAIN_72 = r"layers\[2\] \(conv\): chain length 72 \(icblk 8 x 3x3 taps\) excee
     # the weight gradient's chain (96 at batch 16) is checked, not just fprop's 72
     ({"policy": "strict", "max_chain": 100, "batch_size": 16},
      r"layers\[2\] \(conv\): Strict policy infeasible: chain 96 "),
+    # a chain knob that the policy or an explicit icblk would leave unread
+    ({"max_chain": 64}, r"^max_chain is read only by policy 'strict', not 'empirical'$"),
+    ({"policy": "strict", "max_chain": 64, "chain_block": 16},
+     r"^chain_block is not read by policy 'strict'; set max_chain$"),
+    ({"icblk": 16, "chain_block": 64}, r"^chain_block is not read when icblk is set$"),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
 def test_config_that_builds_trains(patch, match, precision):
@@ -861,19 +877,17 @@ def test_parse_config_rejects_bad_values():
         parse_config({"loss": "mse"})                   # layers required
 
 
-def test_quantizer_role_overrides():
-    cfg = parse_config(dict(MLP_CFG, rounding="stochastic",
-                            rounding_w="nearest", rounding_e="biased"))
-    q = make_quantizers(cfg, seed=1)
-    assert isinstance(q.cfg_a.rounding, Stochastic)
-    assert isinstance(q.cfg_w.rounding, Nearest)
-    assert isinstance(q.cfg_e.rounding, Biased)
-
-
 def test_strict_policy_from_config():
     cfg = parse_config(dict(MLP_CFG, policy="strict", max_chain=64))
     pol = make_policy(cfg)
     assert pol.max_chain == 64
+
+
+def test_empirical_chain_block_from_config():
+    # unset, the target is Empirical's 208; the resolved config keeps it unset
+    cfg = parse_config(MLP_CFG)
+    assert make_policy(cfg).chain_block == 208 and cfg.to_dict()["chain_block"] is None
+    assert make_policy(parse_config(dict(MLP_CFG, chain_block=64))).chain_block == 64
 
 
 # === training loop ===

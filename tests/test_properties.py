@@ -182,7 +182,7 @@ def test_pack_weights_matrix_layout(k, c, kh, kw, es, seed):
     pw = pack_weights(DfpTensor(w, es, 16))
     kpad, cpad = -(-k // 16) * 16, -(-c // 16) * 16
     assert pw.data.shape == (cpad * kh * kw, kpad) and pw.data.dtype == np.int16
-    assert (pw.shape, pw.shared_exponent, pw.bit_width) == ((k, c, kh, kw), es, 16)
+    assert (pw.shape, pw.shared_exponent) == ((k, c, kh, kw), es)
     kk, cc, r, s = np.meshgrid(np.arange(k), np.arange(c), np.arange(kh), np.arange(kw),
                                indexing="ij")
     rows = ((cc // 16 * kh + r) * kw + s) * 16 + cc % 16
@@ -254,7 +254,7 @@ def _fc_case(n, c, k, bias, precision, rounding, seed):
     """A Dense layer after one forward and backward pass on random x and g,
     with its quantizer configuration and the inputs."""
     cfg = QuantConfig(rounding=rounding)
-    ctx = RunContext(q=Quantizers(cfg, cfg, cfg), policy=Empirical(shadow_check=True))
+    ctx = RunContext(q=Quantizers(cfg), policy=Empirical(shadow_check=True))
     rng = np.random.default_rng(seed)
     fc = Dense(ctx, "fc", c, k, precision=precision, bias=bias, rng=rng)
     if bias:
@@ -281,7 +281,7 @@ def test_dfp_dense_equals_gemm_formulation(n, c, k, bias, rounding, seed):
     # output, weight and bias gradients, input gradient and counters equal,
     # bit for bit, those of three gemm_dfp calls on the same quantized operands
     fc, ctx, cfg, x, g, out, gx = _fc_case(n, c, k, bias, "dfp", rounding, seed)
-    q = Quantizers(cfg, cfg, cfg)              # the same tensor ids, so the same draws
+    q = Quantizers(cfg)              # the same tensor ids, so the same draws
     a_q, w_q, e_q = q.q_a("fc", x), q.q_w("fc", fc.W), q.q_e("fc", g)
 
     def t(d):
@@ -337,14 +337,14 @@ def test_dfp_weight_gradient_equals_the_channel_order_lowering(data, spec, n, c,
         a = data.draw(dfp_values((n, c, spec.h, spec.w)))
     g = rng.uniform(3, 4, (n, spec.out_ch, spec.oh, spec.ow)).astype(np.float32)
     cfg = QuantConfig()
-    ctx = RunContext(q=Quantizers(cfg, cfg, cfg), policy=Empirical(shadow_check=True))
+    ctx = RunContext(q=Quantizers(cfg), policy=Empirical(shadow_check=True))
     conv = Conv(ctx, "conv", c, spec.out_ch, spec.kh, spec.stride, spec.pad, first=True,
                 rng=rng)
     conv.forward(a, train=True)
     ctx.stats, ctx.engine = KernelStats(), engine
     conv.backward(g)
 
-    ref = RunContext(q=Quantizers(cfg, cfg, cfg), policy=ctx.policy, engine=engine)
+    ref = RunContext(q=Quantizers(cfg), policy=ctx.policy, engine=engine)
     e_q = ref.q.q_e("conv", g)
     e_mat = DfpTensor(np.ascontiguousarray(e_q.elements.transpose(1, 0, 2, 3)).reshape(
         spec.out_ch, -1), e_q.shared_exponent, e_q.bit_width)
@@ -688,7 +688,7 @@ def _argmax_pool(arr, g, k):
 
 def _max_pool(k):
     cfg = QuantConfig()
-    return MaxPool(RunContext(q=Quantizers(cfg, cfg, cfg)), "pool", k)
+    return MaxPool(RunContext(q=Quantizers(cfg)), "pool", k)
 
 
 # few distinct values, so windows tie often; zeros of both signs

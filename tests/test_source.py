@@ -132,6 +132,52 @@ def test_no_public_name_only_tests_read():
     assert unread == []
 
 
+def stored_attributes(tree: ast.Module):
+    """(line, name) of each attribute a class stores on self (self.X = ...,
+    tuple targets and augmented assignments included) and each field of a
+    dataclass, an annotated name in the body of a class decorated with it."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            found.extend((node.lineno, node.target.id) for node in cls.body
+                         if isinstance(node, ast.AnnAssign)
+                         and isinstance(node.target, ast.Name))
+        found.extend((node.lineno, node.attr) for node in ast.walk(cls)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                     and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return sorted(found)
+
+
+def loaded_attributes(tree: ast.Module):
+    """The name of each attribute the module reads as .X."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_attribute_check_sees_each_store_and_field():
+    tree = ast.parse("@dataclasses.dataclass\nclass D:\n    a: int\n    b = 2\n"
+                     "class C:\n    c: int\n    def f(self):\n        self.d, self.e = 1, 2\n"
+                     "        self.g += 1\n        other.h = 3\n        return self.d")
+    assert stored_attributes(tree) == [(3, "a"), (8, "d"), (8, "e"), (9, "g")]
+    assert loaded_attributes(tree) == {"d", "dataclass"}
+
+
+def test_no_attribute_only_tests_read():
+    # An attribute a package class stores, or a dataclass field, that
+    # neither the package nor the benchmark reads as .X is state kept for
+    # its tests alone: delete it, or give it a reader.  Names match across
+    # classes, so a field that shares its name with a read one passes.
+    readers = [ast.parse(path.read_text(), str(path))
+               for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "benchmark").glob("*.py"))]
+    read = set().union(*(loaded_attributes(tree) for tree in readers))
+    unread = [(path.name, line, name) for path in sorted(SRC.glob("*.py"))
+              for line, name in stored_attributes(ast.parse(path.read_text(), str(path)))
+              if name not in read]
+    assert unread == []
+
+
 def test_one_kernel_body():
     # conv_fprop and gemm_dfp run one kernel body: kernels.py plans a call
     # and dispatches an engine in exactly one place each.
