@@ -1,8 +1,7 @@
 """Shared-exponent INT16 tensors and integer-arithmetic CNN training."""
 
-from .arith import (AccumTensor, Empirical, OverflowPolicy, Strict, dfp_add,
-                    dfp_multiply, down_convert, lzc, safe_chain_length,
-                    shadow_enabled, spill_to_fp32)
+from .arith import (AccumTensor, Empirical, dfp_add, dfp_multiply, down_convert,
+                    lzc, safe_chain_length, shadow_enabled, spill_to_fp32)
 from .kernels import (BlockingParams, ConvSpec, KernelStats, PackedWeights,
                       chain_length, conv_fprop, default_blocking, gemm_dfp,
                       overhead_ratio, pack_weights, vnni_madd)
@@ -13,8 +12,8 @@ from .tensor import (Biased, DfpTensor, Nearest, QuantConfig, RoundingMode,
 
 __all__ = [
     "AccumTensor", "Biased", "BlockingParams", "ConvSpec", "DfpTensor",
-    "Empirical", "KernelStats", "Nearest", "OverflowPolicy", "PackedWeights",
-    "QuantConfig", "RoundingMode", "Stochastic", "Strict", "ZERO_EXPONENT",
+    "Empirical", "KernelStats", "Nearest", "PackedWeights", "QuantConfig",
+    "RoundingMode", "Stochastic", "ZERO_EXPONENT",
     "chain_length", "conv_fprop", "default_blocking", "dequantize", "dfp_add",
     "dfp_multiply", "down_convert", "extract_exponent", "gemm_dfp", "lzc",
     "overhead_ratio", "pack_weights", "quantize", "round_value",

@@ -15,17 +15,17 @@ is different: spill_add is the one spill rule, called by both kernel
 engines and by spill_to_fp32, so the rule the tests check is the one
 that runs.
 
-Overflow policy values describe how kernels size their accumulation
-chains: Strict chains are provably safe for worst-case magnitudes, while
-Empirical chains follow the observed behavior of real data and rely on
-shadow instrumentation (a 64-bit mirror of the running sum) to count any
-excursion beyond the signed 32-bit range.
+The overflow policy, Empirical, sizes the kernels' accumulation chains
+for the observed behavior of real data and relies on shadow
+instrumentation (a 64-bit mirror of the running sum) to count any
+excursion beyond the signed 32-bit range.  safe_chain_length is the
+worst-case length such a chain can be compared with.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -62,20 +62,6 @@ class AccumTensor:
 
 
 @dataclasses.dataclass(frozen=True)
-class Strict:
-    """Chains capped at a length that cannot overflow for any inputs; the
-    cap must hold at least one 8-product madd."""
-
-    max_chain: int
-    shadow_check: bool = False
-
-    def __post_init__(self):
-        if self.max_chain < 8:
-            raise ValueError(f"max_chain must be >= 8 (one 8-product madd), "
-                             f"got {self.max_chain}")
-
-
-@dataclasses.dataclass(frozen=True)
 class Empirical:
     """Long chains sized for typical data; overflow is instrumented, not prevented."""
 
@@ -87,25 +73,7 @@ class Empirical:
             raise ValueError(f"chain_block must be >= 1, got {self.chain_block}")
 
 
-OverflowPolicy = Union[Strict, Empirical]
-POLICIES = ("empirical", "strict")
-
-
-def policy_from_name(name: str, max_chain: Optional[int] = None, chain_block: int = 208,
-                     shadow_check: bool = False) -> OverflowPolicy:
-    """Map a policy name, one of POLICIES, to an OverflowPolicy value;
-    strict needs max_chain, empirical reads chain_block."""
-    if name not in POLICIES:
-        raise ValueError(f"unknown overflow policy {name!r}; "
-                         f"expected one of {', '.join(POLICIES)}")
-    if name == "empirical":
-        return Empirical(chain_block=chain_block, shadow_check=shadow_check)
-    if max_chain is None:
-        raise ValueError("strict policy requires max_chain")
-    return Strict(max_chain=max_chain, shadow_check=shadow_check)
-
-
-def shadow_enabled(policy: OverflowPolicy) -> bool:
+def shadow_enabled(policy: Empirical) -> bool:
     """Whether kernels under this policy keep the 64-bit shadow sum.
 
     The policy's shadow_check alone decides.  Shadow overflow counts are
@@ -209,16 +177,6 @@ def safe_chain_length(bit_width: int, pre_shift: int) -> int:
     check_format(bit_width, pre_shift)
     m = (1 << (bit_width - 1 - pre_shift)) - 1
     return INT32_MAX // (m * m)
-
-
-def check_strict_chain(chain: int, max_a: int, max_b: int) -> None:
-    """Strict's magnitude rule: a chain of `chain` products of operands up
-    to max_a and max_b in magnitude must not be able to leave int32."""
-    if max_a * max_b * chain > INT32_MAX:
-        raise ValueError(
-            f"Strict policy infeasible: chain {chain} of products up to "
-            f"{max_a}*{max_b} can overflow int32; safe_chain_length for these "
-            f"magnitudes is {INT32_MAX // (max_a * max_b)}")
 
 
 def fp32_scale(es: int) -> np.float32:

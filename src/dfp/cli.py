@@ -18,7 +18,6 @@ import argparse
 import sys
 
 from . import experiments, fileio
-from .arith import POLICIES
 from .kernels import ENGINES
 from .tensor import ROUNDING_MODES, DfpTensor, QuantConfig, quantize, rounding_from_name
 from .training import TrainingDivergence
@@ -42,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def bench_common(p):
         p.add_argument("--icblk", type=int, default=None)
         p.add_argument("--rb", type=int, default=28)
-        p.add_argument("--policy", default="empirical", choices=POLICIES)
         p.add_argument("--pre-shift", type=int, default=1)
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
@@ -96,9 +94,8 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    knobs = dict(icblk=args.icblk, rb=args.rb, policy=args.policy,
-                 pre_shift=args.pre_shift, trials=args.trials, seed=args.seed,
-                 dist=args.dist, engine=args.engine)
+    knobs = dict(icblk=args.icblk, rb=args.rb, pre_shift=args.pre_shift, trials=args.trials,
+                 seed=args.seed, dist=args.dist, engine=args.engine)
     if args.command == "bench-gemm":
         rows = experiments.run_bench_gemm(args.m, args.n, args.k, **knobs)
     else:

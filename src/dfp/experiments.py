@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import policy_from_name
+from .arith import Empirical
 from .datasets import DatasetHandle, make_dataset
 from .fileio import write_metrics
 from .kernels import (ConvSpec, chain_length, conv_fprop, default_blocking, gemm_dfp,
@@ -39,6 +39,13 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
     ctx = RunContext(q=make_quantizers(cfg, seed), policy=make_policy(cfg),
                      icblk=cfg.icblk, rb_size=cfg.rb_size)
     model = build_model(cfg, data.in_shape, ctx, init_rng, precision=precision)
+    if cfg.loss == "softmax_xent":   # every label must index one of the outputs
+        width = model.out_shape[0]
+        for split, labels in (("training", data.train_y), ("validation", data.val_y)):
+            bad = labels[(labels < 0) | (labels >= width)]
+            if bad.size:
+                raise ValueError(f"{split} split has label {bad[0]}, outside the "
+                                 f"classifier's {width} outputs")
     t0 = time.perf_counter()
     rows: List[dict] = []
     try:
@@ -129,14 +136,14 @@ BENCH_HEADER = ("trial", "m", "n", "k", "icblk", "rb", "chain", "fma_count",
 
 
 def _bench_rows(spec: ConvSpec, shapes, kernel, oracle, icblk: Optional[int],
-                rb: int, policy: str, pre_shift: int, trials: int, seed: int,
+                rb: int, pre_shift: int, trials: int, seed: int,
                 dist: str) -> List[dict]:
     """One row per trial of kernel(a, b, blk, policy), shadow counting on:
     stats, instruction-ratio check, error against the FP64 oracle(a, b).
     m counts output rows, the leading dimension of shapes[0] times OH*OW."""
     blk = default_blocking(spec, rb_size=rb, icblk=icblk)
     chain = chain_length(spec, blk)
-    pol = policy_from_name(policy, max_chain=chain, shadow_check=True)
+    pol = Empirical(shadow_check=True)
     rows = []
     for trial in range(trials):
         a, b = _bench_operands(*shapes, dist, pre_shift, seed + trial)
@@ -163,19 +170,18 @@ def _bench_rows(spec: ConvSpec, shapes, kernel, oracle, icblk: Optional[int],
 
 
 def run_bench_gemm(m: int, n: int, k: int, icblk: Optional[int] = None,
-                   rb: int = 28, policy: str = "empirical", pre_shift: int = 1,
+                   rb: int = 28, pre_shift: int = 1,
                    trials: int = 1, seed: int = 0, dist: str = "gaussian",
                    engine: str = "fast") -> List[dict]:
     """GEMM benchmark rows: stats, instruction-ratio check, FP64 error."""
     return _bench_rows(
         ConvSpec(in_ch=k, out_ch=n, h=1, w=1, kh=1, kw=1), ((m, k), (k, n)),
         lambda a, b, blk, pol: gemm_dfp(a, b, blk, pol, engine),
-        np.matmul, icblk, rb, policy, pre_shift, trials, seed, dist)
+        np.matmul, icblk, rb, pre_shift, trials, seed, dist)
 
 
 def run_bench_conv(shape: Tuple[int, int, int, int, int, int, int, int],
-                   icblk: Optional[int] = None, rb: int = 28,
-                   policy: str = "empirical", pre_shift: int = 1,
+                   icblk: Optional[int] = None, rb: int = 28, pre_shift: int = 1,
                    trials: int = 1, seed: int = 0, dist: str = "gaussian",
                    engine: str = "fast", n_batch: int = 1) -> List[dict]:
     """Convolution benchmark; shape = (C, K, H, W, KH, KW, stride, pad).
@@ -188,7 +194,7 @@ def run_bench_conv(shape: Tuple[int, int, int, int, int, int, int, int],
         lambda a, b, blk, pol: conv_fprop(a, pack_weights(b), spec, blk, pol,
                                           engine),
         lambda x, wt: _conv_oracle_f64(x, wt, stride, pad),
-        icblk, rb, policy, pre_shift, trials, seed, dist)
+        icblk, rb, pre_shift, trials, seed, dist)
 
 
 def _conv_oracle_f64(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:

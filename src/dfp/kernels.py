@@ -89,9 +89,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import (INT32_MAX, INT32_MIN, Empirical, OverflowPolicy, Strict,
-                    check_strict_chain, fp32_scale, shadow_enabled, spill_add)
-from .tensor import DfpTensor, max_abs
+from .arith import INT32_MAX, INT32_MIN, Empirical, fp32_scale, shadow_enabled, spill_add
+from .tensor import DfpTensor
 
 # Output rows per fast-engine tile, rounded down to whole images (at least
 # one): a tile's patch matrix, its float64 chain operands and its shadow
@@ -184,16 +183,9 @@ class KernelStats:
         return Fraction(self.convert_count, self.fma_count)
 
 
-def chain_length(spec: ConvSpec, blk: BlockingParams,
-                 policy: Optional[OverflowPolicy] = None) -> int:
-    """Products accumulated into one int32 lane between spills; under a
-    Strict policy a chain longer than its max_chain is an error."""
-    chain = blk.icblk * spec.kh * spec.kw
-    if isinstance(policy, Strict) and chain > policy.max_chain:
-        raise ValueError(
-            f"chain length {chain} (icblk {blk.icblk} x {spec.kh}x{spec.kw} taps) exceeds "
-            f"Strict max_chain {policy.max_chain}; size chains with safe_chain_length")
-    return chain
+def chain_length(spec: ConvSpec, blk: BlockingParams) -> int:
+    """Products accumulated into one int32 lane between spills."""
+    return blk.icblk * spec.kh * spec.kw
 
 
 def overhead_ratio(spec: ConvSpec, blk: BlockingParams) -> Fraction:
@@ -207,40 +199,31 @@ def overhead_ratio(spec: ConvSpec, blk: BlockingParams) -> Fraction:
     return Fraction(8, chain_length(spec, blk))
 
 
-def default_blocking(spec: ConvSpec, policy: Optional[OverflowPolicy] = None,
+def default_blocking(spec: ConvSpec, policy: Empirical = Empirical(),
                      rb_size: int = 28, icblk: Optional[int] = None) -> BlockingParams:
-    """Blocking for spec: an explicit icblk wins, otherwise icblk is sized
-    for the given overflow policy.
-
-    Empirical: the smallest multiple of 16 that divides the padded channel
-    count and whose chain icblk*KH*KW reaches the policy's chain_block
-    target (default 208); the whole padded channel count if no block
-    reaches it.  A chain that would pass twice the target instead takes
-    the largest such divisor whose chain stays within the target, if one
-    does: 784 fc inputs (divisors 16, 112, 784) chain 112 products, not
-    784, and 48 channels of a 3x3 conv 144, not 432.  At the default
-    target this reblocks no call of the parity network and only the
-    forward fc of resnet_shadow; parity's conv3 keeps its 288-product
-    chains.  Divisibility keeps every chain full-length, so the measured
-    convert/FMA ratio equals the analytic one exactly.  Strict: the
-    largest multiple of 8 whose chain stays within max_chain.  Under
-    Strict, a chain that exceeds max_chain, even one madd per tap or an
-    explicit icblk, is an error.
+    """Blocking for spec: an explicit icblk wins, otherwise icblk is the
+    smallest multiple of 16 that divides the padded channel count and
+    whose chain icblk*KH*KW reaches the policy's chain_block target
+    (default 208); the whole padded channel count if no block reaches it.
+    A chain that would pass twice the target instead takes the largest
+    such divisor whose chain stays within the target, if one does: 784 fc
+    inputs (divisors 16, 112, 784) chain 112 products, not 784, and 48
+    channels of a 3x3 conv 144, not 432.  At the default target this
+    reblocks no call of the parity network and only the forward fc of
+    resnet_shadow; parity's conv3 keeps its 288-product chains.
+    Divisibility keeps every chain full-length, so the measured
+    convert/FMA ratio equals the analytic one exactly.
     """
     per = spec.kh * spec.kw
     cpad = _ceil_to(spec.in_ch, 16)
-    if icblk is None and isinstance(policy, Strict):
-        icblk = min(max(8, policy.max_chain // per // 8 * 8), cpad)
-    elif icblk is None:
-        target = policy.chain_block if isinstance(policy, Empirical) else 208
+    if icblk is None:
+        target = policy.chain_block
         blocks = [c for c in range(16, cpad + 1, 16) if cpad % c == 0]
         icblk = next((c for c in blocks if c * per >= target), cpad)
         within = [c for c in blocks if c * per <= target]
         if icblk * per > 2 * target and within:
             icblk = within[-1]
-    blk = BlockingParams(icblk=icblk, rb_size=rb_size)
-    chain_length(spec, blk, policy)
-    return blk
+    return BlockingParams(icblk=icblk, rb_size=rb_size)
 
 
 def _ceil_to(x: int, m: int) -> int:
@@ -432,15 +415,13 @@ class _Plan:
             i1 - i0, s.oh, s.ow, s.out_ch).transpose(0, 3, 1, 2)
 
 
-def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPolicy,
-               engine: str, x: np.ndarray, wmat: np.ndarray, es: int) -> _Plan:
-    # Output rows of the images in `x` (NCHW int16 elements) times the
-    # weight matrix `wmat`, spilled at scale 2**es.
+def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: Empirical,
+               engine: str, images: int, es: int) -> _Plan:
+    # Output rows of `images` NCHW images times the weight matrix, spilled
+    # at scale 2**es.
     if blk is None:
         blk = default_blocking(spec, policy)
-    chain = chain_length(spec, blk, policy)
-    if isinstance(policy, Strict):
-        check_strict_chain(chain, max_abs(x) if x.size else 0, max_abs(wmat))
+    chain = chain_length(spec, blk)
     scale = fp32_scale(es)
 
     k16 = _ceil_to(spec.out_ch, 16) // 16
@@ -451,7 +432,7 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: OverflowPo
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; use one of {sorted(ENGINES)}")
     pixels = spec.oh * spec.ow
-    return _Plan(spec, blk, x.shape[0], pixels, max(1, _TILE_ROWS // pixels), k16,
+    return _Plan(spec, blk, images, pixels, max(1, _TILE_ROWS // pixels), k16,
                  k16 * 16, madds, bounds, scale, shadow_enabled(policy), engine)
 
 
@@ -608,18 +589,18 @@ ENGINES = {"instructions": _run_instr, "fast": _run_fast}
 
 
 def _convolve(x: np.ndarray, wmat: np.ndarray, es: int, spec: ConvSpec,
-              blk: Optional[BlockingParams], policy: OverflowPolicy, engine: str,
+              blk: Optional[BlockingParams], policy: Empirical, engine: str,
               debug_partials: Optional[list]) -> Tuple[np.ndarray, KernelStats]:
     # The one kernel body: NCHW int16 elements x times the (L, Kpad) int16
     # weight matrix, spilled at scale 2**es into a new NCHW FP32 output.
-    plan = _make_plan(spec, blk, policy, engine, x, wmat, es)
+    plan = _make_plan(spec, blk, policy, engine, x.shape[0], es)
     out = np.empty((plan.images, spec.out_ch, spec.oh, spec.ow), np.float32)
     return out, ENGINES[plan.engine](plan, x, wmat, out, debug_partials)
 
 
 def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
                blk: Optional[BlockingParams] = None,
-               policy: OverflowPolicy = Empirical(),
+               policy: Empirical = Empirical(),
                engine: str = "fast",
                debug_partials: Optional[list] = None
                ) -> Tuple[np.ndarray, KernelStats]:
@@ -647,7 +628,7 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
 
 def gemm_dfp(a: DfpTensor, b: DfpTensor,
              blk: Optional[BlockingParams] = None,
-             policy: OverflowPolicy = Empirical(),
+             policy: Empirical = Empirical(),
              engine: str = "fast",
              debug_partials: Optional[list] = None
              ) -> Tuple[np.ndarray, KernelStats]:

@@ -28,11 +28,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .arith import Empirical, OverflowPolicy
+from .arith import Empirical
 from .kernels import (BlockingParams, ConvSpec, KernelStats, PackedWeights, conv_fprop,
                       default_blocking, fp32_input_grad, gemm_dfp, im2col, pack_weights)
 from .tensor import DfpTensor, QuantConfig, dequantize, quantize
@@ -106,7 +106,7 @@ class RunContext:
     patches them."""
 
     q: Quantizers
-    policy: OverflowPolicy = dataclasses.field(default_factory=Empirical)
+    policy: Empirical = dataclasses.field(default_factory=Empirical)
     engine: str = "fast"
     icblk: Optional[int] = None    # explicit chain-block override
     rb_size: int = 28
@@ -234,17 +234,6 @@ class Conv(Layer):
         return ConvSpec(self.out_ch, self.in_ch, (spec.oh - 1) * self.stride + 1,
                         (spec.ow - 1) * self.stride + 1, self.kh, self.kw, 1,
                         self.kh - 1 - self.pad)
-
-    def pass_specs(self, in_shape: Tuple[int, ...], n: int) -> List[ConvSpec]:
-        """The kernel call of each DFP pass on n inputs of shape in_shape,
-        (C, H, W), or (C,) for an fc: fprop, wgrad and, unless first (or
-        padded beyond kernel-1), bprop."""
-        spec = self._spec(*(in_shape[1:] or (1, 1)))
-        specs = [spec, ConvSpec(n * spec.oh * spec.ow, self.in_ch * self.kh * self.kw,
-                                1, 1, 1, 1)]
-        if not self.first and self.pad <= self.kh - 1:
-            specs.append(self._bprop_spec(spec))
-        return specs
 
     def refresh_quantized(self):
         if self.precision != "dfp":
@@ -628,6 +617,8 @@ class Model:
     Layers self-quantize FP32 inputs as that fallback, so every FP32 -> DFP
     boundary quantizes exactly once.
     """
+
+    out_shape: Optional[tuple] = None   # per-sample output; training.build_model sets it
 
     def __init__(self, layers: List[Layer], ctx: RunContext):
         self.layers = layers

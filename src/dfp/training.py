@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .arith import Empirical, OverflowPolicy, Strict, check_strict_chain, policy_from_name
-from .kernels import BlockingParams, ConvSpec, chain_length
+from .arith import Empirical
+from .kernels import BlockingParams, ConvSpec
 from .layers import (AvgPool, BatchNorm, Conv, Dense, Flatten, Layer, MaxPool,
                      Model, Quantizers, ReLU, Residual, RunContext, to_fp32)
 from .tensor import QuantConfig, rounding_from_name
@@ -87,9 +87,7 @@ class TrainConfig:
     bit_width: int = 16
     pre_shift: int = 1
     rounding: str = "nearest"
-    policy: str = "empirical"
-    chain_block: Optional[int] = None    # empirical only; Empirical's default if None
-    max_chain: Optional[int] = None      # strict only
+    chain_block: Optional[int] = None    # Empirical's default if None
     shadow_check: bool = False
     icblk: Optional[int] = None
     rb_size: int = 28
@@ -109,10 +107,6 @@ class TrainConfig:
         if not self.layers:
             raise ValueError("config must list at least one layer")
         # a chain knob the run would not read is an error, not a no-op
-        if self.max_chain is not None and self.policy != "strict":
-            raise ValueError(f"max_chain is read only by policy 'strict', not {self.policy!r}")
-        if self.chain_block is not None and self.policy == "strict":
-            raise ValueError("chain_block is not read by policy 'strict'; set max_chain")
         if self.chain_block is not None and self.icblk is not None:
             raise ValueError("chain_block is not read when icblk is set")
         # what a run builds from the other fields checks them; build_model
@@ -133,9 +127,9 @@ def parse_config(raw: dict) -> TrainConfig:
     return TrainConfig(**raw)
 
 
-def make_policy(cfg: TrainConfig) -> OverflowPolicy:
+def make_policy(cfg: TrainConfig) -> Empirical:
     chain_block = Empirical.chain_block if cfg.chain_block is None else cfg.chain_block
-    return policy_from_name(cfg.policy, cfg.max_chain, chain_block, cfg.shadow_check)
+    return Empirical(chain_block, cfg.shadow_check)
 
 
 def make_quantizers(cfg: TrainConfig, seed: int) -> Quantizers:
@@ -152,13 +146,10 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
     """Instantiate the layer pipeline, tracking shapes for weight allocation.
 
     precision "fp32" forces every layer to the FP32 path; "dfp16" honors
-    per-layer precision fields (default "dfp" for conv/fc/batchnorm).  In
-    both modes a conv or fc whose own precision is "dfp" gets the blocking
-    of each pass (fprop, wgrad at cfg.batch_size, bprop) checked here,
-    naming the layer.  Under Strict its longest chain must also pass the
-    kernels' magnitude check for the smallest maxima quantize can give a
-    nonzero tensor, 2**(P-2-pre_shift): a chain that cannot would fail at
-    the first DFP16 step whatever the data.
+    per-layer precision fields (default "dfp" for conv/fc/batchnorm).  A
+    conv with no layer that has parameters before it is the input layer:
+    nothing before it learns, so it skips its input-gradient pass.  The
+    model's out_shape is the per-sample shape of its output.
     """
     if precision not in ("fp32", "dfp16"):
         raise ValueError(f"unknown precision mode {precision!r}")
@@ -169,7 +160,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
         counters[kind] = counters.get(kind, 0) + 1
         return f"{kind}{counters[kind]}"
 
-    least = 1 << (cfg.bit_width - 2 - cfg.pre_shift)
+    has_params = False
 
     def mode(own: str) -> str:
         return "fp32" if precision == "fp32" else own
@@ -180,16 +171,8 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
             raise ValueError(f"{key.where}: precision must be 'dfp' or 'fp32', got {own!r}")
         return own
 
-    def check_chains(key: _LayerKeys, specs: List[ConvSpec]) -> None:
-        try:
-            chain = max(chain_length(s, ctx.blocking_for(s)) for s in specs)
-            if isinstance(ctx.policy, Strict):
-                check_strict_chain(chain, least, least)
-        except ValueError as e:
-            raise ValueError(f"{key.where}: {e}") from None
-
-    def build(specs: List[dict], shape, path: str,
-              first_conv_seen=[False]) -> Tuple[List[Layer], tuple]:
+    def build(specs: List[dict], shape, path: str) -> Tuple[List[Layer], tuple]:
+        nonlocal has_params
         out: List[Layer] = []
         for i, spec in enumerate(specs):
             key = _LayerKeys(spec, f"{path}[{i}]")
@@ -204,16 +187,13 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                     cspec = ConvSpec(shape[0], out_ch, shape[1], shape[2], k, k, stride, pad)
                 except ValueError as e:
                     raise ValueError(f"{key.where}: {e}") from None
-                first = not first_conv_seen[0]
-                first_conv_seen[0] = True
                 own, bias = own_precision(key), key("bias", bool, False)
                 try:
                     layer = Conv(ctx, name, cspec.in_ch, cspec.out_ch, k, cspec.stride, pad,
-                                 precision=mode(own), bias=bias, first=first, rng=rng)
+                                 precision=mode(own), bias=bias, first=not has_params,
+                                 rng=rng)
                 except ValueError as e:
                     raise ValueError(f"{key.where}: {e}") from None
-                if own == "dfp":
-                    check_chains(key, layer.pass_specs(shape, cfg.batch_size))
                 shape = (cspec.out_ch, cspec.oh, cspec.ow)
             elif kind == "fc":
                 feat = int(np.prod(shape))
@@ -222,8 +202,6 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                 out_features, own = key("out_features", int, lo=1), own_precision(key)
                 layer = Dense(ctx, key("name", str, fresh_name("fc")), feat, out_features,
                               precision=mode(own), bias=key("bias", bool, True), rng=rng)
-                if own == "dfp":
-                    check_chains(key, layer.pass_specs(shape, cfg.batch_size))
                 shape = (out_features,)
             elif kind == "batchnorm":
                 layer = BatchNorm(ctx, key("name", str, fresh_name("bn")),
@@ -243,8 +221,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                 layer = Flatten(ctx, key("name", str, fresh_name("flatten")))
                 shape = (int(np.prod(shape)),)
             elif kind == "residual":
-                body, bshape = build(key("body", List[dict]), shape, f"{key.path}.body",
-                                     first_conv_seen)
+                body, bshape = build(key("body", List[dict]), shape, f"{key.path}.body")
                 if bshape != shape:
                     raise ValueError(
                         f"{key.where}: body maps {shape} -> {bshape}; shapes must match")
@@ -253,6 +230,7 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                 raise ValueError(f"{key.where}: unknown layer type")
             key.close()
             out.append(layer)
+            has_params = has_params or bool(layer.params())
         return out, shape
 
     # construction-time weight quantization runs in its own phase so the
@@ -260,8 +238,10 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
     phase = ctx.q.phase
     ctx.q.phase = 2
     try:
-        layers, _ = build(cfg.layers, tuple(in_shape), "layers")
-        return Model(layers, ctx)
+        layers, out_shape = build(cfg.layers, tuple(in_shape), "layers")
+        model = Model(layers, ctx)
+        model.out_shape = out_shape
+        return model
     finally:
         ctx.q.phase = phase
 

@@ -20,7 +20,7 @@ import pytest
 
 from dfp.tensor import (QuantConfig, Nearest, Stochastic, Biased, DfpTensor,
                         quantize, dequantize)
-from dfp.arith import (AccumTensor, Strict, Empirical, dfp_multiply, dfp_add,
+from dfp.arith import (AccumTensor, Empirical, dfp_multiply, dfp_add,
                        down_convert, safe_chain_length)
 from dfp.kernels import (ConvSpec, BlockingParams, vnni_madd, pack_weights,
                          conv_fprop, gemm_dfp, default_blocking, overhead_ratio)
@@ -316,7 +316,7 @@ def test_overflow_claims(capsys):
     m = 2**14 - 1
     safe8 = safe_chain_length(16, 1)
     arith_ok = (safe8 == 8 and 8 * m * m <= INT32_MAX < 9 * m * m)
-    strict_ovf = 0
+    safe_ovf = 0
     engines_ok = True
     patt_rng = np.random.default_rng(SEED)
     for patt in range(4):
@@ -334,8 +334,8 @@ def test_overflow_claims(capsys):
         outs = []
         for eng in ("fast", "instructions"):
             o, st = conv_fprop(DfpTensor(el, -15, 16), pwi, sp,
-                               BlockingParams(icblk=8), Strict(8, shadow_check=True), eng)
-            strict_ovf += st.overflow_count
+                               BlockingParams(icblk=8), pol, eng)
+            safe_ovf += st.overflow_count
             outs.append(o)
         engines_ok = engines_ok and np.array_equal(outs[0], outs[1])
 
@@ -388,10 +388,10 @@ def test_overflow_claims(capsys):
     _, st = gemm_dfp(a, b, BlockingParams(icblk=200), pol)
     control = st.overflow_count
 
-    ok = (arith_ok and strict_ovf == 0 and engines_ok
+    ok = (arith_ok and safe_ovf == 0 and engines_ok
           and n_inv >= 1000 and emp_ovf == 0 and control > 0)
     emit(capsys, "overflow", ok,
-         f"strict chain {safe8} on all-maximal inputs: 0 events (8m^2 <= INT32_MAX < 9m^2); "
+         f"safe chain {safe8} on all-maximal inputs: 0 events (8m^2 <= INT32_MAX < 9m^2); "
          f"empirical pre-shift 1, chains {min(chains)}..{max(chains)}: 0 events over "
          f"{n_inv} Gaussian invocations; control (pre-shift 0, chain 200, full-scale): "
          f"{control} events")

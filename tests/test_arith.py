@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dfp.arith import (INT32_MAX, AccumTensor, Empirical, Strict, dfp_add,
+from dfp.arith import (INT32_MAX, AccumTensor, Empirical, dfp_add,
                        dfp_multiply, down_convert, fp32_scale, lzc,
                        safe_chain_length, shadow_enabled, spill_to_fp32)
 from dfp.tensor import DfpTensor, QuantConfig, shared_exponent
@@ -295,8 +295,6 @@ def test_accum_tensor_validation():
 
 
 @pytest.mark.parametrize("make, match", [
-    (lambda: Strict(max_chain=7), "max_chain must be >= 8 .one 8-product madd., got 7"),
-    (lambda: Strict(max_chain=-5), "max_chain must be >= 8 .one 8-product madd., got -5"),
     (lambda: Empirical(chain_block=0), "chain_block must be >= 1, got 0"),
     (lambda: Empirical(chain_block=-208), "chain_block must be >= 1, got -208"),
 ])
@@ -306,12 +304,9 @@ def test_policy_rejects_out_of_range(make, match):
 
 
 def test_policy_accepts_smallest_values():
-    assert Strict(max_chain=8).max_chain == 8
     assert Empirical(chain_block=1).chain_block == 1
 
 
 def test_shadow_enabled_follows_policy():
     assert not shadow_enabled(Empirical())
-    assert not shadow_enabled(Strict(max_chain=8))
     assert shadow_enabled(Empirical(shadow_check=True))
-    assert shadow_enabled(Strict(max_chain=8, shadow_check=True))

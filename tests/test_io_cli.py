@@ -475,13 +475,6 @@ def test_cli_bench_gemm(tmp_path, capsys):
     assert int(row["overflow_count"]) == 0
 
 
-def test_cli_bench_gemm_strict_infeasible(tmp_path, capsys):
-    rc = cli.main(["bench-gemm", "--m", "4", "--n", "16", "--k", "64",
-                   "--icblk", "64", "--policy", "strict", "--pre-shift", "1"])
-    assert rc == 2
-    assert "safe_chain_length" in capsys.readouterr().err
-
-
 def test_cli_bench_conv(tmp_path, capsys):
     rc = cli.main(["bench-conv", "--spec", "16,16,8,8,3,3,1,1",
                    "--batch", "2", "--engine", "instructions"])
@@ -715,19 +708,10 @@ _PROBE_NET = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1, "precision": 
 @pytest.mark.parametrize("patch, message", [
     ({"icblk": 12}, "icblk must be a positive multiple of 8, got 12"),
     ({"icblk": 0}, "icblk must be a positive multiple of 8, got 0"),
-    ({"policy": "strict", "max_chain": 8},
-     "layers[2] (conv): chain length 72 (icblk 8 x 3x3 taps) exceeds Strict max_chain 8"),
-    ({"policy": "strict", "max_chain": -5}, "max_chain must be >= 8 (one 8-product madd), got -5"),
+    # no config key picks an overflow policy or caps a chain
+    ({"policy": "empirical"}, "unknown config keys: ['policy']"),
+    ({"policy": "strict", "max_chain": 72}, "unknown config keys: ['max_chain', 'policy']"),
     ({"chain_block": 0}, "chain_block must be >= 1, got 0"),
-    ({"icblk": 64, "policy": "strict", "max_chain": 100},
-     "layers[2] (conv): chain length 576 (icblk 64 x 3x3 taps) exceeds Strict max_chain 100"),
-    # quantize's largest elements are at least 2**(14 - pre_shift), so these
-    # chains would fail the kernels' magnitude check at the first DFP16 step
-    ({"policy": "strict", "max_chain": 72},
-     "layers[2] (conv): Strict policy infeasible: chain 72 of products up to 8192*8192"),
-    # fprop 72 passes; the weight gradient's chain of 136 does not
-    ({"policy": "strict", "max_chain": 136, "pre_shift": 2},
-     "layers[2] (conv): Strict policy infeasible: chain 136 of products up to 4096*4096"),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
 def test_cli_train_rejects_kernel_config_before_training(tmp_path, capsys, patch, message,
@@ -741,6 +725,26 @@ def test_cli_train_rejects_kernel_config_before_training(tmp_path, capsys, patch
                    "--precision", precision, "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("prefix, split", [("train", "training"), ("t10k", "validation")])
+def test_cli_train_rejects_a_label_the_classifier_cannot_score(tmp_path, capsys, prefix,
+                                                               split):
+    # labels 0..11 against 10 outputs, in either split, before any metrics row
+    d = str(tmp_path / "idx")
+    export_idx("glyphs:train=24,test=12", d, seed=3)
+    path = os.path.join(d, f"{prefix}-labels-idx1-ubyte")
+    write_idx_labels(path, np.arange(read_idx_labels(path).size, dtype=np.uint8) % 12)
+    cfg_path = str(tmp_path / "fc.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"layers": [{"type": "flatten"}, {"type": "fc", "out_features": 10}],
+                   "loss": "softmax_xent", "batch_size": 4}, fh)
+    out = tmp_path / "m.csv"
+    rc = cli.main(["train", "--config", cfg_path, "--data", d, "--out", str(out)])
+    assert rc == 2
+    assert (f"error: {split} split has label 10, outside the classifier's 10 outputs"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from dfp import kernels
 from dfp.arith import (INT32_MAX, INT32_MIN, AccumTensor, dfp_multiply,
                        safe_chain_length, spill_to_fp32)
 from dfp.kernels import (BlockingParams, ConvSpec, Empirical, Fraction,
-                         KernelStats, Strict, chain_length, conv_fprop,
+                         KernelStats, chain_length, conv_fprop,
                          default_blocking, gemm_dfp, im2col, overhead_ratio,
                          pack_weights, vnni_madd)
 from dfp.tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
@@ -198,22 +198,6 @@ def test_default_blocking_divides_and_hits_target():
         blk = default_blocking(spec)
         assert blk.icblk == want, spec
         assert (16 * ((spec.in_ch + 15) // 16)) % blk.icblk == 0
-
-
-def test_default_blocking_strict():
-    blk = default_blocking(ConvSpec(64, 16, 4, 4, 1, 1, 1, 0),
-                           Strict(max_chain=8))
-    assert blk.icblk == 8
-    assert chain_length(ConvSpec(64, 16, 4, 4, 1, 1, 1, 0), blk) <= 8
-    blk = default_blocking(ConvSpec(64, 16, 8, 8, 3, 3, 1, 1),
-                           Strict(max_chain=72))
-    assert blk.icblk == 8
-
-
-def test_default_blocking_strict_infeasible():
-    with pytest.raises(ValueError, match="safe_chain_length"):
-        default_blocking(ConvSpec(64, 16, 8, 8, 3, 3, 1, 1),
-                         Strict(max_chain=8))
 
 
 # === engine agreement ===
@@ -414,14 +398,15 @@ def test_gemm_engines_agree_across_tiles(monkeypatch):
     assert stats.spill_count == 5 * 2 * 3          # ceil(13 / 3) = 5
 
 
-def test_strict_policy_safe_on_adversarial_data():
-    # chains capped at safe_chain_length(16, 1) = 8 products cannot overflow
+def test_safe_chain_length_holds_on_adversarial_data():
+    # chains of safe_chain_length(16, 1) = 8 maximal products cannot overflow
     m = (1 << 14) - 1
     spec = ConvSpec(8, 16, 4, 4, 1, 1, 1, 0)
     inp = DfpTensor(np.full((1, 8, 4, 4), m, np.int16), -14, 16)
     wt = DfpTensor(np.full((16, 8, 1, 1), m, np.int16), -14, 16)
-    pol = Strict(max_chain=safe_chain_length(16, 1), shadow_check=True)
-    blk = default_blocking(spec, pol)
+    pol = Empirical(shadow_check=True)
+    blk = BlockingParams(icblk=safe_chain_length(16, 1))
+    assert chain_length(spec, blk) == 8
     out, st = conv_fprop(inp, pack_weights(wt), spec, blk, pol, "instructions")
     assert st.overflow_count == 0
     npt.assert_allclose(out, 8 * m * m * 2.0 ** -28, rtol=1e-6)

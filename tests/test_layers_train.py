@@ -584,6 +584,29 @@ def test_build_rejects_dfp_conv_pad_beyond_kernel():
     _build(layers[1:], (2, 6, 6))                  # a first conv skips bprop
 
 
+_BN_HEAD = [{"type": "batchnorm"}, {"type": "conv", "out_ch": 2, "kernel": 3, "pad": 1}]
+
+
+@pytest.mark.parametrize("head, learns_before", [
+    (_BN_HEAD, True),
+    ([{"type": "residual", "body": _BN_HEAD}], True),
+    ([{"type": "relu"}, {"type": "conv", "out_ch": 2, "kernel": 3, "pad": 1}], False),
+])
+@pytest.mark.parametrize("precision", ["fp32", "dfp16"])
+def test_first_conv_is_the_one_nothing_learns_before(head, learns_before, precision):
+    # A conv skips its input gradient only when no layer before it has
+    # parameters; a BatchNorm ahead of it must still get gradients.
+    model = _build(head + [{"type": "relu"}, {"type": "flatten"},
+                           {"type": "fc", "out_features": 3}], (2, 6, 6), precision)
+    conv = next(l for l in model.iter_layers() if isinstance(l, Conv))
+    assert conv.first is not learns_before
+    rng = np.random.default_rng(40)
+    out = model.forward(rng.standard_normal((4, 2, 6, 6)).astype(np.float32), train=True)
+    model.backward(rng.standard_normal(out.shape).astype(np.float32))
+    for bn in (l for l in model.iter_layers() if isinstance(l, BatchNorm)):
+        assert np.all(bn.ggamma != 0) and np.all(bn.gbeta != 0)
+
+
 def test_build_rejects_non_integral_conv_output():
     layers = [{"type": "conv", "out_ch": 4, "kernel": 3, "stride": 2}]
     with pytest.raises(ValueError, match=r"layers\[0\] \(conv\): output size .* not integral"):
@@ -679,34 +702,16 @@ def test_build_rejects_malformed_layer(layers, match, precision):
 # layers in both precision modes.
 _PROBE_NET = [dict(_CONV, precision="fp32"), {"type": "relu"}, _CONV, {"type": "relu"},
               {"type": "flatten"}, {"type": "fc", "out_features": 3}]
-_CHAIN_72 = r"layers\[2\] \(conv\): chain length 72 \(icblk 8 x 3x3 taps\) exceeds"
 
 
 @pytest.mark.parametrize("patch, match", [
     ({"icblk": 12}, "icblk must be a positive multiple of 8, got 12"),
     ({"icblk": 0}, "icblk must be a positive multiple of 8, got 0"),
     ({"rb_size": 0}, "rb_size must be >= 1"),
-    ({"policy": "strict", "max_chain": 8}, _CHAIN_72 + " Strict max_chain 8; .*safe_chain_length"),
-    ({"policy": "strict", "max_chain": 71}, _CHAIN_72 + " Strict max_chain 71"),
-    ({"policy": "strict", "max_chain": -5}, r"max_chain must be >= 8 \(one 8-product madd\)"),
     ({"chain_block": 0}, "chain_block must be >= 1, got 0"),
-    ({"icblk": 64, "policy": "strict", "max_chain": 100},
-     r"layers\[2\] \(conv\): chain length 576 \(icblk 64 x 3x3 taps\) exceeds "
-     r"Strict max_chain 100"),
-    # these build, so they must train
+    # this builds, so it must train
     ({"icblk": 16}, None),
-    ({"policy": "strict", "max_chain": 72, "pre_shift": 5}, None),
-    # quantize's largest elements are at least 2**(14 - pre_shift), so these
-    # chains would fail the kernels' magnitude check at the first DFP16 step
-    ({"policy": "strict", "max_chain": 72},
-     r"layers\[2\] \(conv\): Strict policy infeasible: chain 72 of products up to 8192\*8192"),
-    # the weight gradient's chain (96 at batch 16) is checked, not just fprop's 72
-    ({"policy": "strict", "max_chain": 100, "batch_size": 16},
-     r"layers\[2\] \(conv\): Strict policy infeasible: chain 96 "),
-    # a chain knob that the policy or an explicit icblk would leave unread
-    ({"max_chain": 64}, r"^max_chain is read only by policy 'strict', not 'empirical'$"),
-    ({"policy": "strict", "max_chain": 64, "chain_block": 16},
-     r"^chain_block is not read by policy 'strict'; set max_chain$"),
+    # a chain knob that an explicit icblk would leave unread
     ({"icblk": 16, "chain_block": 64}, r"^chain_block is not read when icblk is set$"),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
@@ -875,12 +880,6 @@ def test_parse_config_rejects_bad_values():
             parse_config(dict(MLP_CFG, **patch))
     with pytest.raises(ValueError):
         parse_config({"loss": "mse"})                   # layers required
-
-
-def test_strict_policy_from_config():
-    cfg = parse_config(dict(MLP_CFG, policy="strict", max_chain=64))
-    pol = make_policy(cfg)
-    assert pol.max_chain == 64
 
 
 def test_empirical_chain_block_from_config():

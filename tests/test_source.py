@@ -1,9 +1,11 @@
 """Static checks over the package source, its tests and the committed
 benchmark results."""
 
+import argparse
 import ast
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -211,3 +213,23 @@ def test_bench_files_report_the_end_to_end_metrics():
             assert {name: m["unit"] for name, m in metrics.items()} == units, path.name
             for m in metrics.values():
                 assert m["q1"] <= m["median"] <= m["q3"], path.name
+
+
+def readme_synopsis():
+    """{subcommand: set of --options} from the README's CLI synopsis: the
+    first code block under "## CLI", one `dfp <subcommand>` per line, a
+    trailing backslash continuing it."""
+    text = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = text.split("```\n", 2)[1].replace("\\\n", " ")
+    return {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+            for line in block.splitlines() if line.startswith("dfp ")}
+
+
+def test_readme_synopsis_lists_each_option_of_the_parser():
+    from dfp import cli
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parser = {name: {s for a in p._actions for s in a.option_strings
+                     if s.startswith("--") and s != "--help"}
+              for name, p in sub.choices.items()}
+    assert readme_synopsis() == parser
