@@ -63,7 +63,17 @@ class AccumTensor:
 
 @dataclasses.dataclass(frozen=True)
 class Empirical:
-    """Long chains sized for typical data; overflow is instrumented, not prevented."""
+    """Long chains sized for typical data; overflow is instrumented, not prevented.
+
+    With shadow_check, kernels keep a 64-bit shadow of every running sum
+    and count INT32 excursions; the counts are bit-identical across engines
+    and thread counts.  On the fast engine, on a 2-core x86 box, a DFP16
+    training step of the resnet_shadow network takes 1.15-1.19x as long
+    with them as without, and a conv_fprop of its residual conv shape on
+    `dfp bench-conv --dist gaussian` operands (16 -> 16 channels, 14x14,
+    3x3, pad 1, batch 32) 1.19-1.25x.  Rows whose chains could leave int32
+    also pay an extra matmul, and some of those madd-by-madd prefix sums.
+    """
 
     chain_block: int = 208
     shadow_check: bool = False
@@ -71,21 +81,6 @@ class Empirical:
     def __post_init__(self):
         if self.chain_block < 1:
             raise ValueError(f"chain_block must be >= 1, got {self.chain_block}")
-
-
-def shadow_enabled(policy: Empirical) -> bool:
-    """Whether kernels under this policy keep the 64-bit shadow sum.
-
-    The policy's shadow_check alone decides.  Shadow overflow counts are
-    bit-identical across engines and thread counts.  On the fast engine,
-    on a 2-core x86 box, a DFP16 training step of the resnet_shadow
-    network takes 1.15-1.19x as long with them as without, and a
-    conv_fprop of its residual conv shape on `dfp bench-conv --dist
-    gaussian` operands (16 -> 16 channels, 14x14, 3x3, pad 1, batch 32)
-    1.19-1.25x.  Rows whose chains could leave int32 also pay an extra
-    matmul, and some of those madd-by-madd prefix sums.
-    """
-    return bool(policy.shadow_check)
 
 
 # === primitives ===

@@ -3,8 +3,8 @@
 Subcommands:
 
   quantize    convert an FP32 tensor file to the shared-exponent format
-  bench-gemm  integer GEMM benchmark with instruction-count accounting
-  bench-conv  integer convolution benchmark
+  bench-gemm  integer GEMM benchmark, run as the 1x1 bench-conv it is
+  bench-conv  integer convolution benchmark with instruction-count accounting
   train       train a model from a JSON config on a dataset
   compare     compare two metrics CSV files (reference vs candidate)
 
@@ -18,7 +18,6 @@ import argparse
 import sys
 
 from . import experiments, fileio
-from .kernels import ENGINES
 from .tensor import ROUNDING_MODES, DfpTensor, QuantConfig, quantize, rounding_from_name
 from .training import TrainingDivergence
 
@@ -46,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dist", default="gaussian",
                        choices=("gaussian", "adversarial"))
-        p.add_argument("--engine", default="fast", choices=tuple(ENGINES))
         p.add_argument("--out", default=None, metavar="CSV",
                        help="also write rows to a CSV file")
 
@@ -95,9 +93,10 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_bench(args) -> int:
     knobs = dict(icblk=args.icblk, rb=args.rb, pre_shift=args.pre_shift, trials=args.trials,
-                 seed=args.seed, dist=args.dist, engine=args.engine)
-    if args.command == "bench-gemm":
-        rows = experiments.run_bench_gemm(args.m, args.n, args.k, **knobs)
+                 seed=args.seed, dist=args.dist)
+    if args.command == "bench-gemm":   # M rows of K inputs are M 1x1 images of K channels
+        rows = experiments.run_bench_conv((args.k, args.n, 1, 1, 1, 1, 1, 0),
+                                          n_batch=args.m, **knobs)
     else:
         parts = [p.strip() for p in args.spec.split(",")]
         if len(parts) != 8:

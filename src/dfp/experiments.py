@@ -18,8 +18,8 @@ import numpy as np
 from .arith import Empirical
 from .datasets import DatasetHandle, make_dataset
 from .fileio import write_metrics
-from .kernels import (ConvSpec, chain_length, conv_fprop, default_blocking, gemm_dfp,
-                      overhead_ratio, pack_weights)
+from .kernels import (ConvSpec, chain_length, conv_fprop, default_blocking, overhead_ratio,
+                      pack_weights)
 from .layers import RunContext
 from .tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
 from .training import (TrainingDivergence, _check_type, build_model, make_policy,
@@ -39,10 +39,19 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
     ctx = RunContext(q=make_quantizers(cfg, seed), policy=make_policy(cfg),
                      icblk=cfg.icblk, rb_size=cfg.rb_size)
     model = build_model(cfg, data.in_shape, ctx, init_rng, precision=precision)
-    if cfg.loss == "softmax_xent":   # every label must index one of the outputs
-        width = model.out_shape[0]
-        for split, labels in (("training", data.train_y), ("validation", data.val_y)):
-            bad = labels[(labels < 0) | (labels >= width)]
+    # every target must fit the model's per-sample output before the first step
+    if cfg.loss == "softmax_xent" and len(model.out_shape) != 1:
+        raise ValueError(f"softmax_xent needs a flat output per sample, got shape "
+                         f"{model.out_shape}")
+    width = math.prod(model.out_shape)
+    for split, targets in (("training", data.train_y), ("validation", data.val_y)):
+        if cfg.loss == "mse":
+            target_width = math.prod(targets.shape[1:])
+            if target_width != width:
+                raise ValueError(f"{split} split's targets are {target_width} wide, "
+                                 f"but the mse output is {width} wide")
+        else:   # softmax_xent: every label must index one of the outputs
+            bad = targets[(targets < 0) | (targets >= width)]
             if bad.size:
                 raise ValueError(f"{split} split has label {bad[0]}, outside the "
                                  f"classifier's {width} outputs")
@@ -79,9 +88,6 @@ def run_training(config: dict, data_source: str, precision: str, seed: int,
         "convert_count": ctx.stats.convert_count,
         "spill_count": ctx.stats.spill_count,
         "elapsed_s": elapsed,
-        "resolved": resolved,
-        "model": model,
-        "data": data,
     }
 
 
@@ -135,27 +141,35 @@ BENCH_HEADER = ("trial", "m", "n", "k", "icblk", "rb", "chain", "fma_count",
                 "analytic_ratio", "measured_ratio", "rel_err", "wall_ms")
 
 
-def _bench_rows(spec: ConvSpec, shapes, kernel, oracle, icblk: Optional[int],
-                rb: int, pre_shift: int, trials: int, seed: int,
-                dist: str) -> List[dict]:
-    """One row per trial of kernel(a, b, blk, policy), shadow counting on:
-    stats, instruction-ratio check, error against the FP64 oracle(a, b).
-    m counts output rows, the leading dimension of shapes[0] times OH*OW."""
+def run_bench_conv(shape: Tuple[int, int, int, int, int, int, int, int],
+                   icblk: Optional[int] = None, rb: int = 28, pre_shift: int = 1,
+                   trials: int = 1, seed: int = 0, dist: str = "gaussian",
+                   n_batch: int = 1) -> List[dict]:
+    """Convolution benchmark rows, shape = (C, K, H, W, KH, KW, stride, pad):
+    one per trial of conv_fprop with shadow counting on, with its counters,
+    the instruction-ratio check and the error against a direct FP64
+    convolution.  m counts output rows, n_batch * OH * OW.  An (M x K) by
+    (K x N) GEMM is the 1x1 case (K, N, 1, 1, 1, 1, 1, 0) with n_batch M.
+    wall_ms includes lowering the weights to the kernels' weight matrix
+    (pack_weights), as a training run does once per weight update."""
+    c, k, h, w, kh, kw, stride, pad = shape
+    spec = ConvSpec(c, k, h, w, kh, kw, stride, pad)
     blk = default_blocking(spec, rb_size=rb, icblk=icblk)
     chain = chain_length(spec, blk)
     pol = Empirical(shadow_check=True)
     rows = []
     for trial in range(trials):
-        a, b = _bench_operands(*shapes, dist, pre_shift, seed + trial)
+        x, wt = _bench_operands((n_batch, c, h, w), (k, c, kh, kw), dist, pre_shift,
+                                seed + trial)
         t0 = time.perf_counter()
-        out, stats = kernel(a, b, blk, pol)
+        out, stats = conv_fprop(x, pack_weights(wt), spec, blk, pol)
         wall = (time.perf_counter() - t0) * 1e3
-        ref = oracle(dequantize(a).astype(np.float64), dequantize(b).astype(np.float64))
+        ref = _conv_oracle_f64(dequantize(x), dequantize(wt), stride, pad)
         denom = float(np.linalg.norm(ref))
         rel = float(np.linalg.norm(out.astype(np.float64) - ref)) / max(denom, 1e-30)
         rows.append({
-            "trial": trial, "m": shapes[0][0] * spec.oh * spec.ow, "n": spec.out_ch,
-            "k": spec.in_ch * spec.kh * spec.kw, "icblk": blk.icblk, "rb": rb,
+            "trial": trial, "m": n_batch * spec.oh * spec.ow, "n": k,
+            "k": c * kh * kw, "icblk": blk.icblk, "rb": rb,
             "chain": chain,
             "fma_count": stats.fma_count,
             "convert_count": stats.convert_count,
@@ -167,34 +181,6 @@ def _bench_rows(spec: ConvSpec, shapes, kernel, oracle, icblk: Optional[int],
             "wall_ms": wall,
         })
     return rows
-
-
-def run_bench_gemm(m: int, n: int, k: int, icblk: Optional[int] = None,
-                   rb: int = 28, pre_shift: int = 1,
-                   trials: int = 1, seed: int = 0, dist: str = "gaussian",
-                   engine: str = "fast") -> List[dict]:
-    """GEMM benchmark rows: stats, instruction-ratio check, FP64 error."""
-    return _bench_rows(
-        ConvSpec(in_ch=k, out_ch=n, h=1, w=1, kh=1, kw=1), ((m, k), (k, n)),
-        lambda a, b, blk, pol: gemm_dfp(a, b, blk, pol, engine),
-        np.matmul, icblk, rb, pre_shift, trials, seed, dist)
-
-
-def run_bench_conv(shape: Tuple[int, int, int, int, int, int, int, int],
-                   icblk: Optional[int] = None, rb: int = 28, pre_shift: int = 1,
-                   trials: int = 1, seed: int = 0, dist: str = "gaussian",
-                   engine: str = "fast", n_batch: int = 1) -> List[dict]:
-    """Convolution benchmark; shape = (C, K, H, W, KH, KW, stride, pad).
-    wall_ms includes lowering the weights to the kernels' weight matrix
-    (pack_weights), as a training run does once per weight update."""
-    c, k, h, w, kh, kw, stride, pad = shape
-    spec = ConvSpec(c, k, h, w, kh, kw, stride, pad)
-    return _bench_rows(
-        spec, ((n_batch, c, h, w), (k, c, kh, kw)),
-        lambda a, b, blk, pol: conv_fprop(a, pack_weights(b), spec, blk, pol,
-                                          engine),
-        lambda x, wt: _conv_oracle_f64(x, wt, stride, pad),
-        icblk, rb, pre_shift, trials, seed, dist)
 
 
 def _conv_oracle_f64(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:

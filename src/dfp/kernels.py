@@ -89,7 +89,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .arith import INT32_MAX, INT32_MIN, Empirical, fp32_scale, shadow_enabled, spill_add
+from .arith import INT32_MAX, INT32_MIN, Empirical, fp32_scale, spill_add
 from .tensor import DfpTensor
 
 # Output rows per fast-engine tile, rounded down to whole images (at least
@@ -433,7 +433,7 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: Empirical,
         raise ValueError(f"unknown engine {engine!r}; use one of {sorted(ENGINES)}")
     pixels = spec.oh * spec.ow
     return _Plan(spec, blk, images, pixels, max(1, _TILE_ROWS // pixels), k16,
-                 k16 * 16, madds, bounds, scale, shadow_enabled(policy), engine)
+                 k16 * 16, madds, bounds, scale, policy.shadow_check, engine)
 
 
 # === engines ===

@@ -6,7 +6,7 @@ import pytest
 
 from dfp.arith import (INT32_MAX, AccumTensor, Empirical, dfp_add,
                        dfp_multiply, down_convert, fp32_scale, lzc,
-                       safe_chain_length, shadow_enabled, spill_to_fp32)
+                       safe_chain_length, spill_to_fp32)
 from dfp.tensor import DfpTensor, QuantConfig, shared_exponent
 
 # === multiply ===
@@ -305,8 +305,3 @@ def test_policy_rejects_out_of_range(make, match):
 
 def test_policy_accepts_smallest_values():
     assert Empirical(chain_block=1).chain_block == 1
-
-
-def test_shadow_enabled_follows_policy():
-    assert not shadow_enabled(Empirical())
-    assert shadow_enabled(Empirical(shadow_check=True))

@@ -476,8 +476,7 @@ def test_cli_bench_gemm(tmp_path, capsys):
 
 
 def test_cli_bench_conv(tmp_path, capsys):
-    rc = cli.main(["bench-conv", "--spec", "16,16,8,8,3,3,1,1",
-                   "--batch", "2", "--engine", "instructions"])
+    rc = cli.main(["bench-conv", "--spec", "16,16,8,8,3,3,1,1", "--batch", "2"])
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()
     row = dict(zip(out[0].split(","), out[1].split(",")))
@@ -485,22 +484,40 @@ def test_cli_bench_conv(tmp_path, capsys):
     assert int(row["k"]) == 16 * 9
 
 
-@pytest.mark.parametrize("argv", [
-    ["bench-gemm", "--m", "8", "--n", "16", "--k", "64", "--icblk", "32",
-     "--trials", "2"],
-    ["bench-conv", "--spec", "16,16,6,6,3,3,1,1", "--batch", "2",
-     "--dist", "adversarial", "--pre-shift", "0"],
+def _bench_table(argv, capsys):
+    # the CSV rows a bench command prints, without wall_ms
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    header = lines[0].split(",")
+    return [{k: v for k, v in zip(header, line.split(",")) if k != "wall_ms"}
+            for line in lines[1:]]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "2"],
+    ["--icblk", "32", "--dist", "adversarial", "--pre-shift", "0"],
 ])
-def test_cli_bench_default_engine_matches_instructions(argv, capsys):
-    tables = []
-    for extra in ([], ["--engine", "instructions"]):
-        assert cli.main(argv + extra) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        header = lines[0].split(",")
-        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-        tables.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in rows])
-    assert tables[0] == tables[1]
-    assert len(tables[0]) == (2 if argv[0] == "bench-gemm" else 1)
+def test_cli_bench_gemm_is_the_1x1_bench_conv(extra, capsys):
+    # an M x K by K x N GEMM is M 1x1 images of K channels into N
+    gemm = _bench_table(["bench-gemm", "--m", "13", "--n", "20", "--k", "40"] + extra,
+                        capsys)
+    conv = _bench_table(["bench-conv", "--spec", "40,20,1,1,1,1,1,0", "--batch", "13"]
+                        + extra, capsys)
+    assert gemm == conv
+    assert [(r["m"], r["n"], r["k"]) for r in gemm] == [("13", "20", "40")] * len(gemm)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-gemm", "--m", "8", "--n", "16", "--k", "64"],
+    ["bench-conv", "--spec", "16,16,6,6,3,3,1,1"],
+])
+def test_cli_bench_has_no_engine_option(argv, capsys):
+    # the benchmarks run the fast engine; the instructions engine is the
+    # tests' reference (test_kernels.py)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--engine", "instructions"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --engine instructions" in capsys.readouterr().err
 
 
 def test_cli_bench_conv_bad_spec(capsys):
@@ -549,7 +566,7 @@ def test_cli_train_and_resolved_replay(tmp_path, capsys):
 
 
 def test_cli_train_has_no_engine_option(tmp_path, capsys):
-    # training always runs the fast engine; --engine is a benchmark option
+    # training always runs the fast engine, as the benchmarks do
     with pytest.raises(SystemExit) as err:
         cli.main(["train", "--config", "c.json", "--data", "gauss2:n=64",
                   "--out", str(tmp_path / "m.csv"), "--engine", "fast"])
@@ -745,6 +762,37 @@ def test_cli_train_rejects_a_label_the_classifier_cannot_score(tmp_path, capsys,
     assert rc == 2
     assert (f"error: {split} split has label 10, outside the classifier's 10 outputs"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_train_rejects_a_softmax_output_that_is_not_flat(tmp_path, capsys):
+    # a conv's per-pixel scores have no one class to compare a label with
+    cfg_path = str(tmp_path / "conv.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"layers": [{"type": "conv", "out_ch": 10, "kernel": 3, "pad": 1,
+                               "precision": "fp32"}], "batch_size": 8}, fh)
+    out = tmp_path / "m.csv"
+    rc = cli.main(["train", "--config", cfg_path, "--data", "glyphs:train=16,test=8",
+                   "--out", str(out)])
+    assert rc == 2
+    assert ("error: softmax_xent needs a flat output per sample, got shape (10, 28, 28)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["training", "validation"])
+def test_train_rejects_mse_targets_of_another_width(tmp_path, split):
+    # gauss2's targets are its class labels, one per sample, against 2 outputs
+    data = make_dataset("gauss2:n=32", 5)
+    if split == "validation":
+        data = dataclasses.replace(data, train_y=np.zeros((data.train_y.size, 2), np.float32))
+    config = {"layers": [{"type": "fc", "out_features": 2, "precision": "fp32"}],
+              "loss": "mse", "batch_size": 8}
+    out = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=f"^{split} split's targets are 1 wide, "
+                                         f"but the mse output is 2 wide$"):
+        experiments.run_training(config, "gauss2:n=32", "fp32", 5, out_csv=str(out),
+                                 data=data)
     assert not out.exists()
 
 

@@ -243,6 +243,36 @@ def test_engines_agree_on_overflow_counts():
     assert st_off.overflow_count == 0
 
 
+def _fast_equals_instructions(run):
+    (out_f, st_f), (out_i, st_i) = run("fast"), run("instructions")
+    npt.assert_array_equal(out_f, out_i)
+    assert st_f == st_i
+    return st_f
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gemm_engines_agree_on_bench_operands(seed):
+    # dfp bench-gemm --m 8 --n 16 --k 64 --icblk 32 --trials 2: gaussian
+    # operands at pre_shift 1, shadow on
+    rng = np.random.default_rng(seed)
+    a, b = _rand_dfp(rng, (8, 64)), _rand_dfp(rng, (64, 16))
+    blk = BlockingParams(icblk=32)
+    pol = Empirical(shadow_check=True)
+    _fast_equals_instructions(lambda engine: gemm_dfp(a, b, blk, pol, engine))
+
+
+def test_conv_engines_agree_on_adversarial_bench_operands():
+    # dfp bench-conv --spec 16,16,6,6,3,3,1,1 --batch 2 --dist adversarial
+    # --pre-shift 0: every element at 2**15 - 1, so the chains overflow
+    spec = ConvSpec(16, 16, 6, 6, 3, 3, 1, 1)
+    inp = DfpTensor(np.full((2, 16, 6, 6), 32767, np.int16), -14, 16)
+    pw = pack_weights(DfpTensor(np.full((16, 16, 3, 3), 32767, np.int16), -14, 16))
+    pol = Empirical(shadow_check=True)
+    stats = _fast_equals_instructions(
+        lambda engine: conv_fprop(inp, pw, spec, None, pol, engine))
+    assert stats.overflow_count > 0
+
+
 # 2**28 = 16384 * 16384 and 2**28 - 1 = 16383 * 16385.  Each GEMM below is
 # one 16-product chain of two madds (icblk=16) into a single output column.
 _P = 1 << 14

@@ -191,6 +191,17 @@ def test_one_kernel_body():
     assert (len(plans), len(dispatches)) == (1, 1)
 
 
+def test_layers_is_the_one_gemm_dfp_caller():
+    # The package runs its GEMMs through RunContext.gemm in dfp.layers; the
+    # benchmarks run a GEMM as the 1x1 convolution it is.
+    callers = sorted(path.name for path in SRC.glob("*.py")
+                     if any(isinstance(node, ast.Call)
+                            and "gemm_dfp" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None))
+                            for node in ast.walk(ast.parse(path.read_text(), str(path)))))
+    assert callers == ["layers.py"]
+
+
 def test_bench_files_report_the_end_to_end_metrics():
     # Each BENCH_<workload>.json entry is one side of a before/after
     # comparison: a commit, the run length and seeds, the provenance line,
