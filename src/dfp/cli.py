@@ -22,6 +22,21 @@ from .tensor import ROUNDING_MODES, DfpTensor, QuantConfig, quantize, rounding_f
 from .training import TrainingDivergence
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a size or count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+# The fields of bench-conv --spec, in order.
+_SPEC_FIELDS = ("C", "K", "H", "W", "KH", "KW", "stride", "pad")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="dfp",
@@ -41,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--icblk", type=int, default=None)
         p.add_argument("--rb", type=int, default=28)
         p.add_argument("--pre-shift", type=int, default=1)
-        p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--trials", type=_positive_int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dist", default="gaussian",
                        choices=("gaussian", "adversarial"))
@@ -49,15 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write rows to a CSV file")
 
     bg = sub.add_parser("bench-gemm", help="integer GEMM benchmark")
-    bg.add_argument("--m", type=int, required=True)
-    bg.add_argument("--n", type=int, required=True)
-    bg.add_argument("--k", type=int, required=True)
+    bg.add_argument("--m", type=_positive_int, required=True)
+    bg.add_argument("--n", type=_positive_int, required=True)
+    bg.add_argument("--k", type=_positive_int, required=True)
     bench_common(bg)
 
     bc = sub.add_parser("bench-conv", help="integer convolution benchmark")
     bc.add_argument("--spec", required=True,
-                    help="C,K,H,W,KH,KW,stride,pad")
-    bc.add_argument("--batch", type=int, default=1)
+                    help=",".join(_SPEC_FIELDS))
+    bc.add_argument("--batch", type=_positive_int, default=1)
     bench_common(bc)
 
     t = sub.add_parser("train", help="train a model")
@@ -99,12 +114,19 @@ def _cmd_bench(args) -> int:
                                           n_batch=args.m, **knobs)
     else:
         parts = [p.strip() for p in args.spec.split(",")]
-        if len(parts) != 8:
-            print(f"error: --spec needs 8 integers C,K,H,W,KH,KW,stride,pad; "
+        if len(parts) != len(_SPEC_FIELDS):
+            print(f"error: --spec needs 8 integers {','.join(_SPEC_FIELDS)}; "
                   f"got {len(parts)} fields", file=sys.stderr)
             return 2
-        shape = tuple(int(p) for p in parts)
-        rows = experiments.run_bench_conv(shape, n_batch=args.batch, **knobs)
+        shape = []
+        for i, (name, part) in enumerate(zip(_SPEC_FIELDS, parts), 1):
+            try:
+                shape.append(int(part))
+            except ValueError:
+                print(f"error: --spec field {i} ({name}) must be an integer, got {part!r}",
+                      file=sys.stderr)
+                return 2
+        rows = experiments.run_bench_conv(tuple(shape), n_batch=args.batch, **knobs)
     text = experiments.format_bench_csv(rows)
     sys.stdout.write(text)
     if args.out:

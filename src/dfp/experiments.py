@@ -21,7 +21,7 @@ from .fileio import write_metrics
 from .kernels import (ConvSpec, chain_length, conv_fprop, default_blocking, overhead_ratio,
                       pack_weights)
 from .layers import RunContext
-from .tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
+from .tensor import DfpTensor, Nearest, QuantConfig, check_format, dequantize, quantize
 from .training import (TrainingDivergence, _check_type, build_model, make_policy,
                        make_quantizers, parse_config, train_loop)
 
@@ -121,6 +121,7 @@ def load_run_request(path: str) -> dict:
 
 def _bench_operands(shape_a, shape_b, dist: str, pre_shift: int,
                     seed: int) -> Tuple[DfpTensor, DfpTensor]:
+    check_format(16, pre_shift)
     if dist == "gaussian":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         cfg = QuantConfig(bit_width=16, rounding=Nearest(), pre_shift=pre_shift)

@@ -1,6 +1,6 @@
 """Blocked integer convolution/GEMM kernels on an emulated 16-lane FMA.
 
-The compute primitive is a fused multiply-add over int16 pairs, vnni_madd,
+The compute primitive is a fused multiply-add over int16 pairs, one madd,
 whose semantics are exactly this loop (wrapping 32-bit arithmetic):
 
     for v in range(4):
@@ -37,22 +37,17 @@ not depend on its column.
 
 conv_fprop and gemm_dfp run one kernel body: it plans the call, makes the
 NCHW FP32 output and hands it, the NCHW int16 input and the weight matrix
-to one of two engines, chosen by name.  Each lowers the input by im2col
-and stores through the plan, and both give bit-identical outputs and
-statistics:
+to _run_fast, which computes one chain of matrix products per spill.
+Per-chain integer sums are computed exactly (float64 matmul; all partial
+sums stay far below 2**53) and then wrapped to int32.  Because
+two's-complement addition is associative, the wrapped totals equal the
+instruction sequence's, and spilling in the same chain order by the same
+rule, arith.spill_add, reproduces the FP32 accumulation bit for bit.  The
+reference lives with the tests: tests/reference.py emulates the sequence
+one madd per instruction on the same plan, lowering, store and spill rule,
+and the tests check that its outputs and statistics equal the kernel's.
 
-* "instructions": a Python loop nest issuing one vnni_madd per emulated
-  instruction, with mem read from patch-matrix columns 8i..8i+7 and vinp2
-  from weight-matrix rows 8i..8i+7, counting instructions live.  This is
-  the reference emulator; it runs only when asked for.
-* "fast", the default everywhere: one chain of matrix products per
-  spill.  Per-chain integer sums are computed exactly (float64 matmul; all
-  partial sums stay far below 2**53) and then wrapped to int32.  Because
-  two's-complement addition is associative, the wrapped totals equal the
-  instruction sequence's, and spilling in the same chain order by the
-  same rule, arith.spill_add, reproduces the FP32 accumulation bit for bit.
-
-The fast engine walks the output rows in tiles of whole images, about
+The kernel walks the output rows in tiles of whole images, about
 _TILE_ROWS rows each (a GEMM row is a single-pixel image; an image larger
 than that is a tile of its own).  Each tile is lowered on its own, and
 its chains are widened, multiplied, wrapped, spilled in chain order and
@@ -63,21 +58,20 @@ weight operand is built once per call, and kept across tiles.  The
 counters are computed once per call from the call's plan: every spill is
 counted per rb_size register block of all M rows, never per tile.
 
-With shadow checking enabled, both engines count one overflow event per
+With shadow checking enabled, the kernel counts one overflow event per
 (output element, chain) whose exact running sum leaves the signed 32-bit
-range at some madd boundary.  The instructions engine keeps a live 64-bit
-mirror of every lane.  The fast engine bounds each chain in three exact
-tiers.  With P the sum of a pair's positive products and N the magnitude
-of its negative ones, every running sum lies in [-N, P].  First, one
-float64 matrix-vector product gives each row r the bound
-B_r = sum_k |A_rk| * max_j |B_kj| >= P + N for all its pairs; a row with
-B_r <= INT32_MAX cannot overflow.  Second, for the remaining rows only,
-P + N = |A| @ |B| and P - N = A @ B are exact float64 matmuls, and pairs
-with P <= INT32_MAX and N <= 2**31 cannot overflow.  Last, only the rows
-holding some other pair are re-summed madd by madd, as float64 prefix sums
-over the tile's flagged rows, so the tile bounds this replay too.  The
-count stays exact, and a chain whose rows all pass the row bound costs one
-extra matrix-vector product.
+range at some madd boundary, as a live 64-bit mirror of every lane would.
+It bounds each chain in three exact tiers.  With P the sum of a pair's
+positive products and N the magnitude of its negative ones, every running
+sum lies in [-N, P].  First, one float64 matrix-vector product gives each
+row r the bound B_r = sum_k |A_rk| * max_j |B_kj| >= P + N for all its
+pairs; a row with B_r <= INT32_MAX cannot overflow.  Second, for the
+remaining rows only, P + N = |A| @ |B| and P - N = A @ B are exact float64
+matmuls, and pairs with P <= INT32_MAX and N <= 2**31 cannot overflow.
+Last, only the rows holding some other pair are re-summed madd by madd, as
+float64 prefix sums over the tile's flagged rows, so the tile bounds this
+replay too.  The count stays exact, and a chain whose rows all pass the
+row bound costs one extra matrix-vector product.
 """
 
 from __future__ import annotations
@@ -92,7 +86,7 @@ import numpy as np
 from .arith import INT32_MAX, INT32_MIN, Empirical, fp32_scale, spill_add
 from .tensor import DfpTensor
 
-# Output rows per fast-engine tile, rounded down to whole images (at least
+# Output rows per kernel tile, rounded down to whole images (at least
 # one): a tile's patch matrix, its float64 chain operands and its shadow
 # replay are built and used while they are cache-sized.  Picked by a sweep
 # of 256-2048 rows on both benchmark workloads.
@@ -230,38 +224,6 @@ def _ceil_to(x: int, m: int) -> int:
     return (x + m - 1) // m * m
 
 
-# === the emulated FMA instruction ===
-
-
-def vnni_madd(mem: np.ndarray, vinp2: np.ndarray, vout: np.ndarray) -> np.ndarray:
-    """One emulated FMA: 8 int16 memory values, 4x32 int16 lanes, 16 int32 lanes.
-
-    vout[o] += sum over v of vinp2[v][2o]*mem[2v] + vinp2[v][2o+1]*mem[2v+1],
-    in wrapping 32-bit arithmetic.  vout is updated in place and returned.
-    """
-    mem = np.asarray(mem)
-    vinp2 = np.asarray(vinp2)
-    if mem.shape != (8,) or mem.dtype != np.int16:
-        raise ValueError("mem must be 8 int16 values")
-    if vinp2.shape != (4, 32) or vinp2.dtype != np.int16:
-        raise ValueError("vinp2 must be 4x32 int16 lanes")
-    if vout.shape != (16,) or vout.dtype != np.int32:
-        raise ValueError("vout must be 16 int32 lanes")
-    m = mem.astype(np.int32)
-    even = vinp2[:, 0::2].astype(np.int32)  # lane weights hit by mem[2v]
-    odd = vinp2[:, 1::2].astype(np.int32)
-    vout += m[0::2] @ even + m[1::2] @ odd
-    return vout
-
-
-def _madd_contrib64(mem: np.ndarray, vinp2: np.ndarray) -> np.ndarray:
-    # Exact 64-bit contribution of one madd, for shadow accounting.
-    m = mem.astype(np.int64)
-    even = vinp2[:, 0::2].astype(np.int64)
-    odd = vinp2[:, 1::2].astype(np.int64)
-    return m[0::2] @ even + m[1::2] @ odd
-
-
 # === weight lowering ===
 
 
@@ -394,14 +356,13 @@ class _Plan:
     blk: BlockingParams
     images: int                  # n; a GEMM row is one single-pixel image
     pixels: int                  # output rows per image, oh * ow
-    tile_images: int             # images per fast-engine tile
+    tile_images: int             # images per kernel tile
     k16: int
     kpad: int
     madds: int                   # madds per (row, 16-lane block), L / 8
     chunk_bounds: List[Tuple[int, int]]  # madd index ranges per chain
     scale: np.float32
     shadow: bool
-    engine: str                  # a key of ENGINES
 
     @property
     def m(self) -> int:
@@ -416,7 +377,7 @@ class _Plan:
 
 
 def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: Empirical,
-               engine: str, images: int, es: int) -> _Plan:
+               images: int, es: int) -> _Plan:
     # Output rows of `images` NCHW images times the weight matrix, spilled
     # at scale 2**es.
     if blk is None:
@@ -429,59 +390,9 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: Empirical,
     madds = _ceil_to(spec.in_ch, 16) // 8 * spec.kh * spec.kw
     chain_madds = chain // 8
     bounds = [(i, min(i + chain_madds, madds)) for i in range(0, madds, chain_madds)]
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; use one of {sorted(ENGINES)}")
     pixels = spec.oh * spec.ow
     return _Plan(spec, blk, images, pixels, max(1, _TILE_ROWS // pixels), k16,
-                 k16 * 16, madds, bounds, scale, policy.shadow_check, engine)
-
-
-# === engines ===
-
-
-def _run_instr(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
-               debug_partials: Optional[list]) -> KernelStats:
-    cols = im2col(x, plan.spec, 16)
-    rb = plan.blk.rb_size
-    stats = KernelStats()
-    acc = np.zeros((plan.m, plan.kpad), np.float32)
-    if debug_partials is not None:
-        partials = [np.zeros((plan.m, plan.kpad), np.int32) for _ in plan.chunk_bounds]
-
-    for kb in range(plan.k16):
-        for t0 in range(0, plan.m, rb):
-            tile = cols[t0: t0 + rb]
-            tsz = tile.shape[0]
-            vtemp = np.zeros((tsz, 16), np.float32)
-            for ci, (m0, m1) in enumerate(plan.chunk_bounds):
-                vout = np.zeros((tsz, 16), np.int32)
-                if plan.shadow:
-                    mirror = np.zeros((tsz, 16), np.int64)
-                    flags = np.zeros((tsz, 16), bool)
-                for i in range(m0, m1):
-                    # mem: columns 8i..8i+7; vinp2[v][2o+c] = wmat[8i+2v+c][16kb+o]
-                    vinp2 = wmat[8 * i: 8 * i + 8, 16 * kb: 16 * kb + 16].reshape(
-                        4, 2, 16).transpose(0, 2, 1).reshape(4, 32)
-                    for j in range(tsz):
-                        mem = tile[j, 8 * i: 8 * i + 8]
-                        vnni_madd(mem, vinp2, vout[j])
-                        stats.fma_count += 1
-                        if plan.shadow:
-                            mirror[j] += _madd_contrib64(mem, vinp2)
-                            np.logical_or(flags[j], (mirror[j] > INT32_MAX)
-                                          | (mirror[j] < INT32_MIN), out=flags[j])
-                if debug_partials is not None:
-                    partials[ci][t0: t0 + tsz, kb * 16: kb * 16 + 16] = vout
-                spill_add(vtemp, vout, plan.scale)
-                stats.convert_count += tsz
-                stats.spill_count += 1
-                if plan.shadow:
-                    stats.overflow_count += int(flags.sum())
-            acc[t0: t0 + tsz, kb * 16: kb * 16 + 16] = vtemp
-    if debug_partials is not None:
-        debug_partials.extend(partials)
-    plan.store(out, 0, plan.images, acc)
-    return stats
+                 k16 * 16, madds, bounds, scale, policy.shadow_check)
 
 
 def _run_fast(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
@@ -555,7 +466,8 @@ class _ChainOperand:
 def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, op: _ChainOperand,
                        exact: np.ndarray) -> int:
     # Count (output element, chain) pairs whose exact running sum leaves the
-    # int32 range at any madd boundary; identical to the instruction mirror.
+    # int32 range at any madd boundary; identical to a 64-bit mirror of
+    # every lane, as the tests' instruction emulator keeps.
     # a is the tile's float64 chain operand (overwritten with |a|), a_chunk
     # its int16 original, and exact = a @ op.b.  With P the sum of a pair's
     # positive products and N the magnitude of its negative ones, every
@@ -581,27 +493,22 @@ def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, op: _ChainOperand,
     return int(np.any((run > INT32_MAX) | (run < INT32_MIN), axis=0).sum())
 
 
-# The engines by name; every list of engine names is read from here.
-ENGINES = {"instructions": _run_instr, "fast": _run_fast}
-
-
 # === kernel entry points ===
 
 
 def _convolve(x: np.ndarray, wmat: np.ndarray, es: int, spec: ConvSpec,
-              blk: Optional[BlockingParams], policy: Empirical, engine: str,
+              blk: Optional[BlockingParams], policy: Empirical,
               debug_partials: Optional[list]) -> Tuple[np.ndarray, KernelStats]:
     # The one kernel body: NCHW int16 elements x times the (L, Kpad) int16
     # weight matrix, spilled at scale 2**es into a new NCHW FP32 output.
-    plan = _make_plan(spec, blk, policy, engine, x.shape[0], es)
+    plan = _make_plan(spec, blk, policy, x.shape[0], es)
     out = np.empty((plan.images, spec.out_ch, spec.oh, spec.ow), np.float32)
-    return out, ENGINES[plan.engine](plan, x, wmat, out, debug_partials)
+    return out, _run_fast(plan, x, wmat, out, debug_partials)
 
 
 def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
                blk: Optional[BlockingParams] = None,
                policy: Empirical = Empirical(),
-               engine: str = "fast",
                debug_partials: Optional[list] = None
                ) -> Tuple[np.ndarray, KernelStats]:
     """Forward convolution of a DFP input with DFP weights lowered by
@@ -623,13 +530,12 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
             f"weights shape {weights.shape} does not match spec "
             f"({spec.out_ch}, {spec.in_ch}, {spec.kh}, {spec.kw})")
     return _convolve(x, weights.data, inp.shared_exponent + weights.shared_exponent,
-                     spec, blk, policy, engine, debug_partials)
+                     spec, blk, policy, debug_partials)
 
 
 def gemm_dfp(a: DfpTensor, b: DfpTensor,
              blk: Optional[BlockingParams] = None,
              policy: Empirical = Empirical(),
-             engine: str = "fast",
              debug_partials: Optional[list] = None
              ) -> Tuple[np.ndarray, KernelStats]:
     """C = A (M x KK) times B (KK x N) through the blocked integer kernels.
@@ -651,5 +557,5 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
             if kk % 16 or n % 16 else b.elements)
     out, stats = _convolve(a.elements.reshape(m, kk, 1, 1), wmat,
                            a.shared_exponent + b.shared_exponent,
-                           spec, blk, policy, engine, debug_partials)
+                           spec, blk, policy, debug_partials)
     return out.reshape(m, n), stats

@@ -107,22 +107,28 @@ class RunContext:
 
     q: Quantizers
     policy: Empirical = dataclasses.field(default_factory=Empirical)
+    # Selects nothing: the kernels have one engine.  Kept only because
+    # benchmark/harness.py:121 passes engine="fast"; it goes with that
+    # keyword in the next change to the benchmark.
     engine: str = "fast"
     icblk: Optional[int] = None    # explicit chain-block override
     rb_size: int = 28
     stats: KernelStats = dataclasses.field(default_factory=KernelStats)
+
+    def __post_init__(self):
+        if self.engine != "fast":
+            raise ValueError(f"engine={self.engine!r}: the kernels have one engine, 'fast'")
 
     def blocking_for(self, spec: ConvSpec) -> BlockingParams:
         return default_blocking(spec, self.policy, self.rb_size, self.icblk)
 
     def conv(self, x: DfpTensor, w: PackedWeights, spec: ConvSpec, layer: str,
              pass_name: str) -> np.ndarray:
-        """conv_fprop of x with lowered weights w under this run's blocking,
-        policy and engine, for layer's pass (fprop or bprop); its counters
-        join the run's, and an error names the layer and pass."""
+        """conv_fprop of x with lowered weights w under this run's blocking
+        and policy, for layer's pass (fprop or bprop); its counters join the
+        run's, and an error names the layer and pass."""
         with self.q.located(layer, pass_name):
-            out, st = conv_fprop(x, w, spec, self.blocking_for(spec), self.policy,
-                                 self.engine)
+            out, st = conv_fprop(x, w, spec, self.blocking_for(spec), self.policy)
         self.stats.merge(st)
         return out
 
@@ -131,7 +137,7 @@ class RunContext:
         like the equivalent 1x1 conv; otherwise as conv."""
         spec = ConvSpec(a.shape[1], b.shape[1], 1, 1, 1, 1)
         with self.q.located(layer, pass_name):
-            out, st = gemm_dfp(a, b, self.blocking_for(spec), self.policy, self.engine)
+            out, st = gemm_dfp(a, b, self.blocking_for(spec), self.policy)
         self.stats.merge(st)
         return out
 

@@ -20,14 +20,18 @@ import pytest
 
 from dfp.tensor import (QuantConfig, Nearest, Stochastic, Biased, DfpTensor,
                         quantize, dequantize)
-from dfp.arith import (AccumTensor, Empirical, dfp_multiply, dfp_add,
-                       down_convert, safe_chain_length)
-from dfp.kernels import (ConvSpec, BlockingParams, vnni_madd, pack_weights,
+from dfp.arith import Empirical
+from dfp.kernels import (ConvSpec, BlockingParams, pack_weights,
                          conv_fprop, gemm_dfp, default_blocking, overhead_ratio)
 from dfp.layers import RunContext
 from dfp.training import parse_config, make_quantizers, make_policy, build_model, mse
 from dfp.experiments import run_training, compare_metrics
 from dfp.datasets import export_idx
+
+# The tests that check the kernels and the paper's primitives import their
+# oracle, reference.py beside this file, in their own bodies:
+# benchmark/selftest.py loads this module by path, for PARITY_CFG alone,
+# with no tests directory on sys.path.
 
 SEED = 20260815
 INT32_MAX = 2**31 - 1
@@ -175,6 +179,7 @@ def test_stochastic_rounding_unbiased(capsys):
 
 
 def test_arithmetic_exactness(capsys):
+    import reference
     rng = np.random.default_rng(SEED)
     mult_ok = add_ok = down_ok = keep_ok = True
     for _ in range(10**4):
@@ -182,28 +187,29 @@ def test_arithmetic_exactness(capsys):
         eb = int(rng.integers(-60, 61))
         a = DfpTensor(rng.integers(-32767, 32768, 32).astype(np.int16), ea, 16)
         b = DfpTensor(rng.integers(-32767, 32768, 32).astype(np.int16), eb, 16)
-        prod = dfp_multiply(a, b)
+        prod = reference.dfp_multiply(a, b)
         wide = a.elements.astype(np.int64) * b.elements.astype(np.int64)
         mult_ok = mult_ok and (prod.shared_exponent == ea + eb
                                and np.array_equal(prod.elements.astype(np.int64), wide))
         b2 = DfpTensor(rng.integers(-32767, 32768, 32).astype(np.int16), ea, 16)
-        tot = dfp_add(a, b2)
+        tot = reference.dfp_add(a, b2)
         wide_sum = a.elements.astype(np.int64) + b2.elements.astype(np.int64)
         add_ok = add_ok and (tot.shared_exponent == ea
                              and np.array_equal(tot.elements.astype(np.int64), wide_sum))
         eacc = int(rng.integers(-40, 21))
-        acc = AccumTensor(rng.integers(-INT32_MAX, INT32_MAX + 1, 32,
-                                       dtype=np.int64).astype(np.int32), eacc)
-        d = down_convert(acc, 16)
+        acc = reference.AccumTensor(rng.integers(-INT32_MAX, INT32_MAX + 1, 32,
+                                                 dtype=np.int64).astype(np.int32), eacc)
+        d = reference.down_convert(acc, 16)
         exact = acc.elements.astype(np.float64) * 2.0 ** eacc
         err = np.abs(d.elements.astype(np.float64) * 2.0 ** d.shared_exponent - exact)
         down_ok = down_ok and bool(np.all(err < 2.0 ** d.shared_exponent))
         keep_ok = keep_ok and bool(np.all(np.abs(d.elements.astype(np.int64)) < 2**15))
     # adversarial extremes
     top = DfpTensor(np.array([32767, -32767], np.int16), -15, 16)
-    prod = dfp_multiply(top, top)
+    prod = reference.dfp_multiply(top, top)
     mult_ok = mult_ok and np.array_equal(prod.elements, np.array([32767**2] * 2, np.int64).astype(np.int32))
-    dtop = down_convert(AccumTensor(np.array([INT32_MAX, -INT32_MAX], np.int32), -30), 16)
+    dtop = reference.down_convert(
+        reference.AccumTensor(np.array([INT32_MAX, -INT32_MAX], np.int32), -30), 16)
     err = np.abs(dtop.elements.astype(np.float64) * 2.0 ** dtop.shared_exponent
                  - np.array([INT32_MAX, -INT32_MAX], np.float64) * 2.0 ** -30)
     down_ok = down_ok and bool(np.all(err < 2.0 ** dtop.shared_exponent))
@@ -218,6 +224,7 @@ def test_arithmetic_exactness(capsys):
 
 
 def test_vnni_matches_direct_loop(capsys):
+    import reference
     rng = np.random.default_rng(SEED)
     wrap = lambda v: (v + (1 << 31)) % (1 << 32) - (1 << 31)
     exact = 0
@@ -226,7 +233,7 @@ def test_vnni_matches_direct_loop(capsys):
         mem = rng.integers(-32768, 32768, 8).astype(np.int16)
         vinp2 = rng.integers(-32768, 32768, (4, 32)).astype(np.int16)
         vout = rng.integers(-INT32_MAX, INT32_MAX, 16, dtype=np.int64).astype(np.int32)
-        got = vnni_madd(mem, vinp2, vout.copy())
+        got = reference.vnni_madd(mem, vinp2, vout.copy())
         want = np.empty(16, np.int32)
         for o in range(16):
             s = int(vout[o])
@@ -245,6 +252,7 @@ def test_vnni_matches_direct_loop(capsys):
 
 
 def test_kernel_oracle_equivalence(capsys):
+    import reference
     rng = np.random.default_rng(SEED)
     cfg = QuantConfig(16, Nearest(), 1)
     pol = Empirical(shadow_check=True)
@@ -257,9 +265,10 @@ def test_kernel_oracle_equivalence(capsys):
     qa, qb = quantize(A, cfg, tensor_id=1), quantize(B, cfg, tensor_id=2)
     wide = qa.elements.astype(np.int64) @ qb.elements.astype(np.int64)
     C = None
-    for eng in ("fast", "instructions"):
+    for emulate in (False, True):
         parts = []
-        C, st = gemm_dfp(qa, qb, policy=pol, engine=eng, debug_partials=parts)
+        with reference.emulated(emulate):
+            C, st = gemm_dfp(qa, qb, policy=pol, debug_partials=parts)
         ovf += st.overflow_count
         parts_ok = parts_ok and len(parts) == 1 and np.array_equal(
             parts[0][:, :256].astype(np.int64), wide)
@@ -281,9 +290,10 @@ def test_kernel_oracle_equivalence(capsys):
     pw = pack_weights(qw)
     wide = _conv_exact64(qx.elements, qw.elements, spec)
     out = None
-    for eng in ("fast", "instructions"):
+    for emulate in (False, True):
         parts = []
-        out, st = conv_fprop(qx, pw, spec, None, pol, eng, parts)
+        with reference.emulated(emulate):
+            out, st = conv_fprop(qx, pw, spec, None, pol, parts)
         ovf += st.overflow_count
         parts_ok = parts_ok and len(parts) == 1 and np.array_equal(
             parts[0][:, :32].astype(np.int64), wide)
@@ -300,7 +310,7 @@ def test_kernel_oracle_equivalence(capsys):
 
     ok = parts_ok and ovf == 0 and gemm_within and conv_within
     emit(capsys, "kernel-oracle", ok,
-         f"integer partials exact vs wide oracle on both engines; 0 overflows; "
+         f"integer partials exact vs wide oracle on the kernel and its emulator; 0 overflows; "
          f"gemm rel Frobenius {gemm_rel:.2e} <= derived bound {gemm_bound:.2e}; "
          f"conv {conv_rel:.2e} <= {conv_bound:.2e}")
 
@@ -309,12 +319,13 @@ def test_kernel_oracle_equivalence(capsys):
 
 
 def test_overflow_claims(capsys):
+    import reference
     cfg = QuantConfig(16, Nearest(), 1)
     pol = Empirical(shadow_check=True)
 
     # (a) provably safe chains: 8 maximal pre-shifted products fit int32
     m = 2**14 - 1
-    safe8 = safe_chain_length(16, 1)
+    safe8 = reference.safe_chain_length(16, 1)
     arith_ok = (safe8 == 8 and 8 * m * m <= INT32_MAX < 9 * m * m)
     safe_ovf = 0
     engines_ok = True
@@ -332,9 +343,10 @@ def test_overflow_claims(capsys):
         sp = ConvSpec(8, 16, 4, 4, 1, 1)
         pwi = pack_weights(DfpTensor(wl, -15, 16))
         outs = []
-        for eng in ("fast", "instructions"):
-            o, st = conv_fprop(DfpTensor(el, -15, 16), pwi, sp,
-                               BlockingParams(icblk=8), pol, eng)
+        for emulate in (False, True):
+            with reference.emulated(emulate):
+                o, st = conv_fprop(DfpTensor(el, -15, 16), pwi, sp,
+                                   BlockingParams(icblk=8), pol)
             safe_ovf += st.overflow_count
             outs.append(o)
         engines_ok = engines_ok and np.array_equal(outs[0], outs[1])

@@ -1,13 +1,15 @@
-"""Integer tensor arithmetic: multiply, add, down-convert, chains, spills."""
+"""Integer tensor arithmetic: the paper's primitives (multiply, add,
+down-convert, chain bounds, spills) in the tests' reference, and the
+package's spill scale and overflow policy."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from dfp.arith import (INT32_MAX, AccumTensor, Empirical, dfp_add,
-                       dfp_multiply, down_convert, fp32_scale, lzc,
-                       safe_chain_length, spill_to_fp32)
+from dfp.arith import INT32_MAX, Empirical, fp32_scale
 from dfp.tensor import DfpTensor, QuantConfig, shared_exponent
+from reference import (AccumTensor, dfp_add, dfp_multiply, down_convert, lzc,
+                       safe_chain_length, spill_to_fp32)
 
 # === multiply ===
 

@@ -512,8 +512,8 @@ def test_cli_bench_gemm_is_the_1x1_bench_conv(extra, capsys):
     ["bench-conv", "--spec", "16,16,6,6,3,3,1,1"],
 ])
 def test_cli_bench_has_no_engine_option(argv, capsys):
-    # the benchmarks run the fast engine; the instructions engine is the
-    # tests' reference (test_kernels.py)
+    # the benchmarks run the one kernel; the instruction emulator is the
+    # tests' reference (reference.py)
     with pytest.raises(SystemExit) as err:
         cli.main(argv + ["--engine", "instructions"])
     assert err.value.code == 2
@@ -524,6 +524,44 @@ def test_cli_bench_conv_bad_spec(capsys):
     rc = cli.main(["bench-conv", "--spec", "16,16,8,8,3"])
     assert rc == 2
     assert "--spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "adversarial"])
+@pytest.mark.parametrize("pre_shift", ["15", "16"])
+def test_cli_bench_checks_pre_shift_on_both_dists(dist, pre_shift, capsys):
+    # a 16-bit operand keeps at least one magnitude bit: pre_shift <= 14
+    rc = cli.main(["bench-gemm", "--m", "4", "--n", "4", "--k", "4", "--dist", dist,
+                   "--pre-shift", pre_shift])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: pre_shift must be in [0, bit_width-2], got {pre_shift}\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["bench-gemm", "--m", "0", "--n", "4", "--k", "4"], "--m"),
+    (["bench-gemm", "--m", "4", "--n", "-1", "--k", "4"], "--n"),
+    (["bench-gemm", "--m", "4", "--n", "4", "--k", "x"], "--k"),
+    (["bench-gemm", "--m", "4", "--n", "4", "--k", "4", "--trials", "0"], "--trials"),
+    (["bench-conv", "--spec", "4,4,4,4,1,1,1,0", "--batch", "0"], "--batch"),
+    (["bench-conv", "--spec", "4,4,4,4,1,1,1,0", "--trials", "-2"], "--trials"),
+])
+def test_cli_bench_sizes_must_be_positive(argv, option, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    value = argv[argv.index(option) + 1]
+    assert (f"argument {option}: must be a positive integer, got '{value}'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("4,4,a,4,1,1,1,0", "--spec field 3 (H) must be an integer, got 'a'"),
+    ("4,4,4,4,1,1,1,", "--spec field 8 (pad) must be an integer, got ''"),
+    ("1.5,4,4,4,1,1,1,0", "--spec field 1 (C) must be an integer, got '1.5'"),
+])
+def test_cli_bench_conv_names_the_bad_spec_field(spec, message, capsys):
+    assert cli.main(["bench-conv", "--spec", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 MLP_JSON = {

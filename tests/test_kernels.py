@@ -1,17 +1,20 @@
-"""Blocked integer convolution kernels: madd semantics, weight lowering, engines."""
+"""Blocked integer convolution kernels: madd semantics, weight lowering, and
+the kernel against the reference's instruction emulator."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import reference
 from dfp import kernels
-from dfp.arith import (INT32_MAX, INT32_MIN, AccumTensor, dfp_multiply,
-                       safe_chain_length, spill_to_fp32)
+from dfp.arith import INT32_MAX, INT32_MIN
 from dfp.kernels import (BlockingParams, ConvSpec, Empirical, Fraction,
                          KernelStats, chain_length, conv_fprop,
                          default_blocking, gemm_dfp, im2col, overhead_ratio,
-                         pack_weights, vnni_madd)
+                         pack_weights)
 from dfp.tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
+from reference import (AccumTensor, dfp_multiply, safe_chain_length, spill_to_fp32,
+                       vnni_madd)
 
 # === helpers ===
 
@@ -200,7 +203,18 @@ def test_default_blocking_divides_and_hits_target():
         assert (16 * ((spec.in_ch + 15) // 16)) % blk.icblk == 0
 
 
-# === engine agreement ===
+# === the kernel against the instruction emulator ===
+
+def test_emulated_swaps_the_kernel_and_restores_it():
+    fast = kernels._run_fast
+    with reference.emulated(False):
+        assert kernels._run_fast is fast
+    with pytest.raises(RuntimeError):
+        with reference.emulated():
+            assert kernels._run_fast is reference.run_instructions
+            raise RuntimeError
+    assert kernels._run_fast is fast
+
 
 SHAPES = [
     # (N, C, K, H, W, KH, KW, stride, pad)
@@ -220,8 +234,9 @@ def test_engines_bit_identical(shape):
     wt = _rand_dfp(rng, (k, c, kh, kw), scale=0.2)
     pw = pack_weights(wt)
     pol = Empirical(shadow_check=True)
-    out_i, st_i = conv_fprop(inp, pw, spec, policy=pol, engine="instructions")
-    out_f, st_f = conv_fprop(inp, pw, spec, policy=pol, engine="fast")
+    with reference.emulated():
+        out_i, st_i = conv_fprop(inp, pw, spec, policy=pol)
+    out_f, st_f = conv_fprop(inp, pw, spec, policy=pol)
     npt.assert_array_equal(out_i, out_f)
     assert st_i == st_f
 
@@ -233,18 +248,21 @@ def test_engines_agree_on_overflow_counts():
     wt = DfpTensor(np.full((16, 32, 1, 1), 32767, np.int16), -15, 16)
     pw = pack_weights(wt)
     pol = Empirical(shadow_check=True)
-    out_i, st_i = conv_fprop(inp, pw, spec, policy=pol, engine="instructions")
-    out_f, st_f = conv_fprop(inp, pw, spec, policy=pol, engine="fast")
+    with reference.emulated():
+        out_i, st_i = conv_fprop(inp, pw, spec, policy=pol)
+        # without the shadow pass nothing is counted
+        _, st_off = conv_fprop(inp, pw, spec, policy=Empirical())
+    out_f, st_f = conv_fprop(inp, pw, spec, policy=pol)
     assert st_i.overflow_count == 16 * 16       # every (element, chain) pair
     assert st_i.overflow_count == st_f.overflow_count
     npt.assert_array_equal(out_i, out_f)        # wrapped identically
-    # without the shadow pass nothing is counted
-    _, st_off = conv_fprop(inp, pw, spec, policy=Empirical(), engine="instructions")
     assert st_off.overflow_count == 0
 
 
 def _fast_equals_instructions(run):
-    (out_f, st_f), (out_i, st_i) = run("fast"), run("instructions")
+    out_f, st_f = run()
+    with reference.emulated():
+        out_i, st_i = run()
     npt.assert_array_equal(out_f, out_i)
     assert st_f == st_i
     return st_f
@@ -258,7 +276,7 @@ def test_gemm_engines_agree_on_bench_operands(seed):
     a, b = _rand_dfp(rng, (8, 64)), _rand_dfp(rng, (64, 16))
     blk = BlockingParams(icblk=32)
     pol = Empirical(shadow_check=True)
-    _fast_equals_instructions(lambda engine: gemm_dfp(a, b, blk, pol, engine))
+    _fast_equals_instructions(lambda: gemm_dfp(a, b, blk, pol))
 
 
 def test_conv_engines_agree_on_adversarial_bench_operands():
@@ -268,8 +286,7 @@ def test_conv_engines_agree_on_adversarial_bench_operands():
     inp = DfpTensor(np.full((2, 16, 6, 6), 32767, np.int16), -14, 16)
     pw = pack_weights(DfpTensor(np.full((16, 16, 3, 3), 32767, np.int16), -14, 16))
     pol = Empirical(shadow_check=True)
-    stats = _fast_equals_instructions(
-        lambda engine: conv_fprop(inp, pw, spec, None, pol, engine))
+    stats = _fast_equals_instructions(lambda: conv_fprop(inp, pw, spec, None, pol))
     assert stats.overflow_count > 0
 
 
@@ -309,8 +326,10 @@ def _shadow_counts(a_rows, b_cols):
     want = _shadow_oracle(a, b, 16)
     da, db = DfpTensor(a, -14, 16), DfpTensor(b, -14, 16)
     pol, blk = Empirical(shadow_check=True), BlockingParams(icblk=16)
-    got = [gemm_dfp(da, db, blk, pol, engine=eng)[1].overflow_count
-           for eng in ("instructions", "fast")]
+    got = []
+    for emulate in (True, False):
+        with reference.emulated(emulate):
+            got.append(gemm_dfp(da, db, blk, pol)[1].overflow_count)
     return want, got
 
 
@@ -348,7 +367,7 @@ def test_shadow_count_mixes_all_three_tiers():
 
 
 def test_shadow_count_over_several_tiles():
-    # flagged rows in every one of several fast-engine tiles, in a repeating
+    # flagged rows in every one of several kernel tiles, in a repeating
     # pattern:
     # an excursion (2**31 after the first madd); a row whose positive
     # products reach 7 * 2**28 but whose running sum peaks at 6 * 2**28;
@@ -361,12 +380,14 @@ def test_shadow_count_over_several_tiles():
     assert got == [reps, reps]
 
 
-# === fast-engine tiles ===
+# === kernel tiles ===
 
 
 def _engines_agree_over_tiles(run):
     # Output, debug partials and every KernelStats field, shadow on.
-    (oi, si, di), (of, sf, df) = [run(engine) for engine in ("instructions", "fast")]
+    with reference.emulated():
+        oi, si, di = run()
+    of, sf, df = run()
     npt.assert_array_equal(oi, of)
     assert si == sf
     assert len(di) == len(df) > 1
@@ -397,9 +418,9 @@ def test_conv_engines_agree_across_tiles(monkeypatch, tile_rows):
     blk = BlockingParams(icblk=16, rb_size=8)       # two chains per output
     pol = Empirical(shadow_check=True)
 
-    def run(engine):
+    def run():
         dbg = []
-        out, st = conv_fprop(inp, pack_weights(wt), spec, blk, pol, engine, dbg)
+        out, st = conv_fprop(inp, pack_weights(wt), spec, blk, pol, dbg)
         return out, st, dbg
 
     stats = _engines_agree_over_tiles(run)
@@ -418,9 +439,9 @@ def test_gemm_engines_agree_across_tiles(monkeypatch):
     blk = BlockingParams(icblk=16, rb_size=3)       # three chains per output
     pol = Empirical(shadow_check=True)
 
-    def run(engine):
+    def run():
         dbg = []
-        out, st = gemm_dfp(a, b, blk, pol, engine, dbg)
+        out, st = gemm_dfp(a, b, blk, pol, dbg)
         return out, st, dbg
 
     stats = _engines_agree_over_tiles(run)
@@ -437,7 +458,8 @@ def test_safe_chain_length_holds_on_adversarial_data():
     pol = Empirical(shadow_check=True)
     blk = BlockingParams(icblk=safe_chain_length(16, 1))
     assert chain_length(spec, blk) == 8
-    out, st = conv_fprop(inp, pack_weights(wt), spec, blk, pol, "instructions")
+    with reference.emulated():
+        out, st = conv_fprop(inp, pack_weights(wt), spec, blk, pol)
     assert st.overflow_count == 0
     npt.assert_allclose(out, 8 * m * m * 2.0 ** -28, rtol=1e-6)
 
@@ -454,23 +476,6 @@ def test_rb_size_invariance():
         outs.append(out)
     npt.assert_array_equal(outs[0], outs[1])
     npt.assert_array_equal(outs[1], outs[2])
-
-
-def test_engines_by_name_only():
-    rng = np.random.default_rng(3300)
-    spec = ConvSpec(16, 16, 5, 5, 3, 3, 1, 1)
-    inp = _rand_dfp(rng, (1, 16, 5, 5))
-    pw = pack_weights(_rand_dfp(rng, (16, 16, 3, 3), scale=0.2))
-    ref, st_ref = conv_fprop(inp, pw, spec, engine="fast")
-    out, st = conv_fprop(inp, pw, spec, engine="instructions")
-    npt.assert_array_equal(out, ref)
-    assert st == st_ref
-    ones = DfpTensor(np.ones((16, 16), np.int16), 0, 16)
-    for name in ("auto", "instr", "bogus"):
-        with pytest.raises(ValueError, match=f"unknown engine '{name}'"):
-            conv_fprop(inp, pw, spec, engine=name)
-        with pytest.raises(ValueError, match=f"unknown engine '{name}'"):
-            gemm_dfp(ones, ones, engine=name)
 
 
 # === numerical exactness ===
@@ -498,10 +503,10 @@ def test_debug_partials_match_int64_mod_2_32():
     blk = BlockingParams(icblk=16, rb_size=28)      # two chunks
     inp = _rand_dfp(rng, (1, 32, 5, 5))
     wt = _rand_dfp(rng, (16, 32, 3, 3), scale=0.2)
-    for engine in ("instructions", "fast"):
+    for emulate in (True, False):
         dbg = []
-        conv_fprop(inp, pack_weights(wt), spec, blk, engine=engine,
-                   debug_partials=dbg)
+        with reference.emulated(emulate):
+            conv_fprop(inp, pack_weights(wt), spec, blk, debug_partials=dbg)
         assert len(dbg) == 2 and dbg[0].shape == (25, 16)
         for ci, part in enumerate(dbg):
             lo, hi = ci * 16, ci * 16 + 16
@@ -527,8 +532,8 @@ def test_kernel_chains_follow_the_arith_primitives(kind, engine):
     if kind == "gemm":          # chains of 16, 16 and 8 products, one sign per row
         a = (rng.integers(12000, 16384, (13, 40)) * rng.choice([-1, 1], (13, 1))).astype(np.int16)
         b = rng.integers(12000, 16384, (40, 20)).astype(np.int16)
-        out, _ = gemm_dfp(DfpTensor(a, ea), DfpTensor(b, eb), blk, engine=engine,
-                          debug_partials=dbg)
+        with reference.emulated(engine == "instructions"):
+            out, _ = gemm_dfp(DfpTensor(a, ea), DfpTensor(b, eb), blk, debug_partials=dbg)
         cols, wmat = np.pad(a, ((0, 0), (0, 8))), np.pad(b, ((0, 8), (0, 12)))
         chain = 16
     else:                       # three chains of 16 channels x 9 taps
@@ -536,8 +541,8 @@ def test_kernel_chains_follow_the_arith_primitives(kind, engine):
         x = rng.integers(-16383, 16384, (2, 40, 4, 4)).astype(np.int16)
         w = pack_weights(DfpTensor(rng.integers(-16383, 16384, (20, 40, 3, 3))
                                    .astype(np.int16), eb))
-        out, _ = conv_fprop(DfpTensor(x, ea), w, spec, blk, engine=engine,
-                            debug_partials=dbg)
+        with reference.emulated(engine == "instructions"):
+            out, _ = conv_fprop(DfpTensor(x, ea), w, spec, blk, debug_partials=dbg)
         out = out.transpose(0, 2, 3, 1).reshape(-1, 20)
         cols, wmat = im2col(x, spec, 16), w.data
         chain = 16 * 9

@@ -1,4 +1,5 @@
-"""Property tests: lowering and engine bit identity over random geometry,
+"""Property tests: lowering, and the kernel's bit identity with the
+reference's instruction emulator, over random geometry,
 the FP32 input gradient and the DFP weight gradient against their plain
 formulations, an fc layer against its GEMM formulation, the range,
 exponent and error bounds of the format conversions, their exactness
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import dfp.tensor
-from dfp.arith import AccumTensor, Empirical, down_convert
+from dfp.arith import Empirical
 from dfp.fileio import (METRICS_HEADER, read_dft, read_idx_images, read_idx_labels,
                         read_metrics, write_dft, write_idx_images, write_idx_labels,
                         write_metrics)
@@ -30,6 +31,8 @@ from dfp.layers import AvgPool, Conv, Dense, MaxPool, Quantizers, RunContext
 from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
                         _philox_uniforms, dequantize, extract_exponent, max_abs,
                         quantize)
+import reference
+from reference import AccumTensor, down_convert
 
 # Derandomized so the suite is repeatable; each run covers the same cases.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -213,11 +216,12 @@ blockings = st.builds(BlockingParams, icblk=st.sampled_from([8, 16, 24, 32, 48])
 
 def _assert_engines_agree(run):
     outs = {}
-    for engine in ("instructions", "fast"):
+    for emulate in (True, False):
         dbg = []
-        out, stats = run(engine, dbg)
-        outs[engine] = (out, stats, dbg)
-    (oi, si, di), (of, sf, df) = outs["instructions"], outs["fast"]
+        with reference.emulated(emulate):
+            out, stats = run(dbg)
+        outs[emulate] = (out, stats, dbg)
+    (oi, si, di), (of, sf, df) = outs[True], outs[False]
     npt.assert_array_equal(oi, of)
     assert si == sf                       # every KernelStats field
     event(f"int32 excursions: {si.overflow_count > 0}")
@@ -233,8 +237,7 @@ def test_conv_engines_bit_identical(data, spec, n, blk):
     wt = data.draw(dfp_values((spec.out_ch, spec.in_ch, spec.kh, spec.kw)))
     pw = pack_weights(wt)
     pol = Empirical(shadow_check=True)
-    _assert_engines_agree(lambda engine, dbg: conv_fprop(
-        inp, pw, spec, blk, pol, engine, dbg))
+    _assert_engines_agree(lambda dbg: conv_fprop(inp, pw, spec, blk, pol, dbg))
 
 
 @settings(SETTINGS, max_examples=50)
@@ -244,7 +247,7 @@ def test_gemm_engines_bit_identical(data, m, kk, n, blk):
     a = data.draw(dfp_values((m, kk)))
     b = data.draw(dfp_values((kk, n)))
     pol = Empirical(shadow_check=True)
-    _assert_engines_agree(lambda engine, dbg: gemm_dfp(a, b, blk, pol, engine, dbg))
+    _assert_engines_agree(lambda dbg: gemm_dfp(a, b, blk, pol, dbg))
 
 
 # === an fc layer is a 1x1 convolution ===
@@ -341,15 +344,16 @@ def test_dfp_weight_gradient_equals_the_channel_order_lowering(data, spec, n, c,
     conv = Conv(ctx, "conv", c, spec.out_ch, spec.kh, spec.stride, spec.pad, first=True,
                 rng=rng)
     conv.forward(a, train=True)
-    ctx.stats, ctx.engine = KernelStats(), engine
-    conv.backward(g)
+    ctx.stats = KernelStats()
+    with reference.emulated(engine == "instructions"):
+        conv.backward(g)
 
-    ref = RunContext(q=Quantizers(cfg), policy=ctx.policy, engine=engine)
-    e_q = ref.q.q_e("conv", g)
-    e_mat = DfpTensor(np.ascontiguousarray(e_q.elements.transpose(1, 0, 2, 3)).reshape(
-        spec.out_ch, -1), e_q.shared_exponent, e_q.bit_width)
-    want = ref.gemm(e_mat, DfpTensor(im2col(a.elements, spec), a.shared_exponent, a.bit_width),
-                    "conv", "wgrad")
+        ref = RunContext(q=Quantizers(cfg), policy=ctx.policy)
+        e_q = ref.q.q_e("conv", g)
+        e_mat = DfpTensor(np.ascontiguousarray(e_q.elements.transpose(1, 0, 2, 3)).reshape(
+            spec.out_ch, -1), e_q.shared_exponent, e_q.bit_width)
+        want = ref.gemm(e_mat, DfpTensor(im2col(a.elements, spec), a.shared_exponent,
+                                         a.bit_width), "conv", "wgrad")
     _same_bits(conv.gW, want.reshape(conv.W.shape))
     assert ctx.stats == ref.stats
     event(f"int32 excursions: {ref.stats.overflow_count > 0}")

@@ -180,15 +180,55 @@ def test_no_attribute_only_tests_read():
     assert unread == []
 
 
+def calls_to(tree: ast.Module, name: str):
+    """Each call of the bare name `name` in the module."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
 def test_one_kernel_body():
     # conv_fprop and gemm_dfp run one kernel body: kernels.py plans a call
-    # and dispatches an engine in exactly one place each.
+    # and runs the kernel in exactly one place each.
     tree = ast.parse((SRC / "kernels.py").read_text())
-    plans = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name) and node.func.id == "_make_plan"]
-    dispatches = [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)
-                  and isinstance(node.value, ast.Name) and node.value.id == "ENGINES"]
-    assert (len(plans), len(dispatches)) == (1, 1)
+    assert (len(calls_to(tree, "_make_plan")), len(calls_to(tree, "_run_fast"))) == (1, 1)
+
+
+# What the tests' reference (tests/reference.py) holds and training never runs.
+REFERENCE_ONLY = ("ENGINES", "_run_instr", "vnni_madd", "_madd_contrib64", "AccumTensor",
+                  "dfp_multiply", "dfp_add", "lzc", "down_convert", "spill_to_fp32",
+                  "safe_chain_length")
+
+
+def test_the_package_has_one_kernel_engine():
+    # No function takes an engine, and the emulator and the paper's
+    # specification primitives live with the tests, not in the package.
+    takes_engine, defines = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+                if "engine" in names:
+                    takes_engine.append((path.name, node.lineno))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defines += [(path.name, name) for name in bound if name in REFERENCE_ONLY]
+    assert (takes_engine, defines) == ([], [])
+
+
+def test_run_context_has_no_engine_to_select():
+    # The field stays only for the benchmark harness's engine="fast".
+    from dfp.layers import Quantizers, RunContext
+    from dfp.tensor import QuantConfig
+    assert RunContext(q=Quantizers(QuantConfig()), engine="fast").engine == "fast"
+    for name in ("instructions", "auto", ""):
+        with pytest.raises(ValueError, match=f"engine={name!r}: the kernels have one engine"):
+            RunContext(q=Quantizers(QuantConfig()), engine=name)
 
 
 def test_layers_is_the_one_gemm_dfp_caller():
