@@ -6,8 +6,7 @@ from .kernels import (BlockingParams, ConvSpec, KernelStats, PackedWeights,
                       overhead_ratio, pack_weights)
 from .tensor import (Biased, DfpTensor, Nearest, QuantConfig, RoundingMode,
                      Stochastic, dequantize, extract_exponent, quantize,
-                     round_value, rounding_from_name, shared_exponent,
-                     ZERO_EXPONENT)
+                     rounding_from_name, ZERO_EXPONENT)
 
 __all__ = [
     "Biased", "BlockingParams", "ConvSpec", "DfpTensor", "Empirical",
@@ -15,7 +14,7 @@ __all__ = [
     "Stochastic", "ZERO_EXPONENT",
     "chain_length", "conv_fprop", "default_blocking", "dequantize",
     "extract_exponent", "gemm_dfp", "overhead_ratio", "pack_weights", "quantize",
-    "round_value", "rounding_from_name", "shared_exponent",
+    "rounding_from_name",
 ]
 
 __version__ = "0.1.0"

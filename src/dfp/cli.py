@@ -22,15 +22,21 @@ from .tensor import ROUNDING_MODES, DfpTensor, QuantConfig, quantize, rounding_f
 from .training import TrainingDivergence
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a size or count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(lo: int, kind: str):
+    """argparse type of an integer of at least lo, a `kind` integer."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")      # a size or count
+_seed = _int_at_least(0, "non-negative")
 
 
 # The fields of bench-conv --spec, in order.
@@ -49,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--bits", type=int, default=16)
     q.add_argument("--round", default="nearest", choices=tuple(ROUNDING_MODES))
     q.add_argument("--pre-shift", type=int, default=0)
-    q.add_argument("--seed", type=int, default=0,
+    q.add_argument("--seed", type=_seed, default=0,
                    help="stream seed for stochastic rounding")
 
     def bench_common(p):
@@ -57,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rb", type=int, default=28)
         p.add_argument("--pre-shift", type=int, default=1)
         p.add_argument("--trials", type=_positive_int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--dist", default="gaussian",
                        choices=("gaussian", "adversarial"))
         p.add_argument("--out", default=None, metavar="CSV",
@@ -80,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True,
                    help="IDX directory or generator spec like glyphs:train=4096,test=1024")
     t.add_argument("--precision", default="dfp16", choices=("fp32", "dfp16"))
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--out", required=True, metavar="CSV")
 
     c = sub.add_parser("compare", help="compare two metrics files")

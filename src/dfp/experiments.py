@@ -99,8 +99,8 @@ def load_run_request(path: str) -> dict:
     """Read a --config JSON file; accepts plain configs and resolved runs.
 
     A resolved run must carry its config, and each of its fields that is
-    present must have its type (a seed is an int, not a bool); otherwise
-    a ValueError names the key."""
+    present must have its type (a seed is an int, not a bool, and not
+    negative); otherwise a ValueError names the key."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -113,6 +113,8 @@ def load_run_request(path: str) -> dict:
     for key, kind in _RESOLVED_FIELDS.items():
         if key in raw:
             _check_type(f"{path}: resolved run key {key!r}", raw[key], kind)
+    if raw.get("seed", 0) < 0:
+        raise ValueError(f"{path}: resolved run key 'seed' must be >= 0, got {raw['seed']}")
     return raw
 
 

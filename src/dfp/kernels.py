@@ -46,6 +46,9 @@ rule, arith.spill_add, reproduces the FP32 accumulation bit for bit.  The
 reference lives with the tests: tests/reference.py emulates the sequence
 one madd per instruction on the same plan, lowering, store and spill rule,
 and the tests check that its outputs and statistics equal the kernel's.
+They read the kernel's int32 chains where it spills them, by wrapping
+this module's spill_add, so _run_fast must spill through that name and
+keeps no hook of its own.
 
 The kernel walks the output rows in tiles of whole images, about
 _TILE_ROWS rows each (a GEMM row is a single-pixel image; an image larger
@@ -395,10 +398,7 @@ def _make_plan(spec: ConvSpec, blk: Optional[BlockingParams], policy: Empirical,
                  k16 * 16, madds, bounds, scale, policy.shadow_check)
 
 
-def _run_fast(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
-              debug_partials: Optional[list]) -> KernelStats:
-    if debug_partials is not None:
-        partials = [np.empty((plan.m, plan.kpad), np.int32) for _ in plan.chunk_bounds]
+def _run_fast(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray) -> KernelStats:
     # Work arrays for the largest tile, reused by every tile of the call.
     rows = min(plan.tile_images, plan.images) * plan.pixels
     exact_buf = np.empty((rows, plan.kpad), np.float64)
@@ -414,9 +414,8 @@ def _run_fast(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
     for i0 in range(0, plan.images, plan.tile_images):
         i1 = min(i0 + plan.tile_images, plan.images)
         cols = im2col(x[i0:i1], plan.spec, 16)
-        t0, t1 = i0 * plan.pixels, i1 * plan.pixels
         exact, wide, wrapped, term, acc = (
-            buf[: t1 - t0] for buf in (exact_buf, wide_buf, wrapped_buf, term_buf, acc_buf))
+            buf[: cols.shape[0]] for buf in (exact_buf, wide_buf, wrapped_buf, term_buf, acc_buf))
         acc[...] = 0
         for ci, bounds in enumerate(plan.chunk_bounds):
             op = ops[ci] or _ChainOperand(wmat, bounds, plan.shadow)
@@ -429,14 +428,10 @@ def _run_fast(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
             np.matmul(a, op.b, out=exact)
             np.copyto(wide, exact, casting="unsafe")
             np.copyto(wrapped, wide, casting="unsafe")
-            if debug_partials is not None:
-                partials[ci][t0:t1] = wrapped
             spill_add(acc, wrapped, plan.scale, out=term)
             if plan.shadow:
                 overflow += _shadow_excursions(a_chunk, a, op, exact)
         plan.store(out, i0, i1, acc)
-    if debug_partials is not None:
-        debug_partials.extend(partials)
 
     n_chunks = len(plan.chunk_bounds)
     n_tiles = -(-plan.m // plan.blk.rb_size)
@@ -497,28 +492,25 @@ def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, op: _ChainOperand,
 
 
 def _convolve(x: np.ndarray, wmat: np.ndarray, es: int, spec: ConvSpec,
-              blk: Optional[BlockingParams], policy: Empirical,
-              debug_partials: Optional[list]) -> Tuple[np.ndarray, KernelStats]:
+              blk: Optional[BlockingParams], policy: Empirical
+              ) -> Tuple[np.ndarray, KernelStats]:
     # The one kernel body: NCHW int16 elements x times the (L, Kpad) int16
     # weight matrix, spilled at scale 2**es into a new NCHW FP32 output.
     plan = _make_plan(spec, blk, policy, x.shape[0], es)
     out = np.empty((plan.images, spec.out_ch, spec.oh, spec.ow), np.float32)
-    return out, _run_fast(plan, x, wmat, out, debug_partials)
+    return out, _run_fast(plan, x, wmat, out)
 
 
 def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
                blk: Optional[BlockingParams] = None,
-               policy: Empirical = Empirical(),
-               debug_partials: Optional[list] = None
+               policy: Empirical = Empirical()
                ) -> Tuple[np.ndarray, KernelStats]:
     """Forward convolution of a DFP input with DFP weights lowered by
     pack_weights.
 
     Returns the FP32 output (N, K, OH, OW) plus instruction statistics.
     INT32 partial chains of icblk*KH*KW products are spilled into FP32 with
-    scale 2**(E_inp + E_wt).  `debug_partials`, if a list, receives the raw
-    int32 chain sums (one (M, Kpad) matrix per chain block, pixel-major) for
-    verification against wide-integer oracles.
+    scale 2**(E_inp + E_wt), each by arith.spill_add.
     """
     x = inp.elements
     if x.ndim != 4:
@@ -530,13 +522,12 @@ def conv_fprop(inp: DfpTensor, weights: PackedWeights, spec: ConvSpec,
             f"weights shape {weights.shape} does not match spec "
             f"({spec.out_ch}, {spec.in_ch}, {spec.kh}, {spec.kw})")
     return _convolve(x, weights.data, inp.shared_exponent + weights.shared_exponent,
-                     spec, blk, policy, debug_partials)
+                     spec, blk, policy)
 
 
 def gemm_dfp(a: DfpTensor, b: DfpTensor,
              blk: Optional[BlockingParams] = None,
-             policy: Empirical = Empirical(),
-             debug_partials: Optional[list] = None
+             policy: Empirical = Empirical()
              ) -> Tuple[np.ndarray, KernelStats]:
     """C = A (M x KK) times B (KK x N) through the blocked integer kernels.
 
@@ -544,7 +535,7 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
     channels and runs as one, in conv_fprop's kernel body: A's rows are the
     images (a reshape, not a copy) and B, zero-padded to whole 16-lane
     groups where needed, the weight matrix.  The (M, N) result is a view
-    of the kernel's output.  `debug_partials` acts as in conv_fprop.
+    of the kernel's output.
     """
     if a.elements.ndim != 2 or b.elements.ndim != 2:
         raise ValueError("gemm operands must be rank-2")
@@ -557,5 +548,5 @@ def gemm_dfp(a: DfpTensor, b: DfpTensor,
             if kk % 16 or n % 16 else b.elements)
     out, stats = _convolve(a.elements.reshape(m, kk, 1, 1), wmat,
                            a.shared_exponent + b.shared_exponent,
-                           spec, blk, policy, debug_partials)
+                           spec, blk, policy)
     return out.reshape(m, n), stats

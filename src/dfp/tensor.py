@@ -208,16 +208,7 @@ def extract_exponent(f) -> int:
     return e - 1
 
 
-def shared_exponent(values, bit_width: int) -> int:
-    """Shared exponent E_s = E(max|f|) - (bit_width - 2); 0 for all-zero input."""
-    check_format(bit_width)
-    fmax = finite_float_max(values)[1]
-    if fmax == 0.0:
-        return 0
-    return extract_exponent(fmax) - (bit_width - 2)
-
-
-# === rounding primitives ===
+# === stochastic draws ===
 
 
 def _philox_stream(seed: int, tensor_id: int):
@@ -243,42 +234,16 @@ def _philox_stream(seed: int, tensor_id: int):
     return draws
 
 
-def _philox_uniforms(seed: int, tensor_id: int, n: int) -> np.ndarray:
-    """The first n uniform [0,1) draws of the tensor's stream."""
-    return _philox_stream(seed, tensor_id)(n)
-
-
-def round_value(x, mode: RoundingMode, rng_coords=(0, 0)) -> int:
-    """Round one real scalar to an integer under the given mode.
-
-    rng_coords = (tensor_id, element_index) selects the stochastic draw; it
-    is ignored by the deterministic modes.  Saturation is the caller's job.
-    """
-    x = float(x)
-    if not abs(x) < 2.0 ** 31:
-        raise ValueError(f"|x| must be < 2**31, got {x}")
-    if isinstance(mode, Nearest):
-        mag = math.floor(abs(x) + 0.5)
-        return -mag if x < 0 else mag
-    if isinstance(mode, Biased):
-        return math.trunc(x)
-    if isinstance(mode, Stochastic):
-        tensor_id, element_index = rng_coords
-        lo = math.floor(x)
-        frac = x - lo
-        u = _philox_uniforms(mode.seed, tensor_id, int(element_index) + 1)[-1]
-        return lo + (1 if u < frac else 0)
-    raise TypeError(f"unknown rounding mode {mode!r}")
-
-
 # === quantize / dequantize ===
 
 
 def quantize(values, cfg: QuantConfig, tensor_id: int = 0) -> DfpTensor:
     """Convert an FP32 tensor to DFP under cfg.
 
-    The output exponent is shared_exponent(F, P) + pre_shift and each element
-    is round(f / 2**E_s) under cfg.rounding, saturated to
+    The shared exponent is E_s = E(max|f|) - (P - 2) + pre_shift, with E
+    the extract_exponent of the largest magnitude, which then fills the top
+    of P - 1 - pre_shift magnitude bits; each element is
+    round(f / 2**E_s) under cfg.rounding, saturated to
     +-(2**(P - 1 - pre_shift) - 1).  An all-zero tensor maps to all-zero
     elements with E_s = 0.
 

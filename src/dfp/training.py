@@ -21,7 +21,7 @@ from .arith import Empirical
 from .kernels import BlockingParams, ConvSpec
 from .layers import (AvgPool, BatchNorm, Conv, Dense, Flatten, Layer, MaxPool,
                      Model, Quantizers, ReLU, Residual, RunContext, to_fp32)
-from .tensor import QuantConfig, rounding_from_name
+from .tensor import _F32_MAX, QuantConfig, rounding_from_name
 
 # === configuration ===
 
@@ -94,7 +94,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, hint in typing.get_type_hints(TrainConfig).items():
-            _check_type(name, getattr(self, name), hint)
+            value = getattr(self, name)
+            _check_type(name, value, hint)
+            # json.load reads Infinity, NaN and ints too wide for a float;
+            # the solver computes in float32
+            if hint is float and not abs(value) <= _F32_MAX:
+                raise ValueError(f"{name} must be finite in float32, got {value}")
         if self.loss not in _LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}; "
                              f"expected one of {', '.join(_LOSSES)}")
@@ -104,6 +109,10 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if self.lr_gamma <= 0:
+            raise ValueError(f"lr_gamma must be positive, got {self.lr_gamma}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not self.layers:
             raise ValueError("config must list at least one layer")
         # a chain knob the run would not read is an error, not a no-op
@@ -204,10 +213,17 @@ def build_model(cfg: TrainConfig, in_shape: Tuple[int, ...], ctx: RunContext,
                               precision=mode(own), bias=key("bias", bool, True), rng=rng)
                 shape = (out_features,)
             elif kind == "batchnorm":
+                eps, momentum = key("eps", float, 1e-5), key("momentum", float, 0.1)
+                # the layer keeps eps in float32, as a positive normal number
+                lo = float(np.finfo(np.float32).tiny)
+                if not lo <= eps <= _F32_MAX:
+                    raise ValueError(f"{key.where}: eps must be in [{lo:.4g}, {_F32_MAX:.4g}], "
+                                     f"got {eps}")
+                if not 0 <= momentum <= 1:
+                    raise ValueError(f"{key.where}: momentum must be in [0, 1], got {momentum}")
                 layer = BatchNorm(ctx, key("name", str, fresh_name("bn")),
                                   shape[0], precision=mode(own_precision(key)),
-                                  eps=key("eps", float, 1e-5),
-                                  momentum=key("momentum", float, 0.1))
+                                  eps=eps, momentum=momentum)
             elif kind == "relu":
                 layer = ReLU(ctx, key("name", str, fresh_name("relu")))
             elif kind in ("maxpool", "avgpool"):

@@ -1,6 +1,7 @@
-"""The tests' oracle: the instruction emulator and the paper's DFP primitives.
+"""The tests' oracle: the instruction emulator, the chain recorder, the
+paper's DFP primitives and the quantizer's scalar rules.
 
-Training runs neither.  The package's one kernel, dfp.kernels._run_fast,
+Training runs none of these.  The package's one kernel, dfp.kernels._run_fast,
 computes each int32 chain as float64 matrix products.  run_instructions
 computes it as the hardware would, one vnni_madd per emulated instruction,
 with a live 64-bit mirror of every lane for the shadow overflow count.  It
@@ -9,6 +10,13 @@ runs on the package's own plan (_make_plan), lowering (im2col), NCHW store
 rule that runs.  Inside `with emulated():` it replaces _run_fast, so a test
 reaches it through conv_fprop, gemm_dfp and RunContext, as training reaches
 the fast kernel.
+
+Inside `with chains() as parts:` every kernel call appends its int32 chain
+sums to parts, one (M, Kpad) matrix per chain, rows pixel-major.  The fast
+kernel's chains are read where it spills them: the recorder wraps
+dfp.kernels.spill_add and keeps a copy of each chain it is handed.
+run_instructions, whose spills are 16-lane slices, hands over its own
+matrices instead.
 
 AccumTensor, dfp_multiply, dfp_add, lzc, down_convert, spill_to_fp32 and
 safe_chain_length are the paper's DFP primitives, written out as its
@@ -21,12 +29,18 @@ a partial accumulator into an FP32 running sum (by arith.spill_add, the
 kernels' spill rule) so that long reductions never overflow 32 bits.
 safe_chain_length is the worst-case chain length that Empirical's chains
 can be compared with.
+
+shared_exponent, round_value and _philox_uniforms are dfp.tensor.quantize's
+rules one scalar at a time: the exponent of a tensor, the rounding of one
+value under each mode, and the stochastic draws of a tensor's stream.
+quantize is tested against them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -34,7 +48,9 @@ import numpy as np
 from dfp import kernels
 from dfp.arith import INT32_MAX, INT32_MIN, fp32_scale, spill_add
 from dfp.kernels import KernelStats, im2col
-from dfp.tensor import INT8_MAX, INT8_MIN, DfpTensor, check_format, max_abs
+from dfp.tensor import (INT8_MAX, INT8_MIN, Biased, DfpTensor, Nearest, RoundingMode,
+                        Stochastic, _philox_stream, check_format, extract_exponent,
+                        finite_float_max, max_abs)
 
 # === the instruction emulator ===
 
@@ -68,8 +84,11 @@ def _madd_contrib64(mem: np.ndarray, vinp2: np.ndarray) -> np.ndarray:
     return m[0::2] @ even + m[1::2] @ odd
 
 
-def run_instructions(plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
-                     debug_partials: Optional[list]) -> KernelStats:
+# Where run_instructions hands over its chains inside a `chains()` block.
+_recording: Optional[list] = None
+
+
+def run_instructions(plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray) -> KernelStats:
     """_run_fast's contract, one vnni_madd per emulated instruction: mem is
     read from patch-matrix columns 8i..8i+7 and vinp2 from weight-matrix
     rows 8i..8i+7, and the instructions are counted as they issue."""
@@ -77,8 +96,7 @@ def run_instructions(plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
     rb = plan.blk.rb_size
     stats = KernelStats()
     acc = np.zeros((plan.m, plan.kpad), np.float32)
-    if debug_partials is not None:
-        partials = [np.zeros((plan.m, plan.kpad), np.int32) for _ in plan.chunk_bounds]
+    partials = [np.zeros((plan.m, plan.kpad), np.int32) for _ in plan.chunk_bounds]
 
     for kb in range(plan.k16):
         for t0 in range(0, plan.m, rb):
@@ -102,16 +120,15 @@ def run_instructions(plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray,
                             mirror[j] += _madd_contrib64(mem, vinp2)
                             np.logical_or(flags[j], (mirror[j] > INT32_MAX)
                                           | (mirror[j] < INT32_MIN), out=flags[j])
-                if debug_partials is not None:
-                    partials[ci][t0: t0 + tsz, kb * 16: kb * 16 + 16] = vout
+                partials[ci][t0: t0 + tsz, kb * 16: kb * 16 + 16] = vout
                 spill_add(vtemp, vout, plan.scale)
                 stats.convert_count += tsz
                 stats.spill_count += 1
                 if plan.shadow:
                     stats.overflow_count += int(flags.sum())
             acc[t0: t0 + tsz, kb * 16: kb * 16 + 16] = vtemp
-    if debug_partials is not None:
-        debug_partials.extend(partials)
+    if _recording is not None:
+        _recording.extend(partials)     # one tile of all M rows, chain-minor
     plan.store(out, 0, plan.images, acc)
     return stats
 
@@ -128,6 +145,39 @@ def emulated(on: bool = True):
         yield
     finally:
         kernels._run_fast = fast
+
+
+@contextlib.contextmanager
+def chains():
+    """Record the int32 chains of every kernel call in the block: the
+    yielded list receives, per call, one (M, Kpad) matrix per chain.
+
+    The block records through the engine in place when it opens, so it
+    goes inside `emulated()`.  Both wrapped functions are restored on
+    leaving the block, an exception included.
+    """
+    global _recording
+    parts, spilled = [], []
+    run, spill = kernels._run_fast, kernels.spill_add
+
+    def spill_recorded(dst, chain, scale, out=None):
+        spilled.append(chain.copy())
+        return spill(dst, chain, scale, out=out)
+
+    def run_recorded(plan, x, wmat, out):
+        spilled.clear()
+        stats = run(plan, x, wmat, out)
+        # A call spills tile-major and chain-minor: chain c's rows are
+        # spills c, c + n, c + 2n, ... for n chains.
+        n = len(plan.chunk_bounds)
+        parts.extend(np.concatenate(spilled[c::n]) for c in range(n))
+        return stats
+
+    kernels._run_fast, kernels.spill_add, _recording = run_recorded, spill_recorded, spilled
+    try:
+        yield parts
+    finally:
+        kernels._run_fast, kernels.spill_add, _recording = run, spill, None
 
 
 # === the paper's DFP primitives ===
@@ -257,3 +307,43 @@ def spill_to_fp32(acc: AccumTensor, dst: np.ndarray) -> np.ndarray:
     spill_add(dst, acc.elements, fp32_scale(acc.shared_exponent))
     acc.elements[...] = 0
     return dst
+
+
+# === the quantizer's scalar rules ===
+
+
+def shared_exponent(values, bit_width: int) -> int:
+    """Shared exponent E_s = E(max|f|) - (bit_width - 2); 0 for all-zero input."""
+    check_format(bit_width)
+    fmax = finite_float_max(values)[1]
+    if fmax == 0.0:
+        return 0
+    return extract_exponent(fmax) - (bit_width - 2)
+
+
+def _philox_uniforms(seed: int, tensor_id: int, n: int) -> np.ndarray:
+    """The first n uniform [0,1) draws of the tensor's stream."""
+    return _philox_stream(seed, tensor_id)(n)
+
+
+def round_value(x, mode: RoundingMode, rng_coords=(0, 0)) -> int:
+    """Round one real scalar to an integer under the given mode.
+
+    rng_coords = (tensor_id, element_index) selects the stochastic draw; it
+    is ignored by the deterministic modes.  Saturation is the caller's job.
+    """
+    x = float(x)
+    if not abs(x) < 2.0 ** 31:
+        raise ValueError(f"|x| must be < 2**31, got {x}")
+    if isinstance(mode, Nearest):
+        mag = math.floor(abs(x) + 0.5)
+        return -mag if x < 0 else mag
+    if isinstance(mode, Biased):
+        return math.trunc(x)
+    if isinstance(mode, Stochastic):
+        tensor_id, element_index = rng_coords
+        lo = math.floor(x)
+        frac = x - lo
+        u = _philox_uniforms(mode.seed, tensor_id, int(element_index) + 1)[-1]
+        return lo + (1 if u < frac else 0)
+    raise TypeError(f"unknown rounding mode {mode!r}")

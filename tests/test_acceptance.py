@@ -266,9 +266,8 @@ def test_kernel_oracle_equivalence(capsys):
     wide = qa.elements.astype(np.int64) @ qb.elements.astype(np.int64)
     C = None
     for emulate in (False, True):
-        parts = []
-        with reference.emulated(emulate):
-            C, st = gemm_dfp(qa, qb, policy=pol, debug_partials=parts)
+        with reference.emulated(emulate), reference.chains() as parts:
+            C, st = gemm_dfp(qa, qb, policy=pol)
         ovf += st.overflow_count
         parts_ok = parts_ok and len(parts) == 1 and np.array_equal(
             parts[0][:, :256].astype(np.int64), wide)
@@ -291,9 +290,8 @@ def test_kernel_oracle_equivalence(capsys):
     wide = _conv_exact64(qx.elements, qw.elements, spec)
     out = None
     for emulate in (False, True):
-        parts = []
-        with reference.emulated(emulate):
-            out, st = conv_fprop(qx, pw, spec, None, pol, parts)
+        with reference.emulated(emulate), reference.chains() as parts:
+            out, st = conv_fprop(qx, pw, spec, None, pol)
         ovf += st.overflow_count
         parts_ok = parts_ok and len(parts) == 1 and np.array_equal(
             parts[0][:, :32].astype(np.int64), wide)

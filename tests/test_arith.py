@@ -7,9 +7,9 @@ import numpy.testing as npt
 import pytest
 
 from dfp.arith import INT32_MAX, Empirical, fp32_scale
-from dfp.tensor import DfpTensor, QuantConfig, shared_exponent
+from dfp.tensor import DfpTensor, QuantConfig
 from reference import (AccumTensor, dfp_add, dfp_multiply, down_convert, lzc,
-                       safe_chain_length, spill_to_fp32)
+                       safe_chain_length, shared_exponent, spill_to_fp32)
 
 # === multiply ===
 

@@ -564,6 +564,24 @@ def test_cli_bench_conv_names_the_bad_spec_field(spec, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "c.json", "--data", "glyphs:train=16,test=16", "--seed", "-1",
+     "--out", "m.csv"],
+    ["bench-gemm", "--m", "4", "--n", "4", "--k", "4", "--seed", "-3"],
+    # the adversarial operands draw nothing, but the option is checked all the same
+    ["bench-gemm", "--m", "4", "--n", "4", "--k", "4", "--seed", "-3", "--dist", "adversarial"],
+    ["bench-conv", "--spec", "4,4,4,4,1,1,1,0", "--seed", "x"],
+    ["quantize", "--in", "a.dft", "--out", "b.dft", "--round", "stochastic", "--seed", "-1"],
+])
+def test_cli_seeds_must_be_non_negative(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    value = argv[argv.index("--seed") + 1]
+    assert (f"argument --seed: must be a non-negative integer, got '{value}'"
+            in capsys.readouterr().err)
+
+
 MLP_JSON = {
     "layers": [{"type": "fc", "out_features": 16, "precision": "fp32"},
                {"type": "relu"},
@@ -710,6 +728,12 @@ _CONV_NET = [{"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1},
      "resolved run key 'seed' must be int, got str"),
     ({"resolved_run": True, "config": MLP_JSON, "seed": True},
      "resolved run key 'seed' must be int, got bool"),
+    ({"resolved_run": True, "config": MLP_JSON, "seed": -2},
+     "resolved run key 'seed' must be >= 0, got -2"),
+    # json.load reads Infinity and NaN, so the solver's numbers are checked
+    ({"base_lr": float("inf")}, "base_lr must be finite in float32, got inf"),
+    ({"lr_gamma": float("nan"), "step_epochs": [0]},
+     "lr_gamma must be finite in float32, got nan"),
 ])
 def test_cli_train_rejects_malformed_config(tmp_path, capsys, patch, message):
     cfg_path = str(tmp_path / "bad.json")

@@ -384,10 +384,11 @@ def test_shadow_count_over_several_tiles():
 
 
 def _engines_agree_over_tiles(run):
-    # Output, debug partials and every KernelStats field, shadow on.
-    with reference.emulated():
-        oi, si, di = run()
-    of, sf, df = run()
+    # Output, recorded chains and every KernelStats field, shadow on.
+    with reference.emulated(), reference.chains() as di:
+        oi, si = run()
+    with reference.chains() as df:
+        of, sf = run()
     npt.assert_array_equal(oi, of)
     assert si == sf
     assert len(di) == len(df) > 1
@@ -418,12 +419,7 @@ def test_conv_engines_agree_across_tiles(monkeypatch, tile_rows):
     blk = BlockingParams(icblk=16, rb_size=8)       # two chains per output
     pol = Empirical(shadow_check=True)
 
-    def run():
-        dbg = []
-        out, st = conv_fprop(inp, pack_weights(wt), spec, blk, pol, dbg)
-        return out, st, dbg
-
-    stats = _engines_agree_over_tiles(run)
+    stats = _engines_agree_over_tiles(lambda: conv_fprop(inp, pack_weights(wt), spec, blk, pol))
     assert stats.overflow_count > 0
     # one spill per register block of the whole call, ceil(175 / 8) = 22 of
     # them per (16-lane block, chain), not a sum over tiles
@@ -439,12 +435,7 @@ def test_gemm_engines_agree_across_tiles(monkeypatch):
     blk = BlockingParams(icblk=16, rb_size=3)       # three chains per output
     pol = Empirical(shadow_check=True)
 
-    def run():
-        dbg = []
-        out, st = gemm_dfp(a, b, blk, pol, dbg)
-        return out, st, dbg
-
-    stats = _engines_agree_over_tiles(run)
+    stats = _engines_agree_over_tiles(lambda: gemm_dfp(a, b, blk, pol))
     assert stats.overflow_count > 0
     assert stats.spill_count == 5 * 2 * 3          # ceil(13 / 3) = 5
 
@@ -497,16 +488,15 @@ def test_conv_matches_int64_oracle_single_chunk():
     assert stats.fma_count == 2 * 36 * 18       # M * madds per output
 
 
-def test_debug_partials_match_int64_mod_2_32():
+def test_recorded_chains_match_int64_mod_2_32():
     rng = np.random.default_rng(3500)
     spec = ConvSpec(32, 16, 5, 5, 3, 3, 1, 1)
     blk = BlockingParams(icblk=16, rb_size=28)      # two chunks
     inp = _rand_dfp(rng, (1, 32, 5, 5))
     wt = _rand_dfp(rng, (16, 32, 3, 3), scale=0.2)
     for emulate in (True, False):
-        dbg = []
-        with reference.emulated(emulate):
-            conv_fprop(inp, pack_weights(wt), spec, blk, debug_partials=dbg)
+        with reference.emulated(emulate), reference.chains() as dbg:
+            conv_fprop(inp, pack_weights(wt), spec, blk)
         assert len(dbg) == 2 and dbg[0].shape == (25, 16)
         for ci, part in enumerate(dbg):
             lo, hi = ci * 16, ci * 16 + 16
@@ -528,12 +518,11 @@ def test_kernel_chains_follow_the_arith_primitives(kind, engine):
     rng = np.random.default_rng(3600)
     ea, eb = -9, -11
     blk = BlockingParams(icblk=16, rb_size=7)
-    dbg = []
     if kind == "gemm":          # chains of 16, 16 and 8 products, one sign per row
         a = (rng.integers(12000, 16384, (13, 40)) * rng.choice([-1, 1], (13, 1))).astype(np.int16)
         b = rng.integers(12000, 16384, (40, 20)).astype(np.int16)
-        with reference.emulated(engine == "instructions"):
-            out, _ = gemm_dfp(DfpTensor(a, ea), DfpTensor(b, eb), blk, debug_partials=dbg)
+        with reference.emulated(engine == "instructions"), reference.chains() as dbg:
+            out, _ = gemm_dfp(DfpTensor(a, ea), DfpTensor(b, eb), blk)
         cols, wmat = np.pad(a, ((0, 0), (0, 8))), np.pad(b, ((0, 8), (0, 12)))
         chain = 16
     else:                       # three chains of 16 channels x 9 taps
@@ -541,8 +530,8 @@ def test_kernel_chains_follow_the_arith_primitives(kind, engine):
         x = rng.integers(-16383, 16384, (2, 40, 4, 4)).astype(np.int16)
         w = pack_weights(DfpTensor(rng.integers(-16383, 16384, (20, 40, 3, 3))
                                    .astype(np.int16), eb))
-        with reference.emulated(engine == "instructions"):
-            out, _ = conv_fprop(DfpTensor(x, ea), w, spec, blk, debug_partials=dbg)
+        with reference.emulated(engine == "instructions"), reference.chains() as dbg:
+            out, _ = conv_fprop(DfpTensor(x, ea), w, spec, blk)
         out = out.transpose(0, 2, 3, 1).reshape(-1, 20)
         cols, wmat = im2col(x, spec, 16), w.data
         chain = 16 * 9

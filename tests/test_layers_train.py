@@ -691,6 +691,21 @@ _CONV = {"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1}
      r"layers\[0\]\.body\[0\] \(avgpool\): pool 4 does not tile input \(4, 6, 6\)"),
     ([dict(_CONV, stride=4, pad=0)],
      r"layers\[0\] \(conv\): output size for dim 6, kernel 3, stride 4, pad 0 is not integral"),
+    # BatchNorm's eps is a positive normal float32 and its momentum a blend
+    # weight; either out of range makes NaN statistics in some precision
+    ([{"type": "batchnorm", "eps": -1.0}],
+     r"layers\[0\] \(batchnorm\): eps must be in \[1\.175e-38, 3\.403e\+38\], got -1\.0"),
+    ([{"type": "batchnorm", "eps": 0}], r"layers\[0\] \(batchnorm\): eps must be in .*, got 0$"),
+    ([{"type": "batchnorm", "eps": 1e-50}],
+     r"layers\[0\] \(batchnorm\): eps must be in .*, got 1e-50"),
+    ([{"type": "batchnorm", "eps": float("inf")}],
+     r"layers\[0\] \(batchnorm\): eps must be in .*, got inf"),
+    ([{"type": "residual", "body": [{"type": "batchnorm", "momentum": -3.0}]}],
+     r"layers\[0\]\.body\[0\] \(batchnorm\): momentum must be in \[0, 1\], got -3\.0"),
+    ([{"type": "batchnorm", "momentum": 1.5}],
+     r"layers\[0\] \(batchnorm\): momentum must be in \[0, 1\], got 1\.5"),
+    ([{"type": "batchnorm", "momentum": float("nan")}],
+     r"layers\[0\] \(batchnorm\): momentum must be in \[0, 1\], got nan"),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
 def test_build_rejects_malformed_layer(layers, match, precision):
@@ -737,6 +752,28 @@ def test_config_that_builds_trains(patch, match, precision):
     assert (ctx.stats.fma_count > 0) == (precision == "dfp16")
 
 
+@pytest.mark.parametrize("bn", [{"eps": 1.2e-38}, {"eps": 3e38}, {"momentum": 0},
+                                {"momentum": 1.0}])
+@pytest.mark.parametrize("precision", ["fp32", "dfp16"])
+def test_batchnorm_bounds_that_build_train(bn, precision):
+    # The ends of eps's and momentum's ranges build, so they must train and
+    # evaluate on finite running statistics in both precision modes.
+    raw = {"layers": [_CONV, dict(type="batchnorm", **bn), {"type": "relu"},
+                      {"type": "flatten"}, {"type": "fc", "out_features": 3}],
+           "loss": "softmax_xent", "epochs": 2, "batch_size": 2}
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((4, 2, 6, 6)).astype(np.float32)
+    y = np.array([0, 2, 1, 0])
+    cfg = parse_config(raw)
+    model = build_model(cfg, (2, 6, 6), RunContext(q=make_quantizers(cfg, seed=9)), rng,
+                        precision=precision)
+    rows = train_loop(model, cfg, x, y, x, y, seed=9)
+    assert all(np.isfinite(r["train_loss"]) for r in rows)
+    assert [r["val_acc"] != "" for r in rows] == [False, True, False, True]
+    bn_layer = model.layers[1]
+    assert np.isfinite(bn_layer.running_mean).all() and np.isfinite(bn_layer.running_var).all()
+
+
 @pytest.mark.parametrize("patch, match", [
     ({"epochs": "1"}, "epochs must be int, got str"),
     ({"base_lr": True}, "base_lr must be float, got bool"),
@@ -749,6 +786,27 @@ def test_parse_config_rejects_wrong_types(patch, match):
     with pytest.raises(ValueError, match=match):
         parse_config(dict(MLP_CFG, **patch))
     parse_config(dict(MLP_CFG, base_lr=1, momentum=0))    # an int is a float
+
+
+@pytest.mark.parametrize("patch, match", [
+    ({"base_lr": float("inf")}, r"^base_lr must be finite in float32, got inf$"),
+    ({"base_lr": float("nan")}, r"^base_lr must be finite in float32, got nan$"),
+    ({"base_lr": 1e39}, r"^base_lr must be finite in float32, got 1e\+39$"),
+    ({"base_lr": 10 ** 400}, r"^base_lr must be finite in float32, got 1000"),
+    ({"momentum": float("nan")}, r"^momentum must be finite in float32, got nan$"),
+    ({"lr_gamma": float("nan"), "step_epochs": [0]},
+     r"^lr_gamma must be finite in float32, got nan$"),
+    ({"lr_gamma": 0.0}, r"^lr_gamma must be positive, got 0\.0$"),
+    ({"lr_gamma": -0.5}, r"^lr_gamma must be positive, got -0\.5$"),
+    ({"weight_decay": -1e-4}, r"^weight_decay must be >= 0, got -0\.0001$"),
+    ({"weight_decay": float("inf")}, r"^weight_decay must be finite in float32, got inf$"),
+])
+def test_parse_config_rejects_solver_numbers_out_of_range(patch, match):
+    # each of these would otherwise die at iteration 0 or 1 with an error
+    # naming a loss or a quantizer, not the field
+    with pytest.raises(ValueError, match=match):
+        parse_config(dict(MLP_CFG, **patch))
+    parse_config(dict(MLP_CFG, lr_gamma=1, weight_decay=0))
 
 
 # === losses ===

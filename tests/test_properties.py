@@ -29,10 +29,9 @@ from dfp.kernels import (BlockingParams, ConvSpec, KernelStats, conv_fprop, fp32
                          gemm_dfp, im2col, pack_weights)
 from dfp.layers import AvgPool, Conv, Dense, MaxPool, Quantizers, RunContext
 from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
-                        _philox_uniforms, dequantize, extract_exponent, max_abs,
-                        quantize)
+                        dequantize, extract_exponent, max_abs, quantize)
 import reference
-from reference import AccumTensor, down_convert
+from reference import AccumTensor, _philox_uniforms, down_convert
 
 # Derandomized so the suite is repeatable; each run covers the same cases.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -217,10 +216,9 @@ blockings = st.builds(BlockingParams, icblk=st.sampled_from([8, 16, 24, 32, 48])
 def _assert_engines_agree(run):
     outs = {}
     for emulate in (True, False):
-        dbg = []
-        with reference.emulated(emulate):
-            out, stats = run(dbg)
-        outs[emulate] = (out, stats, dbg)
+        with reference.emulated(emulate), reference.chains() as parts:
+            out, stats = run()
+        outs[emulate] = (out, stats, parts)
     (oi, si, di), (of, sf, df) = outs[True], outs[False]
     npt.assert_array_equal(oi, of)
     assert si == sf                       # every KernelStats field
@@ -237,7 +235,7 @@ def test_conv_engines_bit_identical(data, spec, n, blk):
     wt = data.draw(dfp_values((spec.out_ch, spec.in_ch, spec.kh, spec.kw)))
     pw = pack_weights(wt)
     pol = Empirical(shadow_check=True)
-    _assert_engines_agree(lambda dbg: conv_fprop(inp, pw, spec, blk, pol, dbg))
+    _assert_engines_agree(lambda: conv_fprop(inp, pw, spec, blk, pol))
 
 
 @settings(SETTINGS, max_examples=50)
@@ -247,7 +245,7 @@ def test_gemm_engines_bit_identical(data, m, kk, n, blk):
     a = data.draw(dfp_values((m, kk)))
     b = data.draw(dfp_values((kk, n)))
     pol = Empirical(shadow_check=True)
-    _assert_engines_agree(lambda dbg: gemm_dfp(a, b, blk, pol, dbg))
+    _assert_engines_agree(lambda: gemm_dfp(a, b, blk, pol))
 
 
 # === an fc layer is a 1x1 convolution ===

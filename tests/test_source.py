@@ -52,9 +52,9 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 
 
-def private_definitions(tree: ast.Module):
-    """(line, name) of each _private name the module binds at top level:
-    functions, classes and assignment targets; dunders are not private."""
+def top_level_definitions(tree: ast.Module):
+    """(line, name) of each name the module binds at top level: functions,
+    classes and assignment targets."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -62,7 +62,13 @@ def private_definitions(tree: ast.Module):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found.extend((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
-    return [(line, name) for line, name in found
+    return found
+
+
+def private_definitions(tree: ast.Module):
+    """(line, name) of each _private name the module binds at top level;
+    dunders are not private."""
+    return [(line, name) for line, name in top_level_definitions(tree)
             if name.startswith("_") and not name.startswith("__")]
 
 
@@ -196,28 +202,28 @@ def test_one_kernel_body():
 # What the tests' reference (tests/reference.py) holds and training never runs.
 REFERENCE_ONLY = ("ENGINES", "_run_instr", "vnni_madd", "_madd_contrib64", "AccumTensor",
                   "dfp_multiply", "dfp_add", "lzc", "down_convert", "spill_to_fp32",
-                  "safe_chain_length")
+                  "safe_chain_length", "round_value", "shared_exponent", "_philox_uniforms")
+# Parameters that would select an engine or hand a kernel's internals to a test.
+TEST_ONLY_PARAMETERS = ("engine", "debug_partials")
 
 
 def test_the_package_has_one_kernel_engine():
-    # No function takes an engine, and the emulator and the paper's
-    # specification primitives live with the tests, not in the package.
+    # No function takes an engine or a test hook, and the emulator, the
+    # paper's specification primitives and the quantizer's scalar rules
+    # live with the tests, not in the package.
     takes_engine, defines = [], []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
                 names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
-                if "engine" in names:
-                    takes_engine.append((path.name, node.lineno))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bound = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                bound = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            defines += [(path.name, name) for name in bound if name in REFERENCE_ONLY]
+                takes_engine += [(path.name, node.lineno, name) for name in names
+                                 if name in TEST_ONLY_PARAMETERS]
+        # module-level names only: a field such as DfpTensor.shared_exponent
+        # is not the reference's function
+        defines += [(path.name, name) for _, name in top_level_definitions(tree)
+                    if name in REFERENCE_ONLY]
     assert (takes_engine, defines) == ([], [])
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from dfp.tensor import (Biased, DfpTensor, Nearest, QuantConfig, Stochastic,
                         ZERO_EXPONENT, dequantize, extract_exponent, quantize,
-                        round_value, rounding_from_name, shared_exponent)
+                        rounding_from_name)
+from reference import round_value, shared_exponent
 
 # === exponent extraction ===
 
