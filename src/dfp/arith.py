@@ -36,10 +36,11 @@ class Empirical:
     sum; the counts equal those of a live 64-bit mirror of every lane (the
     tests' instruction emulator) and do not depend on the thread count.
     On a 2-core x86 box, a DFP16 training step of the resnet_shadow network
-    takes 1.15-1.19x as long with them as without, and a conv_fprop of its
+    takes 1.11-1.27x as long with them as without, and a conv_fprop of its
     residual conv shape on `dfp bench-conv --dist gaussian` operands
-    (16 -> 16 channels, 14x14, 3x3, pad 1, batch 32) 1.19-1.25x.  Rows whose chains could leave int32
-    also pay an extra matmul, and some of those madd-by-madd prefix sums.
+    (16 -> 16 channels, 14x14, 3x3, pad 1, batch 32) 1.27-1.36x.  Each
+    chain costs one matrix-vector product that bounds every row's running
+    sums; only the rows it cannot clear are re-summed madd by madd.
     """
 
     chain_block: int = 208

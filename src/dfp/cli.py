@@ -15,6 +15,7 @@ failed comparison, 2 on an error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import experiments, fileio
@@ -22,21 +23,27 @@ from .tensor import ROUNDING_MODES, DfpTensor, QuantConfig, quantize, rounding_f
 from .training import TrainingDivergence
 
 
-def _int_at_least(lo: int, kind: str):
-    """argparse type of an integer of at least lo, a `kind` integer."""
-    def parse(text: str) -> int:
+def _option(convert, ok, what: str):
+    """argparse type of a value that convert parses and ok accepts; any
+    other text is rejected as not `what`, and argparse names the option."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            value = lo - 1
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")      # a size or count
-_seed = _int_at_least(0, "non-negative")
+_positive_int = _option(int, lambda v: v >= 1, "a positive integer")   # a size or count
+_seed = _option(int, lambda v: v >= 0, "a non-negative integer")
+_bits = _option(int, lambda v: 2 <= v <= 16, "an integer in [2, 16]")
+# at most bits - 2 (one magnitude bit survives); bench operands have 16 bits
+_pre_shift = _option(int, lambda v: 0 <= v <= 14, "an integer in [0, 14]")
+_icblk = _option(int, lambda v: v >= 8 and v % 8 == 0, "a positive multiple of 8")
+_tolerance = _option(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
 # The fields of bench-conv --spec, in order.
@@ -52,16 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("quantize", help="quantize an FP32 tensor file")
     q.add_argument("--in", dest="in_path", required=True, metavar="FILE")
     q.add_argument("--out", required=True, metavar="FILE")
-    q.add_argument("--bits", type=int, default=16)
+    q.add_argument("--bits", type=_bits, default=16)
     q.add_argument("--round", default="nearest", choices=tuple(ROUNDING_MODES))
-    q.add_argument("--pre-shift", type=int, default=0)
+    q.add_argument("--pre-shift", type=_pre_shift, default=0)
     q.add_argument("--seed", type=_seed, default=0,
                    help="stream seed for stochastic rounding")
 
     def bench_common(p):
-        p.add_argument("--icblk", type=int, default=None)
-        p.add_argument("--rb", type=int, default=28)
-        p.add_argument("--pre-shift", type=int, default=1)
+        p.add_argument("--icblk", type=_icblk, default=None)
+        p.add_argument("--rb", type=_positive_int, default=28)
+        p.add_argument("--pre-shift", type=_pre_shift, default=1)
         p.add_argument("--trials", type=_positive_int, default=1)
         p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--dist", default="gaussian",
@@ -92,12 +99,16 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="compare two metrics files")
     c.add_argument("--a", required=True, metavar="CSV", help="reference run")
     c.add_argument("--b", required=True, metavar="CSV", help="candidate run")
-    c.add_argument("--tol-acc", type=float, default=0.005)
-    c.add_argument("--tol-loss", type=float, default=0.10)
+    c.add_argument("--tol-acc", type=_tolerance, default=0.005)
+    c.add_argument("--tol-loss", type=_tolerance, default=0.10)
     return top
 
 
 def _cmd_quantize(args) -> int:
+    if args.pre_shift > args.bits - 2:
+        print(f"error: --pre-shift must be in [0, {args.bits - 2}] for --bits {args.bits}, "
+              f"got {args.pre_shift}", file=sys.stderr)
+        return 2
     src = fileio.read_dft(args.in_path)
     if isinstance(src, DfpTensor):
         print(f"error: {args.in_path} is already quantized", file=sys.stderr)
@@ -130,6 +141,11 @@ def _cmd_bench(args) -> int:
                 shape.append(int(part))
             except ValueError:
                 print(f"error: --spec field {i} ({name}) must be an integer, got {part!r}",
+                      file=sys.stderr)
+                return 2
+            lo = int(name != "pad")      # pad may be 0; every other field is a size
+            if shape[-1] < lo:
+                print(f"error: --spec field {i} ({name}) must be >= {lo}, got {part!r}",
                       file=sys.stderr)
                 return 2
         rows = experiments.run_bench_conv(tuple(shape), n_batch=args.batch, **knobs)

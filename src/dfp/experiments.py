@@ -100,9 +100,16 @@ def load_run_request(path: str) -> dict:
 
     A resolved run must carry its config, and each of its fields that is
     present must have its type (a seed is an int, not a bool, and not
-    negative); otherwise a ValueError names the key."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    negative); otherwise a ValueError names the key.  A file that is not
+    UTF-8 JSON is a ValueError naming the file and the position."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno} column {exc.colno} (char {exc.pos}): "
+                         f"not JSON ({exc.msg})") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: top level must be a JSON object, "
                          f"got {type(raw).__name__}")

@@ -64,17 +64,14 @@ counted per rb_size register block of all M rows, never per tile.
 With shadow checking enabled, the kernel counts one overflow event per
 (output element, chain) whose exact running sum leaves the signed 32-bit
 range at some madd boundary, as a live 64-bit mirror of every lane would.
-It bounds each chain in three exact tiers.  With P the sum of a pair's
-positive products and N the magnitude of its negative ones, every running
-sum lies in [-N, P].  First, one float64 matrix-vector product gives each
-row r the bound B_r = sum_k |A_rk| * max_j |B_kj| >= P + N for all its
-pairs; a row with B_r <= INT32_MAX cannot overflow.  Second, for the
-remaining rows only, P + N = |A| @ |B| and P - N = A @ B are exact float64
-matmuls, and pairs with P <= INT32_MAX and N <= 2**31 cannot overflow.
-Last, only the rows holding some other pair are re-summed madd by madd, as
-float64 prefix sums over the tile's flagged rows, so the tile bounds this
-replay too.  The count stays exact, and a chain whose rows all pass the
-row bound costs one extra matrix-vector product.
+It counts each chain in two exact steps.  First, one float64
+matrix-vector product gives each row r the bound
+B_r = sum_k |A_rk| * max_j |B_kj|, which no running sum of the row can
+exceed in magnitude; a row with B_r <= INT32_MAX cannot overflow.  Then
+only the other rows are re-summed madd by madd, as float64 prefix sums
+over the tile's flagged rows, so the tile bounds this replay too.  The
+count stays exact, and a chain whose rows all pass the row bound costs
+one extra matrix-vector product.
 """
 
 from __future__ import annotations
@@ -430,7 +427,7 @@ def _run_fast(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray) -> 
             np.copyto(wrapped, wide, casting="unsafe")
             spill_add(acc, wrapped, plan.scale, out=term)
             if plan.shadow:
-                overflow += _shadow_excursions(a_chunk, a, op, exact)
+                overflow += _shadow_excursions(a_chunk, a, op)
         plan.store(out, i0, i1, acc)
 
     n_chunks = len(plan.chunk_bounds)
@@ -443,8 +440,7 @@ def _run_fast(plan: _Plan, x: np.ndarray, wmat: np.ndarray, out: np.ndarray) -> 
 
 class _ChainOperand:
     """One chain's rows r0:r1 of the weight matrix in float64, with, for
-    the shadow check, each row's largest magnitude and, built only if some
-    row of A needs them, all the magnitudes."""
+    the shadow check, each row's largest magnitude."""
 
     def __init__(self, wmat: np.ndarray, bounds: Tuple[int, int], shadow: bool):
         self.r0, self.r1 = bounds[0] * 8, bounds[1] * 8
@@ -453,34 +449,19 @@ class _ChainOperand:
         if shadow:
             self.row_max = np.maximum(w.max(axis=1), -w.min(axis=1).astype(np.float64))
 
-    @functools.cached_property
-    def absb(self) -> np.ndarray:
-        return np.abs(self.b)
 
-
-def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, op: _ChainOperand,
-                       exact: np.ndarray) -> int:
+def _shadow_excursions(a_chunk: np.ndarray, a: np.ndarray, op: _ChainOperand) -> int:
     # Count (output element, chain) pairs whose exact running sum leaves the
     # int32 range at any madd boundary; identical to a 64-bit mirror of
     # every lane, as the tests' instruction emulator keeps.
-    # a is the tile's float64 chain operand (overwritten with |a|), a_chunk
-    # its int16 original, and exact = a @ op.b.  With P the sum of a pair's
-    # positive products and N the magnitude of its negative ones, every
-    # running sum lies in [-N, P].  Row tier: B_r = |a_r| @ max_j |b_kj|
-    # >= P + N for every pair of row r, so rows with B_r <= INT32_MAX cannot
-    # overflow.  Pair tier, for the rest: |a| @ |b| = P + N and exact = P - N,
-    # both exact like `exact` itself.  Only rows with a pair whose P or -N
-    # leaves int32 are summed madd by madd, all of the tile's at once.
-    absa = np.abs(a, out=a)
-    rows = np.flatnonzero(absa @ op.row_max > INT32_MAX)
+    # a is the tile's float64 chain operand (overwritten with |a|) and
+    # a_chunk its int16 original.  Every running sum of row r lies within
+    # B_r = |a_r| @ max_j |b_kj| of zero, so rows with B_r <= INT32_MAX
+    # cannot overflow; the others are summed madd by madd, all of the
+    # tile's at once.
+    rows = np.flatnonzero(np.abs(a, out=a) @ op.row_max > INT32_MAX)
     if rows.size == 0:
         return 0
-    if rows.size < absa.shape[0]:
-        absa, exact = absa[rows], exact[rows]
-    mag = absa @ op.absb
-    flagged = mag + exact > 2 * INT32_MAX
-    flagged |= np.subtract(mag, exact, out=mag) > -2 * INT32_MIN
-    rows = rows[flagged.any(axis=1)]
     madds, kp = op.b.shape[0] // 8, op.b.shape[1]
     am = a_chunk[rows].reshape(rows.size, madds, 8).transpose(1, 0, 2).astype(np.float64)
     run = am @ op.b.reshape(madds, 8, kp)       # (madds, rows, kp), exact

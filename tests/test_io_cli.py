@@ -527,14 +527,15 @@ def test_cli_bench_conv_bad_spec(capsys):
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "adversarial"])
-@pytest.mark.parametrize("pre_shift", ["15", "16"])
+@pytest.mark.parametrize("pre_shift", ["-1", "15", "16", "20"])
 def test_cli_bench_checks_pre_shift_on_both_dists(dist, pre_shift, capsys):
     # a 16-bit operand keeps at least one magnitude bit: pre_shift <= 14
-    rc = cli.main(["bench-gemm", "--m", "4", "--n", "4", "--k", "4", "--dist", dist,
-                   "--pre-shift", pre_shift])
-    out, err = capsys.readouterr()
-    assert (rc, out) == (2, "")
-    assert err == f"error: pre_shift must be in [0, bit_width-2], got {pre_shift}\n"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["bench-gemm", "--m", "4", "--n", "4", "--k", "4", "--dist", dist,
+                  "--pre-shift", pre_shift])
+    out, text = capsys.readouterr()
+    assert (err.value.code, out) == (2, "")
+    assert f"argument --pre-shift: must be an integer in [0, 14], got '{pre_shift}'" in text
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -544,6 +545,8 @@ def test_cli_bench_checks_pre_shift_on_both_dists(dist, pre_shift, capsys):
     (["bench-gemm", "--m", "4", "--n", "4", "--k", "4", "--trials", "0"], "--trials"),
     (["bench-conv", "--spec", "4,4,4,4,1,1,1,0", "--batch", "0"], "--batch"),
     (["bench-conv", "--spec", "4,4,4,4,1,1,1,0", "--trials", "-2"], "--trials"),
+    (["bench-gemm", "--m", "4", "--n", "4", "--k", "4", "--rb", "0"], "--rb"),
+    (["bench-conv", "--spec", "4,4,4,4,1,1,1,0", "--rb", "-2"], "--rb"),
 ])
 def test_cli_bench_sizes_must_be_positive(argv, option, capsys):
     with pytest.raises(SystemExit) as err:
@@ -558,10 +561,43 @@ def test_cli_bench_sizes_must_be_positive(argv, option, capsys):
     ("4,4,a,4,1,1,1,0", "--spec field 3 (H) must be an integer, got 'a'"),
     ("4,4,4,4,1,1,1,", "--spec field 8 (pad) must be an integer, got ''"),
     ("1.5,4,4,4,1,1,1,0", "--spec field 1 (C) must be an integer, got '1.5'"),
+    ("0,4,4,4,1,1,1,0", "--spec field 1 (C) must be >= 1, got '0'"),
+    ("4,4,4,4,1,1,0,0", "--spec field 7 (stride) must be >= 1, got '0'"),
+    ("4,4,4,-4,1,1,1,0", "--spec field 4 (W) must be >= 1, got '-4'"),
+    ("4,4,4,4,1,1,1,-1", "--spec field 8 (pad) must be >= 0, got '-1'"),
 ])
 def test_cli_bench_conv_names_the_bad_spec_field(spec, message, capsys):
     assert cli.main(["bench-conv", "--spec", spec]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, option, message", [
+    (["bench-gemm", "--m", "4", "--n", "4", "--k", "4", "--icblk", "12"], "--icblk",
+     "must be a positive multiple of 8"),
+    (["bench-conv", "--spec", "4,4,4,4,1,1,1,0", "--icblk", "0"], "--icblk",
+     "must be a positive multiple of 8"),
+    (["quantize", "--in", "a.dft", "--out", "b.dft", "--bits", "1"], "--bits",
+     "must be an integer in [2, 16]"),
+    (["quantize", "--in", "a.dft", "--out", "b.dft", "--bits", "17"], "--bits",
+     "must be an integer in [2, 16]"),
+    (["quantize", "--in", "a.dft", "--out", "b.dft", "--pre-shift", "15"], "--pre-shift",
+     "must be an integer in [0, 14]"),
+], ids=["gemm-icblk", "conv-icblk", "bits-1", "bits-17", "quantize-pre-shift"])
+def test_cli_numeric_options_name_themselves(argv, option, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    value = argv[argv.index(option) + 1]
+    assert f"argument {option}: {message}, got '{value}'" in capsys.readouterr().err
+
+
+def test_cli_quantize_pre_shift_is_checked_against_bits(tmp_path, capsys):
+    # --bits 8 keeps one magnitude bit up to --pre-shift 6; checked before
+    # the input file is read
+    rc = cli.main(["quantize", "--in", str(tmp_path / "nope.dft"),
+                   "--out", str(tmp_path / "o.dft"), "--bits", "8", "--pre-shift", "7"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --pre-shift must be in [0, 6] for --bits 8, got 7\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -868,6 +904,20 @@ def test_cli_train_rejects_non_object_config(tmp_path, capsys):
     assert f"{cfg_path}: top level must be a JSON object, got list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"layers": [', "line 1 column 13 (char 12): not JSON (Expecting value)"),
+    (b'\xff\xfe{"layers": []}', "byte 0: not UTF-8 (invalid start byte)"),
+    (b'{"loss": "mse"}\n\xe9', "byte 16: not UTF-8 (unexpected end of data)"),
+], ids=["truncated", "utf16-bom", "latin1-tail"])
+def test_cli_train_names_a_config_that_is_not_json(tmp_path, capsys, content, message):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_bytes(content)
+    rc = cli.main(["train", "--config", str(cfg_path), "--data", "glyphs:train=16,test=16",
+                   "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+
+
 def test_cli_compare_exit_codes(tmp_path, capsys):
     rows = [
         {"iteration": i + 1, "epoch": i // 4, "train_loss": 1.0 / (i + 1),
@@ -890,6 +940,22 @@ def test_cli_compare_exit_codes(tmp_path, capsys):
     write_metrics(b, drift)
     assert cli.main(["compare", "--a", a, "--b", b]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option, value", [("--tol-acc", "nan"), ("--tol-acc", "-1"),
+                                           ("--tol-loss", "inf"), ("--tol-loss", "-0.5"),
+                                           ("--tol-acc", "x")])
+def test_cli_compare_tolerances_are_finite_and_non_negative(tmp_path, capsys, option, value):
+    # a bad tolerance is a usage error (exit 2), not a failed comparison
+    a = str(tmp_path / "a.csv")
+    write_metrics(a, _three_epoch_rows())
+    assert cli.main(["compare", "--a", a, "--b", a]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        cli.main(["compare", "--a", a, "--b", a, option, value])
+    out, text = capsys.readouterr()
+    assert (err.value.code, out) == (2, "")
+    assert f"argument {option}: must be a finite number >= 0, got '{value}'" in text
 
 
 def _three_epoch_rows():

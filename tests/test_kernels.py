@@ -352,14 +352,14 @@ def test_shadow_count_lanes_peaking_in_different_halves():
     assert got == [0, 0]
 
 
-def test_shadow_count_mixes_all_three_tiers():
-    # One call, one lane over two madds; rows cleared by the row bound, by
-    # the pair bound, and replayed with and without an excursion.
+def test_shadow_count_mixes_cleared_and_replayed_rows():
+    # One call, one lane over two madds; a row cleared by the row bound,
+    # and rows replayed with and without an excursion.
     rows = [
         [1] * 16,                     # row bound 2**18: cleared
-        [-_P] * 8 + [0] * 8,          # P + N = 2**31 = N: pair-cleared
-        [_P] * 8 + [0] * 8,           # P = 2**31: replayed, one event
-        [-_P] * 8 + [_P] * 8,         # P = 2**31, sums -2**31 then 0: replayed
+        [-_P] * 8 + [0] * 8,          # sums -2**31 then -2**31: replayed, no event
+        [_P] * 8 + [0] * 8,           # sums 2**31 then 2**31: replayed, one event
+        [-_P] * 8 + [_P] * 8,         # sums -2**31 then 0: replayed, no event
     ]
     want, got = _shadow_counts(rows, [_P] * 16)
     assert want == 1

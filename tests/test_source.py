@@ -272,6 +272,28 @@ def test_bench_files_report_the_end_to_end_metrics():
                 assert m["q1"] <= m["median"] <= m["q3"], path.name
 
 
+def bare_numeric_options(tree: ast.Module):
+    """(line, option) of each add_argument call whose type is the bare
+    builtin int or float, which lets through any value that parses."""
+    return [(node.lineno, ast.literal_eval(node.args[0]) if node.args else None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_argument"
+            for kw in node.keywords if kw.arg == "type"
+            and isinstance(kw.value, ast.Name) and kw.value.id in ("int", "float")]
+
+
+def test_bare_numeric_option_check_sees_each_call():
+    tree = ast.parse("p.add_argument('--a', type=int)\np.add_argument('--b', type=_seed)\n"
+                     "q.add_argument('--c', default=1, type=float)\nadd_argument('--d', type=int)")
+    assert bare_numeric_options(tree) == [(1, "--a"), (3, "--c")]
+
+
+def test_cli_numeric_options_go_through_a_checker():
+    # Every numeric option is parsed by a checker that rejects values out of
+    # range, so argparse names the option at fault, not a field inside.
+    assert bare_numeric_options(ast.parse((SRC / "cli.py").read_text())) == []
+
+
 def readme_synopsis():
     """{subcommand: set of --options} from the README's CLI synopsis: the
     first code block under "## CLI", one `dfp <subcommand>` per line, a
