@@ -19,6 +19,7 @@ import math
 import sys
 
 from . import experiments, fileio
+from .kernels import ConvSpec
 from .tensor import ROUNDING_MODES, DfpTensor, QuantConfig, quantize, rounding_from_name
 from .training import TrainingDivergence
 
@@ -148,6 +149,11 @@ def _cmd_bench(args) -> int:
                 print(f"error: --spec field {i} ({name}) must be >= {lo}, got {part!r}",
                       file=sys.stderr)
                 return 2
+        try:
+            ConvSpec(*shape)
+        except ValueError as exc:
+            print(f"error: --spec: {exc}", file=sys.stderr)
+            return 2
         rows = experiments.run_bench_conv(tuple(shape), n_batch=args.batch, **knobs)
     text = experiments.format_bench_csv(rows)
     sys.stdout.write(text)

@@ -231,8 +231,7 @@ def _make_linreg(n: int, slope: float, intercept: float, noise: float,
 
 
 def _find_idx(directory: str, stem: str) -> str:
-    for name in (f"{stem.replace('.', '-')}", stem,
-                 f"{stem.replace('-idx', '.idx')}"):
+    for name in (stem, stem.replace("-idx", ".idx")):
         path = os.path.join(directory, name)
         if os.path.exists(path):
             return path

@@ -133,12 +133,18 @@ def write_idx_images(path: str, images: np.ndarray) -> None:
 
 
 def write_idx_labels(path: str, labels: np.ndarray) -> None:
-    arr = np.asarray(labels).astype(np.uint8)
+    arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValueError(f"labels must be rank 1, got rank {arr.ndim}")
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"labels must be integers in [0, 255], got dtype {arr.dtype}")
+    bad = np.flatnonzero(~((arr >= 0) & (arr <= 255) & (arr == np.floor(arr))))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"labels must be integers in [0, 255]; label {i} is {arr[i].item()!r}")
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", _IDX_LABELS, arr.shape[0]))
-        fh.write(arr.tobytes())
+        fh.write(arr.astype(np.uint8).tobytes())
 
 
 def _read_idx(path: str, magic: int, rank: int) -> np.ndarray:

@@ -123,7 +123,11 @@ class ConvSpec:
             raise ValueError("pad must be non-negative")
         for dim, kdim in ((self.h, self.kh), (self.w, self.kw)):
             span = dim + 2 * self.pad - kdim
-            if span < 0 or span % self.stride != 0:
+            if span < 0:
+                raise ValueError(
+                    f"kernel {kdim} is larger than the padded input: dim {dim} + 2*pad "
+                    f"{self.pad} = {dim + 2 * self.pad}")
+            if span % self.stride != 0:
                 raise ValueError(
                     f"output size for dim {dim}, kernel {kdim}, stride {self.stride}, "
                     f"pad {self.pad} is not integral")

@@ -34,6 +34,13 @@ shared_exponent, round_value and _philox_uniforms are dfp.tensor.quantize's
 rules one scalar at a time: the exponent of a tensor, the rounding of one
 value under each mode, and the stochastic draws of a tensor's stream.
 quantize is tested against them.
+
+conv_weight_grad, col2im and conv_input_grad are the adjoints of the direct
+FP64 convolution, dfp.experiments._conv_oracle_f64, which the tests use as
+their one forward oracle: the weight gradient as a tap loop, and the input
+gradient as col2im of the float64 tap matrix.  col2im keeps its input's
+dtype and adds the taps in (kh, kw) order from +0.0, so it also gives the
+bits of kernels.fp32_input_grad.
 """
 
 from __future__ import annotations
@@ -178,6 +185,50 @@ def chains():
         yield parts
     finally:
         kernels._run_fast, kernels.spill_add, _recording = run, spill, None
+
+
+# === the convolution's adjoints ===
+
+
+def conv_weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int,
+                     pad: int) -> np.ndarray:
+    """FP64 weight gradient (K, C, KH, KW) of a convolution of x (N, C, H, W)
+    whose output gradient is g (N, K, OH, OW): each tap correlates g with
+    the stride-s window of the zero-padded x that the tap reads."""
+    x, g = np.asarray(x, np.float64), np.asarray(g, np.float64)
+    n, c, h, w = x.shape
+    oh, ow = g.shape[2:]
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad: pad + h, pad: pad + w] = x
+    gw = np.zeros((g.shape[1], c, kh, kw))
+    for r in range(kh):
+        for t in range(kw):
+            view = xp[:, :, r: r + stride * (oh - 1) + 1: stride,
+                      t: t + stride * (ow - 1) + 1: stride]
+            gw[:, :, r, t] = np.einsum("nkhw,nchw->kc", g, view)
+    return gw
+
+
+def col2im(cols: np.ndarray, spec) -> np.ndarray:
+    """The adjoint of im2col(x, spec): rows (n, oy, ox), columns (c, kh, kw),
+    scatter-added per tap onto a padded NCHW zero array of cols' dtype, taps
+    in (kh, kw) order."""
+    oh, ow, s, p = spec.oh, spec.ow, spec.stride, spec.pad
+    n = cols.shape[0] // (oh * ow)
+    d = cols.reshape(n, oh, ow, spec.in_ch, spec.kh, spec.kw)
+    xp = np.zeros((n, spec.in_ch, spec.h + 2 * p, spec.w + 2 * p), cols.dtype)
+    for r in range(spec.kh):
+        for t in range(spec.kw):
+            xp[..., r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s] += \
+                d[..., r, t].transpose(0, 3, 1, 2)
+    return xp[..., p: p + spec.h, p: p + spec.w]
+
+
+def conv_input_grad(g: np.ndarray, w: np.ndarray, spec) -> np.ndarray:
+    """FP64 input gradient (N, C, H, W) of a convolution with weights w
+    (K, C, KH, KW) whose output gradient is g (N, K, OH, OW)."""
+    g_mat = np.asarray(g, np.float64).transpose(0, 2, 3, 1).reshape(-1, spec.out_ch)
+    return col2im(g_mat @ np.asarray(w, np.float64).reshape(spec.out_ch, -1), spec)
 
 
 # === the paper's DFP primitives ===

@@ -25,7 +25,7 @@ from dfp.kernels import (ConvSpec, BlockingParams, pack_weights,
                          conv_fprop, gemm_dfp, default_blocking, overhead_ratio)
 from dfp.layers import RunContext
 from dfp.training import parse_config, make_quantizers, make_policy, build_model, mse
-from dfp.experiments import run_training, compare_metrics
+from dfp.experiments import _conv_oracle_f64, run_training, compare_metrics
 from dfp.datasets import export_idx
 
 # The tests that check the kernels and the paper's primitives import their
@@ -42,53 +42,6 @@ def emit(capsys, name: str, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-# === shared oracles ===
-
-
-def _conv_exact64(el_in: np.ndarray, el_w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Wide-integer convolution of raw elements; rows pixel-major (n, oh, ow)."""
-    n = el_in.shape[0]
-    ip = np.zeros((n, spec.in_ch, spec.h + 2 * spec.pad, spec.w + 2 * spec.pad),
-                  np.int64)
-    ip[:, :, spec.pad: spec.pad + spec.h, spec.pad: spec.pad + spec.w] = el_in
-    out = np.zeros((n, spec.out_ch, spec.oh, spec.ow), np.int64)
-    s = spec.stride
-    for r in range(spec.kh):
-        for t in range(spec.kw):
-            patch = ip[:, :, r: r + s * spec.oh: s, t: t + s * spec.ow: s]
-            out += np.einsum("nchw,kc->nkhw", patch, el_w[:, :, r, t].astype(np.int64))
-    return np.ascontiguousarray(out.transpose(0, 2, 3, 1)).reshape(-1, spec.out_ch)
-
-
-def _conv_f64(inp: np.ndarray, w: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 FP64 convolution used as the end-to-end reference."""
-    n, c, h, wd = inp.shape
-    k, _, kh, kw = w.shape
-    ip = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
-    ip[:, :, pad: pad + h, pad: pad + wd] = inp
-    oh, ow = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
-    out = np.zeros((n, k, oh, ow))
-    for r in range(kh):
-        for t in range(kw):
-            out += np.einsum("nchw,kc->nkhw", ip[:, :, r: r + oh, t: t + ow],
-                             w[:, :, r, t])
-    return out
-
-
-def _wtgrad_f64(err: np.ndarray, act: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
-    """FP64 weight-gradient correlation (stride 1)."""
-    n, c, h, wd = act.shape
-    ip = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
-    ip[:, :, pad: pad + h, pad: pad + wd] = act
-    oh, ow = err.shape[2], err.shape[3]
-    g = np.zeros((err.shape[1], c, kh, kw))
-    for r in range(kh):
-        for t in range(kw):
-            g[:, :, r, t] = np.einsum("nkhw,nchw->kc", err,
-                                      ip[:, :, r: r + oh, t: t + ow])
-    return g
 
 
 # === 1. quantization bound suite ===
@@ -287,7 +240,9 @@ def test_kernel_oracle_equivalence(capsys):
     qx, qw = quantize(x, cfg, tensor_id=3), quantize(w, cfg, tensor_id=4)
     spec = ConvSpec(32, 32, 14, 14, 3, 3, 1, 1)
     pw = pack_weights(qw)
-    wide = _conv_exact64(qx.elements, qw.elements, spec)
+    # the exact integer convolution, rows pixel-major as the chains are
+    wide = _conv_oracle_f64(qx.elements, qw.elements, 1, 1).astype(np.int64).transpose(
+        0, 2, 3, 1).reshape(-1, 32)
     out = None
     for emulate in (False, True):
         with reference.emulated(emulate), reference.chains() as parts:
@@ -295,12 +250,12 @@ def test_kernel_oracle_equivalence(capsys):
         ovf += st.overflow_count
         parts_ok = parts_ok and len(parts) == 1 and np.array_equal(
             parts[0][:, :32].astype(np.int64), wide)
-    O64 = _conv_f64(x.astype(np.float64), w.astype(np.float64), 1)
+    O64 = _conv_oracle_f64(x, w, 1, 1)
     hx, hw = 2.0 ** (qx.shared_exponent - 1), 2.0 ** (qw.shared_exponent - 1)
     ones_w = np.ones_like(w, np.float64)
     ones_x = np.ones_like(x, np.float64)
-    tc = (hw * _conv_f64(np.abs(x.astype(np.float64)), ones_w, 1)
-          + hx * _conv_f64(ones_x, np.abs(w.astype(np.float64)), 1)
+    tc = (hw * _conv_oracle_f64(np.abs(x), ones_w, 1, 1)
+          + hx * _conv_oracle_f64(ones_x, np.abs(w), 1, 1)
           + 288 * hx * hw + 2.0 ** -20 * np.abs(O64))
     conv_within = bool(np.all(np.abs(out - O64) <= tc))
     conv_rel = float(np.linalg.norm(out - O64) / np.linalg.norm(O64))
@@ -451,6 +406,7 @@ def test_overhead_accounting(capsys):
 
 
 def test_gradient_fidelity(capsys):
+    import reference
     cfg = parse_config({"layers": [
         {"type": "conv", "out_ch": 8, "kernel": 3, "pad": 1, "precision": "dfp",
          "bias": False},
@@ -489,7 +445,7 @@ def test_gradient_fidelity(capsys):
     x64, t64 = x.astype(np.float64), target.astype(np.float64)
 
     def fwd(Wc_, Wf_):
-        z1 = _conv_f64(x64, Wc_, 1)
+        z1 = _conv_oracle_f64(x64, Wc_, 1, 1)
         a1 = np.maximum(z1, 0.0)
         z2 = a1.reshape(2, -1) @ Wf_.T
         return float(np.mean((z2 - t64) ** 2)), z1, a1, z2
@@ -498,7 +454,7 @@ def test_gradient_fidelity(capsys):
     e2f = 2.0 * (z2 - t64) / z2.size
     gWf_an = e2f.T @ a1.reshape(2, -1)
     e1f = (e2f @ Wf).reshape(z1.shape) * (z1 > 0)
-    gWc_an = _wtgrad_f64(e1f, x64, 3, 3, 1)
+    gWc_an = reference.conv_weight_grad(x64, e1f, 3, 3, 1, 1)
 
     h = 1e-4
     gWf_fd = np.zeros_like(Wf)
@@ -523,9 +479,9 @@ def test_gradient_fidelity(capsys):
     tau_f = (np.abs(e2q - e2f).T @ np.abs(a1q)
              + np.abs(e2f).T @ np.abs(a1q - a1f)
              + 2.0 ** -20 * (np.abs(e2q).T @ np.abs(a1q)) + 10 * gap_f + 1e-8)
-    tau_c = (_wtgrad_f64(np.abs(e1q - e1f), np.abs(a0q), 3, 3, 1)
-             + _wtgrad_f64(np.abs(e1f), np.abs(a0q - x64), 3, 3, 1)
-             + 2.0 ** -20 * _wtgrad_f64(np.abs(e1q), np.abs(a0q), 3, 3, 1)
+    tau_c = (reference.conv_weight_grad(np.abs(a0q), np.abs(e1q - e1f), 3, 3, 1, 1)
+             + reference.conv_weight_grad(np.abs(a0q - x64), np.abs(e1f), 3, 3, 1, 1)
+             + 2.0 ** -20 * reference.conv_weight_grad(np.abs(a0q), np.abs(e1q), 3, 3, 1, 1)
              + 10 * gap_c + 1e-8)
     dev_f = np.abs(gWf_dfp - gWf_fd)
     dev_c = np.abs(gWc_dfp - gWc_fd)

@@ -122,6 +122,20 @@ def test_idx_roundtrip(tmp_path):
     npt.assert_array_equal(read_idx_labels(lp), labels)
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([300, -1, 5], "label 0 is 300"),
+    ([5, -1], "label 1 is -1"),
+    ([1.7, 2.2], "label 0 is 1.7"),
+    ([3.0, float("nan")], "label 1 is nan"),
+])
+def test_idx_labels_are_not_wrapped(tmp_path, labels, message):
+    # uint8 would wrap 300 to 44 and -1 to 255, and truncate 1.7 to 1
+    path = str(tmp_path / "lb.idx")
+    with pytest.raises(ValueError, match=rf"labels must be integers in \[0, 255\]; {message}$"):
+        write_idx_labels(path, np.array(labels))
+    assert not os.path.exists(path)
+
+
 def test_idx_errors(tmp_path):
     path = str(tmp_path / "bad.idx")
     with open(path, "wb") as fh:
@@ -565,6 +579,9 @@ def test_cli_bench_sizes_must_be_positive(argv, option, capsys):
     ("4,4,4,4,1,1,0,0", "--spec field 7 (stride) must be >= 1, got '0'"),
     ("4,4,4,-4,1,1,1,0", "--spec field 4 (W) must be >= 1, got '-4'"),
     ("4,4,4,4,1,1,1,-1", "--spec field 8 (pad) must be >= 0, got '-1'"),
+    # every field in range, the geometry not
+    ("4,4,2,2,3,3,1,0", "--spec: kernel 3 is larger than the padded input: dim 2 + 2*pad 0 = 2"),
+    ("4,4,4,4,3,3,2,0", "--spec: output size for dim 4, kernel 3, stride 2, pad 0 is not integral"),
 ])
 def test_cli_bench_conv_names_the_bad_spec_field(spec, message, capsys):
     assert cli.main(["bench-conv", "--spec", spec]) == 2

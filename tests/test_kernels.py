@@ -7,7 +7,7 @@ import pytest
 
 import reference
 from dfp import kernels
-from dfp.arith import INT32_MAX, INT32_MIN
+from dfp.experiments import _conv_oracle_f64
 from dfp.kernels import (BlockingParams, ConvSpec, Empirical, Fraction,
                          KernelStats, chain_length, conv_fprop,
                          default_blocking, gemm_dfp, im2col, overhead_ratio,
@@ -23,25 +23,6 @@ def _rand_dfp(rng, shape, pre_shift=1, scale=1.0):
     x = (rng.standard_normal(shape) * scale).astype(np.float32)
     return quantize(x, QuantConfig(16, Nearest(), pre_shift),
                     tensor_id=int(rng.integers(1 << 30)))
-
-
-def _conv_int64(inp, wt, spec):
-    # exact integer convolution of the stored elements, accumulated in int64
-    n = inp.elements.shape[0]
-    oh = (spec.h + 2 * spec.pad - spec.kh) // spec.stride + 1
-    ow = (spec.w + 2 * spec.pad - spec.kw) // spec.stride + 1
-    xp = np.zeros((n, spec.in_ch, spec.h + 2 * spec.pad, spec.w + 2 * spec.pad),
-                  np.int64)
-    xp[:, :, spec.pad: spec.pad + spec.h, spec.pad: spec.pad + spec.w] = \
-        inp.elements
-    w64 = wt.elements.astype(np.int64)
-    acc = np.zeros((n, spec.out_ch, oh, ow), np.int64)
-    for r in range(spec.kh):
-        for s in range(spec.kw):
-            xs = xp[:, :, r: r + oh * spec.stride: spec.stride,
-                    s: s + ow * spec.stride: spec.stride]
-            acc += np.einsum("nchw,kc->nkhw", xs, w64[:, :, r, s])
-    return acc
 
 
 # === vnni_madd ===
@@ -304,41 +285,24 @@ _SHADOW_CASES = {
 }
 
 
-def _shadow_oracle(a, b, icblk):
-    # (output, chain) pairs whose int64 running sum leaves int32 at a madd
-    # boundary (every 8 products)
-    a64, b64 = a.astype(np.int64), b.astype(np.int64)
-    count = 0
-    for c0 in range(0, a.shape[1], icblk):
-        run = np.zeros((a.shape[0], b.shape[1]), np.int64)
-        bad = np.zeros(run.shape, bool)
-        for i in range(c0, min(c0 + icblk, a.shape[1]), 8):
-            run += a64[:, i: i + 8] @ b64[i: i + 8]
-            bad |= (run > INT32_MAX) | (run < INT32_MIN)
-        count += int(bad.sum())
-    return count
-
-
 def _shadow_counts(a_rows, b_cols):
-    # b_cols: one 16-product column, or a list of them (one per lane)
+    # overflow counts of the emulator and the kernel; b_cols: one 16-product
+    # column, or a list of them (one per lane)
     a = np.array(a_rows, np.int16)
     b = np.array(b_cols, np.int16).reshape(-1, 16).T
-    want = _shadow_oracle(a, b, 16)
     da, db = DfpTensor(a, -14, 16), DfpTensor(b, -14, 16)
     pol, blk = Empirical(shadow_check=True), BlockingParams(icblk=16)
-    got = []
+    counts = []
     for emulate in (True, False):
         with reference.emulated(emulate):
-            got.append(gemm_dfp(da, db, blk, pol)[1].overflow_count)
-    return want, got
+            counts.append(gemm_dfp(da, db, blk, pol)[1].overflow_count)
+    return counts
 
 
 @pytest.mark.parametrize("case", sorted(_SHADOW_CASES))
 def test_shadow_count_at_int32_boundaries(case):
     a_row, b_col, events = _SHADOW_CASES[case]
-    want, got = _shadow_counts([a_row], b_col)
-    assert want == events
-    assert got == [events, events]
+    assert _shadow_counts([a_row], b_col) == [events, events]
 
 
 def test_shadow_count_lanes_peaking_in_different_halves():
@@ -347,9 +311,7 @@ def test_shadow_count_lanes_peaking_in_different_halves():
     # is 2 * INT32_MAX although no lane's P + N leaves int32.
     a_row = ([_P] * 7 + [_P - 1]) * 2
     peak = [_P] * 7 + [_P + 1]
-    want, got = _shadow_counts([a_row], [peak + [0] * 8, [0] * 8 + peak])
-    assert want == 0
-    assert got == [0, 0]
+    assert _shadow_counts([a_row], [peak + [0] * 8, [0] * 8 + peak]) == [0, 0]
 
 
 def test_shadow_count_mixes_cleared_and_replayed_rows():
@@ -361,9 +323,7 @@ def test_shadow_count_mixes_cleared_and_replayed_rows():
         [_P] * 8 + [0] * 8,           # sums 2**31 then 2**31: replayed, one event
         [-_P] * 8 + [_P] * 8,         # sums -2**31 then 0: replayed, no event
     ]
-    want, got = _shadow_counts(rows, [_P] * 16)
-    assert want == 1
-    assert got == [1, 1]
+    assert _shadow_counts(rows, [_P] * 16) == [1, 1]
 
 
 def test_shadow_count_over_several_tiles():
@@ -375,9 +335,7 @@ def test_shadow_count_over_several_tiles():
     b_col = [_P] * 8 + [-1] + [0] * 7
     pattern = [[_P] * 8 + [0] * 8, [_P] * 7 + [-_P] + [0] * 8, [1] * 8 + [0] * 8]
     reps = kernels._TILE_ROWS + 1
-    want, got = _shadow_counts(pattern * reps, b_col)
-    assert want == reps
-    assert got == [reps, reps]
+    assert _shadow_counts(pattern * reps, b_col) == [reps, reps]
 
 
 # === kernel tiles ===
@@ -480,7 +438,7 @@ def test_conv_matches_int64_oracle_single_chunk():
     inp = _rand_dfp(rng, (2, 16, 6, 6), pre_shift=4)
     wt = _rand_dfp(rng, (16, 16, 3, 3), pre_shift=4, scale=0.5)
     out, stats = conv_fprop(inp, pack_weights(wt), spec)
-    acc = _conv_int64(inp, wt, spec)
+    acc = _conv_oracle_f64(inp.elements, wt.elements, 1, 1).astype(np.int64)
     assert np.abs(acc).max() < 1 << 31
     scale = np.float32(2.0 ** (inp.shared_exponent + wt.shared_exponent))
     expect = (acc.astype(np.float32) * scale).astype(np.float32)
@@ -500,10 +458,8 @@ def test_recorded_chains_match_int64_mod_2_32():
         assert len(dbg) == 2 and dbg[0].shape == (25, 16)
         for ci, part in enumerate(dbg):
             lo, hi = ci * 16, ci * 16 + 16
-            sub_in = DfpTensor(inp.elements[:, lo:hi], inp.shared_exponent, 16)
-            sub_wt = DfpTensor(wt.elements[:, lo:hi], wt.shared_exponent, 16)
-            sspec = ConvSpec(16, 16, 5, 5, 3, 3, 1, 1)
-            exact = _conv_int64(sub_in, sub_wt, sspec)
+            exact = _conv_oracle_f64(inp.elements[:, lo:hi], wt.elements[:, lo:hi], 1,
+                                     1).astype(np.int64)
             wrapped = (exact & 0xFFFFFFFF).astype(np.uint32).view(np.int32)
             npt.assert_array_equal(part.reshape(25, 16),
                                    wrapped[0].transpose(1, 2, 0).reshape(25, 16))

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import dfp.training
-from dfp.experiments import run_training
+from dfp.experiments import _conv_oracle_f64, run_training
 from dfp.layers import (BatchNorm, Conv, Dense, MaxPool, AvgPool, Model,
                         Quantizers, ReLU, Residual, RunContext, to_fp32)
 from dfp.tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
@@ -37,50 +37,6 @@ def record_quantize_events(monkeypatch) -> list:
 def make_ctx(pre_shift=1):
     cfg = QuantConfig(16, Nearest(), pre_shift)
     return RunContext(q=Quantizers(cfg))
-
-
-def _conv64(x, w, stride, pad):
-    n, c, h, wd = x.shape
-    k, _, kh, kw = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
-    xp[:, :, pad: pad + h, pad: pad + wd] = x
-    out = np.zeros((n, k, oh, ow))
-    for r in range(kh):
-        for s in range(kw):
-            xs = xp[:, :, r: r + oh * stride: stride, s: s + ow * stride: stride]
-            out += np.einsum("nchw,kc->nkhw", xs, w[:, :, r, s].astype(np.float64))
-    return out
-
-
-def _conv64_gw(x, g, w_shape, stride, pad):
-    k, c, kh, kw = w_shape
-    n, _, h, wd = x.shape
-    oh, ow = g.shape[2], g.shape[3]
-    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
-    xp[:, :, pad: pad + h, pad: pad + wd] = x
-    gw = np.zeros(w_shape)
-    for r in range(kh):
-        for s in range(kw):
-            xs = xp[:, :, r: r + oh * stride: stride, s: s + ow * stride: stride]
-            gw[:, :, r, s] = np.einsum("nchw,nkhw->kc", xs,
-                                       g.astype(np.float64))
-    return gw
-
-
-def _conv64_gx(g, w, x_shape, stride, pad):
-    n, c, h, wd = x_shape
-    k, _, kh, kw = w.shape
-    oh, ow = g.shape[2], g.shape[3]
-    gxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
-    for r in range(kh):
-        for s in range(kw):
-            contrib = np.einsum("nkhw,kc->nchw", g.astype(np.float64),
-                                w[:, :, r, s].astype(np.float64))
-            gxp[:, :, r: r + oh * stride: stride,
-                s: s + ow * stride: stride] += contrib
-    return gxp[:, :, pad: pad + h, pad: pad + wd]
 
 
 MLP_CFG = {
@@ -420,27 +376,7 @@ def test_avgpool_forward_backward():
     npt.assert_allclose(gin, np.full((1, 1, 4, 4), 0.25))
 
 
-# === conv / dense, fp32 path ===
-
-
-def test_conv_fp32_matches_float64_oracle():
-    ctx = make_ctx()
-    rng = np.random.default_rng(21)
-    conv = Conv(ctx, "c", 3, 4, 3, stride=2, pad=1, precision="fp32",
-                bias=True, rng=rng)
-    x = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
-    out = conv.forward(x, train=True)
-    w, b = conv.params()["W"], conv.params()["b"]
-    want = _conv64(x, w, 2, 1) + b[None, :, None, None]
-    npt.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
-
-    r = rng.standard_normal(out.shape).astype(np.float32)
-    gin = conv.backward(r)
-    npt.assert_allclose(conv.grads()["W"], _conv64_gw(x, r, w.shape, 2, 1),
-                        rtol=1e-4, atol=1e-5)
-    npt.assert_allclose(conv.grads()["b"], r.sum(axis=(0, 2, 3)), rtol=1e-5)
-    npt.assert_allclose(gin, _conv64_gx(r, w, x.shape, 2, 1),
-                        rtol=1e-4, atol=1e-5)
+# === dense, fp32 path ===
 
 
 def test_dense_fp32_matches_oracle():
@@ -459,51 +395,6 @@ def test_dense_fp32_matches_oracle():
 
 
 # === conv / dense, integer path ===
-
-
-def test_conv_dfp_matches_quantized_operand_oracle():
-    ctx = make_ctx()
-    q = ctx.q
-    rng = np.random.default_rng(23)
-    conv = Conv(ctx, "c", 8, 16, 3, stride=1, pad=1, precision="dfp",
-                first=False, rng=rng)
-    x = rng.standard_normal((2, 8, 6, 6)).astype(np.float32)
-    out = conv.forward(x, train=True)
-    # independently quantize operands: nearest rounding ignores tensor ids
-    a_q = quantize(x, q.cfg, tensor_id=0)
-    w_q = quantize(conv.params()["W"], q.cfg, tensor_id=0)
-    want = _conv64(dequantize(a_q), dequantize(w_q).astype(np.float64), 1, 1)
-    npt.assert_allclose(out, want, rtol=1e-4,
-                        atol=1e-4 * np.abs(want).max())
-
-    r = rng.standard_normal(out.shape).astype(np.float32)
-    gin = conv.backward(r)
-    e_q = quantize(r, q.cfg, tensor_id=0)
-    gw_want = _conv64_gw(dequantize(a_q).astype(np.float64), dequantize(e_q),
-                         conv.params()["W"].shape, 1, 1)
-    npt.assert_allclose(conv.grads()["W"], gw_want, rtol=1e-4,
-                        atol=1e-4 * np.abs(gw_want).max())
-    gx_want = _conv64_gx(dequantize(e_q), dequantize(w_q).astype(np.float64),
-                         x.shape, 1, 1)
-    npt.assert_allclose(gin, gx_want, rtol=1e-4,
-                        atol=1e-4 * np.abs(gx_want).max())
-
-
-def test_conv_dfp_stride_two_backward_oracle():
-    ctx = make_ctx()
-    rng = np.random.default_rng(24)
-    conv = Conv(ctx, "c", 8, 8, 3, stride=2, pad=1, precision="dfp",
-                first=False, rng=rng)
-    x = rng.standard_normal((2, 8, 7, 7)).astype(np.float32)
-    out = conv.forward(x, train=True)
-    r = rng.standard_normal(out.shape).astype(np.float32)
-    gin = conv.backward(r)
-    e_q = quantize(r, ctx.q.cfg, tensor_id=0)
-    w_q = quantize(conv.params()["W"], ctx.q.cfg, tensor_id=0)
-    gx_want = _conv64_gx(dequantize(e_q), dequantize(w_q).astype(np.float64),
-                         x.shape, 2, 1)
-    npt.assert_allclose(gin, gx_want, rtol=1e-4,
-                        atol=1e-4 * (np.abs(gx_want).max() + 1e-12))
 
 
 def test_conv_dfp_first_skips_input_gradient():
@@ -635,7 +526,7 @@ def test_residual_fp32_adds_skip_path():
     assert isinstance(res, Residual)
     x = np.random.default_rng(32).standard_normal((2, 4, 5, 5)).astype(np.float32)
     out = res.forward(x, train=True)
-    body_out = _conv64(x, res.body[0].params()["W"], 1, 1)
+    body_out = _conv_oracle_f64(x, res.body[0].params()["W"], 1, 1)
     npt.assert_allclose(out, x + body_out, rtol=1e-5, atol=1e-6)
 
 
@@ -706,6 +597,9 @@ _CONV = {"type": "conv", "out_ch": 4, "kernel": 3, "pad": 1}
      r"layers\[0\] \(batchnorm\): momentum must be in \[0, 1\], got 1\.5"),
     ([{"type": "batchnorm", "momentum": float("nan")}],
      r"layers\[0\] \(batchnorm\): momentum must be in \[0, 1\], got nan"),
+    # a kernel larger than its padded input is a geometry error, not a stride one
+    ([dict(_CONV, kernel=9)],
+     r"layers\[0\] \(conv\): kernel 9 is larger than the padded input: dim 6 \+ 2\*pad 1 = 8"),
 ])
 @pytest.mark.parametrize("precision", ["fp32", "dfp16"])
 def test_build_rejects_malformed_layer(layers, match, precision):

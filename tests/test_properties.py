@@ -1,7 +1,9 @@
 """Property tests: lowering, and the kernel's bit identity with the
 reference's instruction emulator, over random geometry,
 the FP32 input gradient and the DFP weight gradient against their plain
-formulations, an fc layer against its GEMM formulation, the range,
+formulations, an fc layer against its GEMM formulation, a conv layer's
+four passes in both precisions against the FP64 convolution oracle and
+its adjoints over random geometry, the range,
 exponent and error bounds of the format conversions, their exactness
 against float64 formulas, average pooling's summation order and its
 gradient against the broadcast form, max pooling against argmax, and the file
@@ -21,6 +23,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import dfp.tensor
 from dfp.arith import Empirical
+from dfp.experiments import _conv_oracle_f64
 from dfp.fileio import (METRICS_HEADER, read_dft, read_idx_images, read_idx_labels,
                         read_metrics, write_dft, write_idx_images, write_idx_labels,
                         write_metrics)
@@ -105,20 +108,6 @@ def test_fp32_input_grad_is_adjoint_of_the_forward_conv(spec, n, seed):
         assert int(((im2col(x, spec) @ wmat.T) * g).sum()) == int((x * back).sum())
 
 
-def _tap_scatter(cols, spec):
-    # col2im, the adjoint of im2col, as a per-tap scatter-add onto a padded
-    # NCHW zero array, taps in (kh, kw) order
-    oh, ow, s, p = spec.oh, spec.ow, spec.stride, spec.pad
-    n = cols.shape[0] // (oh * ow)
-    d = cols.reshape(n, oh, ow, spec.in_ch, spec.kh, spec.kw)
-    xp = np.zeros((n, spec.in_ch, spec.h + 2 * p, spec.w + 2 * p), cols.dtype)
-    for r in range(spec.kh):
-        for t in range(spec.kw):
-            xp[..., r: r + s * (oh - 1) + 1: s, t: t + s * (ow - 1) + 1: s] += \
-                d[..., r, t].transpose(0, 3, 1, 2)
-    return xp[..., p: p + spec.h, p: p + spec.w]
-
-
 def _signed_f32(rng, shape):
     # float32 values of both signs with magnitudes 2**-20..2**21, a few -0.0
     mag = rng.uniform(1, 2, shape) * np.exp2(rng.integers(-20, 21, shape))
@@ -138,7 +127,7 @@ def test_fp32_input_grad_keeps_the_sgemm_and_tap_order_bits(spec, n, seed):
     rng = np.random.default_rng(seed)
     g = _signed_f32(rng, (n * spec.oh * spec.ow, spec.out_ch))
     wmat = _signed_f32(rng, (spec.out_ch, spec.in_ch * spec.kh * spec.kw))
-    want = _tap_scatter(g @ wmat, spec)
+    want = reference.col2im(g @ wmat, spec)
     for back in _input_grad_tiles(g, wmat, spec):
         assert back.shape == (n, spec.in_ch, spec.h, spec.w) and back.dtype == np.float32
         npt.assert_array_equal(back.view(np.uint32), want.view(np.uint32))
@@ -355,6 +344,65 @@ def test_dfp_weight_gradient_equals_the_channel_order_lowering(data, spec, n, c,
     _same_bits(conv.gW, want.reshape(conv.W.shape))
     assert ctx.stats == ref.stats
     event(f"int32 excursions: {ref.stats.overflow_count > 0}")
+
+
+# === a conv layer against the FP64 oracle and its adjoints ===
+
+
+def _near(got, oracle, *operands, terms):
+    # To first order, an FP32 sum of `terms` products errs by at most
+    # (terms - 1) * 2**-24 times the sum of their magnitudes,
+    # oracle(*|operands|); a DFP chain is exact and rounds twice, converted
+    # and spilled, so `terms` products in at most `terms` chains err by at
+    # most 2 * terms * 2**-24 times that sum.
+    want = oracle(*operands)
+    assert got.shape == want.shape
+    bound = terms * 2.0 ** -22 * oracle(*(np.abs(v) for v in operands))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(spec=conv_specs(max_k=5), n=st.integers(1, 2), precision=st.sampled_from(["fp32", "dfp"]),
+       bias=st.booleans(), seed=st.integers(0, 2**16))
+@example(spec=ConvSpec(3, 4, 7, 7, 3, 3, 2, 1), n=2, precision="fp32", bias=True, seed=21)
+@example(spec=ConvSpec(8, 16, 6, 6, 3, 3, 1, 1), n=2, precision="dfp", bias=False, seed=23)
+@example(spec=ConvSpec(8, 8, 7, 7, 3, 3, 2, 1), n=2, precision="dfp", bias=False, seed=24)
+def test_conv_layer_matches_the_float64_oracle(spec, n, precision, bias, seed):
+    # fprop, weight, input and bias gradients of a Conv layer equal the FP64
+    # convolution and its adjoints on the operands the layer multiplies: the
+    # FP32 values, or their DFP16 quantization (nearest rounding ignores
+    # tensor ids), within the rounding bound, which holds while no chain
+    # leaves int32
+    if precision == "dfp":
+        assume(spec.pad <= spec.kh - 1)
+    cfg = QuantConfig(16, Nearest(), 1)
+    ctx = RunContext(q=Quantizers(cfg), policy=Empirical(shadow_check=True))
+    rng = np.random.default_rng(seed)
+    conv = Conv(ctx, "conv", spec.in_ch, spec.out_ch, spec.kh, spec.stride, spec.pad,
+                precision=precision, bias=bias, rng=rng)
+    if bias:
+        conv.b[...] = rng.standard_normal(spec.out_ch)
+    x = rng.standard_normal((n, spec.in_ch, spec.h, spec.w)).astype(np.float32)
+    g = rng.standard_normal((n, spec.out_ch, spec.oh, spec.ow)).astype(np.float32)
+    out = conv.forward(x, train=True)
+    gx = conv.backward(g)
+    assert ctx.stats.overflow_count == 0
+
+    def operand(v):
+        return dequantize(quantize(v, cfg)) if precision == "dfp" else v
+
+    a, w, e = (operand(v).astype(np.float64) for v in (x, conv.W, g))
+    k, s, p, taps, pixels = spec.kh, spec.stride, spec.pad, spec.kh * spec.kw, spec.oh * spec.ow
+    b = conv.b if bias else np.zeros(spec.out_ch, np.float32)
+    _near(out, lambda a, w, b: _conv_oracle_f64(a, w, s, p) + b[:, None, None], a, w, b,
+          terms=spec.in_ch * taps + 1)
+    _near(conv.gW, lambda a, e: reference.conv_weight_grad(a, e, k, k, s, p), a, e,
+          terms=n * pixels)
+    _near(gx, lambda e, w: reference.conv_input_grad(e, w, spec), e, w,
+          terms=spec.out_ch * taps)
+    if bias:
+        _near(conv.gb, lambda g: g.sum(axis=(0, 2, 3)), g.astype(np.float64), terms=n * pixels)
+    event(f"precision {precision}, stride {s}")
 
 
 # === format conversion bounds ===

@@ -199,6 +199,40 @@ def test_one_kernel_body():
     assert (len(calls_to(tree, "_make_plan")), len(calls_to(tree, "_run_fast"))) == (1, 1)
 
 
+def convolution_tap_loops(tree: ast.Module):
+    """(line, name) of each function holding a direct-convolution tap loop:
+    an np.einsum whose subscripts name an NCHW array."""
+    return [(fn.lineno, fn.name) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and "nchw" in str(node.args[0].value) for node in ast.walk(fn))]
+
+
+def test_tap_loop_check_sees_each_einsum():
+    tree = ast.parse("def f(x):\n    return np.einsum('nchw,kc->nkhw', x, w)\n"
+                     "def g(x):\n    return np.einsum('nkhw,kc->nchw', x, w)\n"
+                     "def h(x):\n    return np.einsum('ij,jk->ik', x, w)\n"
+                     "def k(x):\n    return np.einsum(s, x)\n"
+                     "np.einsum('nchw,kc->nkhw', x, w)\n")
+    assert convolution_tap_loops(tree) == [(1, "f"), (3, "g")]
+
+
+# The one forward convolution oracle, and the one copy of each of its adjoints.
+CONV_ORACLES = ("src/dfp/experiments.py", "tests/reference.py")
+
+
+def test_one_convolution_oracle():
+    # Every test checks a convolution against dfp.experiments._conv_oracle_f64
+    # and the adjoints in tests/reference.py; a tap loop elsewhere is a copy.
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    paths += sorted((ROOT / "benchmark").glob("*.py"))
+    found = [(path.relative_to(ROOT).as_posix(), line, name) for path in paths
+             if path.relative_to(ROOT).as_posix() not in CONV_ORACLES
+             for line, name in convolution_tap_loops(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
 # What the tests' reference (tests/reference.py) holds and training never runs.
 REFERENCE_ONLY = ("ENGINES", "_run_instr", "vnni_madd", "_madd_contrib64", "AccumTensor",
                   "dfp_multiply", "dfp_add", "lzc", "down_convert", "spill_to_fp32",
