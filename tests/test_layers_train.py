@@ -9,7 +9,9 @@ import numpy.testing as npt
 import pytest
 
 import dfp.training
+import reference
 from dfp.experiments import _conv_oracle_f64, run_training
+from dfp.kernels import ConvSpec
 from dfp.layers import (BatchNorm, Conv, Dense, MaxPool, AvgPool, Model,
                         Quantizers, ReLU, Residual, RunContext, to_fp32)
 from dfp.tensor import DfpTensor, Nearest, QuantConfig, dequantize, quantize
@@ -376,7 +378,27 @@ def test_avgpool_forward_backward():
     npt.assert_allclose(gin, np.full((1, 1, 4, 4), 0.25))
 
 
-# === dense, fp32 path ===
+# === conv / dense, fp32 path ===
+
+
+def test_conv_fp32_matches_float64_oracle():
+    ctx = make_ctx()
+    rng = np.random.default_rng(21)
+    conv = Conv(ctx, "c", 3, 4, 3, stride=2, pad=1, precision="fp32",
+                bias=True, rng=rng)
+    x = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
+    out = conv.forward(x, train=True)
+    w, b = conv.params()["W"], conv.params()["b"]
+    want = _conv_oracle_f64(x, w, 2, 1) + b[None, :, None, None]
+    npt.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
+
+    r = rng.standard_normal(out.shape).astype(np.float32)
+    gin = conv.backward(r)
+    npt.assert_allclose(conv.grads()["W"], reference.conv_weight_grad(x, r, 3, 3, 2, 1),
+                        rtol=1e-4, atol=1e-5)
+    npt.assert_allclose(conv.grads()["b"], r.sum(axis=(0, 2, 3)), rtol=1e-5)
+    npt.assert_allclose(gin, reference.conv_input_grad(r, w, ConvSpec(3, 4, 7, 7, 3, 3, 2, 1)),
+                        rtol=1e-4, atol=1e-5)
 
 
 def test_dense_fp32_matches_oracle():
@@ -395,6 +417,50 @@ def test_dense_fp32_matches_oracle():
 
 
 # === conv / dense, integer path ===
+
+
+def test_conv_dfp_matches_quantized_operand_oracle():
+    ctx = make_ctx()
+    q = ctx.q
+    rng = np.random.default_rng(23)
+    conv = Conv(ctx, "c", 8, 16, 3, stride=1, pad=1, precision="dfp",
+                first=False, rng=rng)
+    x = rng.standard_normal((2, 8, 6, 6)).astype(np.float32)
+    out = conv.forward(x, train=True)
+    # independently quantize operands: nearest rounding ignores tensor ids
+    a_q = quantize(x, q.cfg, tensor_id=0)
+    w_q = quantize(conv.params()["W"], q.cfg, tensor_id=0)
+    want = _conv_oracle_f64(dequantize(a_q), dequantize(w_q), 1, 1)
+    npt.assert_allclose(out, want, rtol=1e-4,
+                        atol=1e-4 * np.abs(want).max())
+
+    r = rng.standard_normal(out.shape).astype(np.float32)
+    gin = conv.backward(r)
+    e_q = quantize(r, q.cfg, tensor_id=0)
+    gw_want = reference.conv_weight_grad(dequantize(a_q), dequantize(e_q), 3, 3, 1, 1)
+    npt.assert_allclose(conv.grads()["W"], gw_want, rtol=1e-4,
+                        atol=1e-4 * np.abs(gw_want).max())
+    gx_want = reference.conv_input_grad(dequantize(e_q), dequantize(w_q),
+                                        ConvSpec(8, 16, 6, 6, 3, 3, 1, 1))
+    npt.assert_allclose(gin, gx_want, rtol=1e-4,
+                        atol=1e-4 * np.abs(gx_want).max())
+
+
+def test_conv_dfp_stride_two_backward_oracle():
+    ctx = make_ctx()
+    rng = np.random.default_rng(24)
+    conv = Conv(ctx, "c", 8, 8, 3, stride=2, pad=1, precision="dfp",
+                first=False, rng=rng)
+    x = rng.standard_normal((2, 8, 7, 7)).astype(np.float32)
+    out = conv.forward(x, train=True)
+    r = rng.standard_normal(out.shape).astype(np.float32)
+    gin = conv.backward(r)
+    e_q = quantize(r, ctx.q.cfg, tensor_id=0)
+    w_q = quantize(conv.params()["W"], ctx.q.cfg, tensor_id=0)
+    gx_want = reference.conv_input_grad(dequantize(e_q), dequantize(w_q),
+                                        ConvSpec(8, 8, 7, 7, 3, 3, 2, 1))
+    npt.assert_allclose(gin, gx_want, rtol=1e-4,
+                        atol=1e-4 * (np.abs(gx_want).max() + 1e-12))
 
 
 def test_conv_dfp_first_skips_input_gradient():
